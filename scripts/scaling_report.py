@@ -31,11 +31,11 @@ def main() -> None:
         print(f"  n={n:>5}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
 
     print("full bordered squares")
-    for order in (10, 20, 40, 80):
+    for order in (10, 20, 40, 80, 200, 400, 2003):
         square, t_build = timed(build_square, order)
         report, t_check = timed(verify_bordered, square)
         assert report.valid
-        print(f"  N={order:>3}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
+        print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
 
     print("exhaustive set-level counts per inner order")
     for n in (3, 4, 5, 6):

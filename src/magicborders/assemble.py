@@ -1,9 +1,10 @@
-"""Build complete bordered magic squares by wrapping borders around a core.
+"""Build complete bordered magic squares by filling one grid ring by ring.
 
-A square of order N wraps the order N-2 square, its entries shifted up by
-2(N-2)+2 so they land exactly between the border pool's small and large
-halves.  Recursion bottoms out at the classical order-3 and order-4
-squares.
+The order-3 or order-4 classical square sits at the centre; every ring
+around it is the magic border of its own order, with its values raised by
+``ring_shift`` so they land between the pools of the rings outside it.
+Filling the grid from the innermost ring outwards touches each cell once,
+so building an order-N square costs O(N^2) with no recursion.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .construct import build_border
-from .core import check_inner_order, complement_base
+from .core import complement_base
 from .verify import BorderFrame, BorderPlan, verify_border
 
 _BASE_3 = ((2, 7, 6), (9, 5, 1), (4, 3, 8))
@@ -19,7 +20,7 @@ _BASE_4 = ((16, 3, 2, 13), (5, 10, 11, 8), (9, 6, 7, 12), (4, 15, 14, 1))
 
 
 def base_square(order: int) -> list[list[int]]:
-    """Fixed classical core squares for the two recursion bases."""
+    """Fixed classical core squares for the two core orders."""
     if order == 3:
         return [list(row) for row in _BASE_3]
     if order == 4:
@@ -64,23 +65,41 @@ def plan_from_frame(frame: BorderFrame) -> BorderPlan:
     )
 
 
+def ring_shift(order: int, k: int) -> int:
+    """Amount added to the border values of ring k (0 = outermost) of an
+    order-N square: the 2k(N-k) values taken by the k rings outside it."""
+    return 2 * k * (order - k)
+
+
 def build_square(order: int) -> list[list[int]]:
     """A bordered magic square of the given order; deterministic in the order."""
     if not isinstance(order, int) or isinstance(order, bool) or order < 3:
         raise ValueError(
             f"bordered magic squares are built for orders >= 3, got {order!r}"
         )
-    if order <= 4:
-        return base_square(order)
-    inner_order = order - 2
-    check_inner_order(inner_order)
-    inner = build_square(inner_order)
-    shift = 2 * inner_order + 2
-    frame = render_frame(build_border(inner_order))
-    cells = [list(row) for row in frame.cells]
-    for i, row in enumerate(inner, start=1):
-        for j, value in enumerate(row, start=1):
-            cells[i][j] = value + shift
+    core = 3 if order % 2 else 4
+    k = (order - core) // 2
+    shift = ring_shift(order, k)
+    cells = [[0] * order for _ in range(order)]
+    for i, row in enumerate(base_square(core), start=k):
+        cells[i][k : k + core] = [value + shift for value in row]
+    for m in range(core + 2, order + 1, 2):
+        k = (order - m) // 2
+        hi = k + m - 1
+        shift = ring_shift(order, k)
+        plan = build_border(m - 2)
+        pair_sum = complement_base(m - 2) + 2 * shift
+        top = [plan.v + shift, *(x + shift for x in plan.b), plan.w + shift]
+        cells[k][k : hi + 1] = top
+        # each bottom cell faces the top cell in its column, each bottom
+        # corner the top corner diagonally opposite
+        bottom = [pair_sum - x for x in top]
+        bottom[0], bottom[-1] = bottom[-1], bottom[0]
+        cells[hi][k : hi + 1] = bottom
+        for i, x in enumerate(plan.c, start=k + 1):
+            row = cells[i]
+            row[k] = x + shift
+            row[hi] = pair_sum - x - shift
     return cells
 
 
@@ -97,7 +116,7 @@ def layer_plans(cells: Sequence[Sequence[int]]) -> list[BorderPlan]:
     m = order
     while m >= base + 2:
         k = (order - m) // 2
-        shift = 2 * k * (order - k)  # values below the pool of the order-m ring
+        shift = ring_shift(order, k)
         n = m - 2
         top = [cells[k][j] - shift for j in range(k, k + m)]
         left = [cells[i][k] - shift for i in range(k + 1, k + m - 1)]

@@ -115,13 +115,9 @@ def cmd_verify(args) -> int:
         report = verify_border(doc)
     elif isinstance(doc, GridDocument) and doc.is_complete():
         square = doc.as_square()
-        report = verify_square(square)
-        if args.bordered:
-            extra = verify_bordered(square)
-            merged = report.violations + tuple(
-                x for x in extra.violations if x not in report.violations
-            )
-            report = CheckReport(valid=not merged, violations=merged)
+        # the bordered check covers every line of the full square as its
+        # order-N subsquare, so it runs alone
+        report = verify_bordered(square) if args.bordered else verify_square(square)
     else:
         report = verify_frame(doc.as_frame())
     _print_report(report)
@@ -140,6 +136,8 @@ def _iter_keys(n: int, corners: tuple[int, int] | None):
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise DocumentError(f"--limit must be >= 0, got {args.limit}")
     n = args.order
     if n > DESK_SCALE_ORDER:
         print(

@@ -32,6 +32,11 @@ def recipe_case(n: int) -> str:
     return CASE_ODD_GENERAL
 
 
+def _row_value(row: int, side: str, c_base: int) -> int:
+    """The value diagram row ``row`` offers on ``side``."""
+    return row if side == LEFT else c_base - row
+
+
 @dataclass(frozen=True)
 class PairingScheme:
     """A full set of diagram choices plus the pairing that certifies them.
@@ -48,14 +53,14 @@ class PairingScheme:
     pairs: tuple[tuple[int, int, str], ...]
 
     def selected_value(self, row: int) -> int:
-        side = self.sides[row - 1]
-        return row if side == LEFT else complement_base(self.n) - row
+        return _row_value(row, self.sides[row - 1], complement_base(self.n))
 
     def selections(self) -> list[tuple[int, str, str, int]]:
         """(row, side, tag, value) for every diagram row."""
+        c_base = complement_base(self.n)
         return [
-            (row, self.sides[row - 1], self.tags[row - 1], self.selected_value(row))
-            for row in range(1, 2 * self.n + 3)
+            (row, side, tag, _row_value(row, side, c_base))
+            for row, (side, tag) in enumerate(zip(self.sides, self.tags), start=1)
         ]
 
     def plan(self) -> BorderPlan:
@@ -87,9 +92,12 @@ class PairingScheme:
         counts = {tag: self.tags.count(tag) for tag in ("v", "w", "b", "c")}
         if counts != {"v": 1, "w": 1, "b": n, "c": n}:
             raise ValueError(f"bad tag counts {counts}")
-        w_row = self.tags.index("w") + 1
-        selected = {self.selected_value(row) for row in range(1, 2 * n + 3)}
-        allowed = selected | {complement_base(n) - self.selected_value(w_row)}
+        c_base = complement_base(n)
+        selected = [
+            _row_value(row, side, c_base)
+            for row, side in enumerate(self.sides, start=1)
+        ]
+        allowed = set(selected) | {c_base - selected[self.tags.index("w")]}
         for x, y, label in self.pairs:
             if label not in ("b", "c"):
                 raise ValueError(f"unknown pair label {label!r}")
@@ -110,7 +118,7 @@ class _SchemeBuilder:
             raise ValueError(f"row {row} already decided")
         self.sides[row - 1] = side
         self.tags[row - 1] = tag
-        return row if side == LEFT else self.c_base - row
+        return _row_value(row, side, self.c_base)
 
     def pair(self, x: int, y: int, label: str) -> None:
         self.pairs.append((x, y, label))

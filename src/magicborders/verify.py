@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
@@ -16,8 +17,8 @@ from .core import (
     complement_base,
     d_corner,
     d_value,
-    in_pool,
     magic_constant,
+    pool_bounds,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,24 +117,29 @@ def verify_border(plan: BorderPlan) -> CheckReport:
         violations.append(Violation("shape", "c", expected=n, actual=len(plan.c)))
 
     values = plan.values()
+    s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
     for value in values:
-        if not isinstance(value, int) or not in_pool(value, n):
+        if not isinstance(value, int) or not (
+            s_lo <= value <= s_hi or l_lo <= value <= l_hi
+        ):
             violations.append(Violation("pool-membership", f"value {value}"))
 
     counts = Counter(values)
-    for value, count in sorted(counts.items(), key=lambda kv: str(kv[0])):
-        if count > 1:
-            violations.append(
-                Violation("duplicate-value", f"value {value}", expected=1, actual=count)
-            )
+    duplicates = [(value, count) for value, count in counts.items() if count > 1]
+    for value, count in sorted(duplicates, key=lambda kv: str(kv[0])):
+        violations.append(
+            Violation("duplicate-value", f"value {value}", expected=1, actual=count)
+        )
 
-    chosen = set(counts)
-    for value in sorted(chosen, key=str):
-        partner = c_base - value if isinstance(value, int) else None
-        if partner is not None and partner in chosen and value < partner:
-            violations.append(
-                Violation("complement-clash", f"values {value} and {partner}")
-            )
+    clashes = [
+        value
+        for value in counts
+        if isinstance(value, int) and value < c_base - value and c_base - value in counts
+    ]
+    for value in sorted(clashes, key=str):
+        violations.append(
+            Violation("complement-clash", f"values {value} and {c_base - value}")
+        )
 
     row_sum = plan.v + sum(plan.b) + plan.w
     if row_sum != target:
@@ -269,6 +275,13 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
     3 for odd N, 4 for even N) must have all rows, columns and both
     diagonals summing to m(N^2+1)/2, and within every proper ring the two
     cells opposite through the center must sum to N^2+1.
+
+    The full square's own lines are always checked, so below order 3,
+    where there is no ring, this is the plain magic check.
+
+    The line sums of the full square are taken once; stepping from order m
+    to m-2 subtracts the peeled ring's two cells from each running sum, so
+    the whole check costs O(N^2).
     """
     violations = _square_shape_violations(cells)
     if violations:
@@ -283,62 +296,47 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
 
     base = 3 if order % 2 else 4
     pair_sum = order * order + 1
+    row_sums = [sum(row) for row in cells]
+    col_sums = [sum(col) for col in zip(*cells)]
+    diag = sum(cells[t][t] for t in range(order))
+    anti = sum(cells[t][order - 1 - t] for t in range(order))
     m = order
-    while m >= base:
+    while m == order or m >= base:
         k = (order - m) // 2
+        lo, hi = k, k + m - 1
         line_target = m * pair_sum // 2
-        rows = range(k, k + m)
-        for i in rows:
-            s = sum(cells[i][j] for j in rows)
-            if s != line_target:
+        for lines, kind in ((row_sums, "row"), (col_sums, "column")):
+            for i in range(lo, hi + 1):
+                if lines[i] != line_target:
+                    violations.append(
+                        Violation(
+                            "subsquare-line-sum",
+                            f"order {m} {kind} {i}",
+                            expected=line_target,
+                            actual=lines[i],
+                        )
+                    )
+        for total, name in ((diag, "main diagonal"), (anti, "anti diagonal")):
+            if total != line_target:
                 violations.append(
                     Violation(
                         "subsquare-line-sum",
-                        f"order {m} row {i}",
+                        f"order {m} {name}",
                         expected=line_target,
-                        actual=s,
+                        actual=total,
                     )
                 )
-        for j in rows:
-            s = sum(cells[i][j] for i in rows)
-            if s != line_target:
-                violations.append(
-                    Violation(
-                        "subsquare-line-sum",
-                        f"order {m} column {j}",
-                        expected=line_target,
-                        actual=s,
-                    )
-                )
-        diag = sum(cells[k + t][k + t] for t in range(m))
-        if diag != line_target:
-            violations.append(
-                Violation(
-                    "subsquare-line-sum",
-                    f"order {m} main diagonal",
-                    expected=line_target,
-                    actual=diag,
-                )
-            )
-        anti = sum(cells[k + t][k + m - 1 - t] for t in range(m))
-        if anti != line_target:
-            violations.append(
-                Violation(
-                    "subsquare-line-sum",
-                    f"order {m} anti diagonal",
-                    expected=line_target,
-                    actual=anti,
-                )
-            )
         if m >= base + 2:
             # each ring cell faces one partner: the far end of its column for
             # top/bottom cells, of its row for left/right cells, and the
             # diagonally opposite corner for corners
-            lo, hi = k, k + m - 1
-            facing = [((lo, lo), (hi, hi)), ((lo, hi), (hi, lo))]
-            facing += [((lo, j), (hi, j)) for j in range(lo + 1, hi)]
-            facing += [((i, lo), (i, hi)) for i in range(lo + 1, hi)]
-            for (i1, j1), (i2, j2) in facing:
+            top, bottom = cells[lo], cells[hi]
+            facing = chain(
+                ((lo, lo, hi, hi), (lo, hi, hi, lo)),
+                ((lo, j, hi, j) for j in range(lo + 1, hi)),
+                ((i, lo, i, hi) for i in range(lo + 1, hi)),
+            )
+            for i1, j1, i2, j2 in facing:
                 total = cells[i1][j1] + cells[i2][j2]
                 if total != pair_sum:
                     violations.append(
@@ -349,6 +347,13 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
                             actual=total,
                         )
                     )
+            # peel the ring off the running sums of the order m-2 subsquare
+            for i in range(lo + 1, hi):
+                row = cells[i]
+                row_sums[i] -= row[lo] + row[hi]
+                col_sums[i] -= top[i] + bottom[i]
+            diag -= top[lo] + bottom[hi]
+            anti -= top[hi] + bottom[lo]
         m -= 2
     return CheckReport.from_violations(violations)
 

@@ -102,6 +102,33 @@ def test_verify_flags_a_perturbed_frame(capsys, tmp_path):
     assert "top row" in out or "opposite-complement" in out
 
 
+def test_verify_bordered_reports_each_broken_line_once(capsys, tmp_path):
+    _, out, _ = run(capsys, "build", "--order", "7")
+    square = [row.split() for row in out.splitlines()]
+    square[0][0], square[3][3] = square[3][3], square[0][0]
+    path = tmp_path / "tampered.txt"
+    path.write_text("\n".join(" ".join(row) for row in square) + "\n", encoding="utf-8")
+
+    code, out, _ = run(capsys, "verify", str(path), "--bordered")
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "invalid: 14 violation(s)"
+    assert "  subsquare-line-sum at order 7 row 0: expected 175, got 188" in lines
+    assert not any(line.startswith("  line-sum") for line in lines)
+    assert len(set(lines)) == len(lines)
+
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and "  line-sum at row 0: expected 175, got 188" in out.splitlines()
+
+
+def test_verify_bordered_rejects_an_order2_permutation(capsys, tmp_path):
+    path = tmp_path / "order2.txt"
+    path.write_text("1 2\n3 4\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--bordered")
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "invalid: 4 violation(s)"
+    assert "  subsquare-line-sum at order 2 row 0: expected 5, got 3" in lines
+
+
 def test_verify_parse_failure_names_the_spot(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 x\n4 5 6\n7 8 9\n", encoding="utf-8")
@@ -243,6 +270,14 @@ def test_bad_usage_exits_1(capsys):
     assert run(capsys, "build")[0] == 1  # missing --order
     assert run(capsys, "build", "--order", "8", "--border-only",
                "--corners", "nonsense")[0] == 1
+
+
+def test_enumerate_rejects_a_negative_limit(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--order", "4", "--corners", "1,2", "--limit", "-1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--limit" in err
 
 
 def test_version_flag(capsys):
