@@ -8,9 +8,11 @@ regressions in the growth curves.
 import time
 
 from magicborders import (
+    OmegaKey,
     build_border,
     build_square,
     count_omega,
+    enumerate_omega,
     verify_border,
     verify_bordered,
 )
@@ -20,6 +22,16 @@ def timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
+
+
+def listed_total(n):
+    small = 2 * n + 2
+    return sum(
+        sum(1 for _ in enumerate_omega(OmegaKey(n, v, w)))
+        for v in range(1, small + 1)
+        for w in range(1, small + 1)
+        if v != w
+    )
 
 
 def main() -> None:
@@ -37,12 +49,14 @@ def main() -> None:
         assert report.valid
         print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
 
-    print("exhaustive set-level counts per inner order")
-    for n in (3, 4, 5, 6):
+    print("exact set-level counts per inner order: layered counter vs backtracker")
+    for n in (3, 4, 5, 6, 7):
         counts, t_count = timed(count_omega, n)
         total = sum(counts.values())
-        print(f"  n={n}: {total:>6} borders over {len(counts)} corner pairs "
-              f"in {t_count:6.2f} s")
+        listed, t_list = timed(listed_total, n)
+        assert listed == total
+        print(f"  n={n}: {total:>6} borders over {len(counts)} corner pairs: "
+              f"count_omega {t_count:6.2f} s   listing {t_list:6.2f} s")
 
 
 if __name__ == "__main__":

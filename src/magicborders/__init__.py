@@ -43,6 +43,7 @@ from .enumeration import (
     NoBorderError,
     OmegaKey,
     SearchBudget,
+    count_borders,
     count_omega,
     enumerate_omega,
     format_counts,
@@ -90,6 +91,7 @@ __all__ = [
     "compose",
     "construct_with_corners",
     "corners_feasible",
+    "count_borders",
     "count_omega",
     "d_corner",
     "d_value",

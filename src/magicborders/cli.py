@@ -30,6 +30,7 @@ from .enumeration import (
     NoBorderError,
     OmegaKey,
     SearchBudget,
+    count_borders,
     count_omega,
     enumerate_omega,
     format_counts,
@@ -114,10 +115,10 @@ def cmd_verify(args) -> int:
     if isinstance(doc, BorderPlan):
         report = verify_border(doc)
     elif isinstance(doc, GridDocument) and doc.is_complete():
-        square = doc.as_square()
         # the bordered check covers every line of the full square as its
         # order-N subsquare, so it runs alone
-        report = verify_bordered(square) if args.bordered else verify_square(square)
+        check = verify_bordered if args.bordered else verify_square
+        report = check(doc.cells)
     else:
         report = verify_frame(doc.as_frame())
     _print_report(report)
@@ -152,8 +153,7 @@ def cmd_enumerate(args) -> int:
     )
     if args.count_only:
         if args.corners:
-            count = sum(1 for _ in enumerate_omega(OmegaKey(n, *args.corners), budget))
-            print(count)
+            print(count_borders(OmegaKey(n, *args.corners), budget))
         else:
             print(format_counts(count_omega(n, budget)), end="")
         return EXIT_OK

@@ -1,9 +1,46 @@
-"""Exhaustive backtracking over the two-column diagram.
+"""Exhaustive listing and exact counting over the two-column diagram.
 
-This is the slow, trustworthy side of the library: it finds every magic
-border with given corners by deciding one diagram row at a time, and it
-doubles as the oracle the constructive recipes are tested against.
-Borders are reported at set level (order inside a line is immaterial).
+This is the slow, trustworthy side of the library.  A magic border with
+given corners (v, w) is a choice, for each of the 2n free diagram rows,
+of a side (the small value r or the large value C - r, where
+C = (n+2)^2 + 1) and of a line (the top-row interior b or the left-column
+interior c), such that both lines reach the magic sum.  Borders are
+reported at set level (order inside a line is immaterial).
+
+Two engines share one pruning rule, a window of sums each line can still
+reach from the rows not yet decided (``_Rows.window``):
+
+- the backtracker (``enumerate_omega``, ``search_first``) decides one row
+  at a time, depth first with an explicit stack, and lists borders.  It
+  is the oracle the constructive recipes and the counter are tested
+  against;
+- the layered counter (``count_borders``, ``count_omega``) sweeps the
+  same decision tree one row at a time but keeps only, for each state
+  (values and small values each line still needs, and the sums each line
+  still lacks), the number of ways to reach it.  Its time grows with the
+  number of distinct states, not with the number of borders.
+
+**Small-count lemma.**  Every line of a magic border holds exactly
+(n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
+a line whose k values are small, s_1..s_k, and whose other n+2-k values
+are large, C - r_1..C - r_{n+2-k}, sums to the magic constant (n+2)C/2
+exactly when
+
+    sum(r) - sum(s) = ((n+2)/2 - k) * C.
+
+The n+2 values of a line come from distinct diagram rows, so the left
+side is at most the sum of the top n+2 rows of 1..2n+2, which is
+(n+2)(3n+3)/2 < 3C/2.  Hence |(n+2)/2 - k| < 3/2.  At odd n that factor
+is a half-integer, so it is +-1/2.  At even n = 2m it is an integer, and
++-1 is ruled out too: with m small and m+2 large values (or the reverse)
+the left side is at most the top m+2 rows minus the bottom m rows,
+3m^2 + 8m + 3, which is less than C = 4m^2 + 8m + 5.  Each line
+therefore owes a known number of small values, give or take one at odd
+n, and the window check asks whether some admissible small count can
+still close the line's sum.
+
+Both engines take a :class:`SearchBudget`; a node or time limit raises
+:class:`BudgetExhausted`.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -11,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .core import (
@@ -103,6 +141,21 @@ class _BudgetState:
         ):
             raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
 
+    def on_nodes(self, count: int) -> None:
+        """Charge ``count`` nodes at once, checking the clock on every call."""
+        self.nodes += count
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise BudgetExhausted(f"node limit {self.max_nodes} reached")
+        if self.max_seconds is not None and time.monotonic() - self.start > self.max_seconds:
+            raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
+
+
+def _reject_solution_limit(budget: SearchBudget | None) -> None:
+    if budget and budget.max_solutions is not None:
+        raise ValueError(
+            "a solution limit would truncate the counts; use node or time limits"
+        )
+
 
 def _check_key(key: OmegaKey) -> None:
     check_inner_order(key.n)
@@ -115,119 +168,192 @@ def _check_key(key: OmegaKey) -> None:
         raise ValueError("corners must not be complementary")
 
 
-def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[CanonicalBorder]:
-    c_base = complement_base(n)
-    target = magic_constant(n + 2)
-    rem_b0 = target - v - w
-    rem_c0 = target - v - (c_base - w)
+_EMPTY = (1, 0)
 
-    used = {row_of(v, n), row_of(w, n)}
-    free = [r for r in range(1, 2 * n + 3) if r not in used]
-    prefix = [0]
-    for r in free:
-        prefix.append(prefix[-1] + r)
-    total = len(free)
 
-    even = n % 2 == 0
-    if even:
-        # a line multiset of n+2 distinct pool values can only reach the
-        # magic sum with exactly (n+2)/2 small members, which fixes how many
-        # of the b's and c's may come from each diagram column
+class _Rows:
+    """The free diagram rows of one corner key and the sum windows both engines prune on.
+
+    A line's *owed* count is how many more small values it must take for
+    its small count to reach ``(n+2)//2``; at odd n it may also take one
+    more than that (see the module docstring), which ``slack`` records.
+    """
+
+    __slots__ = ("c_base", "free", "prefix", "total", "slack", "rem_b", "rem_c",
+                 "owed_b", "owed_c")
+
+    def __init__(self, n: int, v: int, w: int):
+        c_base = complement_base(n)
+        target = magic_constant(n + 2)
+        used = {row_of(v, n), row_of(w, n)}
+        self.c_base = c_base
+        self.free = [r for r in range(1, 2 * n + 3) if r not in used]
+        self.prefix = [0]
+        for r in self.free:
+            self.prefix.append(self.prefix[-1] + r)
+        self.total = len(self.free)
+        self.slack = n % 2
+        self.rem_b = target - v - w
+        self.rem_c = target - v - (c_base - w)
         half = (n + 2) // 2
         small_limit = 2 * n + 2
-        need_bs0 = half - (v <= small_limit) - (w <= small_limit)
-        need_cs0 = half - (v <= small_limit) - (c_base - w <= small_limit)
-        if not (0 <= need_bs0 <= n and 0 <= need_cs0 <= n):
-            return
-    else:
-        need_bs0 = need_cs0 = -1  # unconstrained
+        self.owed_b = half - (v <= small_limit) - (w <= small_limit)
+        self.owed_c = half - (v <= small_limit) - (c_base - w <= small_limit)
 
-    sel_b: list[int] = []
-    sel_c: list[int] = []
+    def span(self, idx: int, k_small: int, k_large: int) -> tuple[int, int]:
+        """Reachable sums picking k_small left and k_large right values from rows idx..
 
-    def span_even(idx: int, k_small: int, k_large: int) -> tuple[int, int]:
-        # reachable sums picking k_small left and k_large right values from
-        # the remaining rows; extremes relax the disjointness of the picks
+        The extremes relax the disjointness of the two picks.
+        """
+        prefix = self.prefix
+        total = self.total
         lo = (
             prefix[idx + k_small]
             - prefix[idx]
-            + k_large * c_base
+            + k_large * self.c_base
             - (prefix[total] - prefix[total - k_large])
         )
         hi = (
             prefix[total]
             - prefix[total - k_small]
-            + k_large * c_base
+            + k_large * self.c_base
             - (prefix[idx + k_large] - prefix[idx])
         )
         return lo, hi
 
-    def rec(
-        idx: int, need_b: int, need_c: int, rem_b: int, rem_c: int,
-        need_bs: int, need_cs: int,
-    ) -> Iterator[CanonicalBorder]:
-        state.on_node()
+    def window(self, idx: int, need: int, owed: int) -> tuple[int, int, int, int]:
+        """Sums a line can still close on with ``need`` more values from rows idx..
+
+        (lo, hi) for taking exactly ``owed`` more small values, then (lo, hi)
+        for ``owed + 1`` at odd n.  A count the line cannot take, and the
+        second window at even n, read as the empty window (1, 0).
+        """
+        first = second = _EMPTY
+        if 0 <= owed <= need:
+            first = self.span(idx, owed, need - owed)
+        if self.slack and 0 <= owed + 1 <= need:
+            second = self.span(idx, owed + 1, need - owed - 1)
+        return first + second
+
+
+class _Windows(dict):
+    """``rows.window(idx, need, owed)`` by (need, owed), computed on first use."""
+
+    def __init__(self, rows: _Rows, idx: int):
+        super().__init__()
+        self.rows = rows
+        self.idx = idx
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int, int, int]:
+        value = self[key] = self.rows.window(self.idx, *key)
+        return value
+
+
+def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[CanonicalBorder]:
+    """Every border of the key, depth first, one stack entry per search node."""
+    rows = _Rows(n, v, w)
+    c_base = rows.c_base
+    free = rows.free
+    total = rows.total
+    windows = [_Windows(rows, idx) for idx in range(total)]
+    # a line may take a small value only while it owes more than this
+    owed_floor = -rows.slack
+
+    # picks[i] is the value row free[i - 1] gave: positive into b, negated
+    # into c.  A stack entry is the node its pick leads to; deeper picks are
+    # overwritten as the depth-first walk moves on.
+    picks = [0] * (total + 1)
+    stack = [(0, n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c, 0)]
+    on_node = state.on_node
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        idx, need_b, rem_b, rem_c, owed_b, owed_c, pick = pop()
+        on_node()
+        picks[idx] = pick
         if idx == total:
             if rem_b == 0 and rem_c == 0:
-                yield CanonicalBorder(n, v, w, tuple(sel_b), tuple(sel_c))
-            return
-        if even:
-            if need_bs < 0 or need_cs < 0:
-                return
-            if need_bs > need_b or need_cs > need_c:
-                return
-            if need_b:
-                lo, hi = span_even(idx, need_bs, need_b - need_bs)
-                if not lo <= rem_b <= hi:
-                    return
-            elif rem_b:
-                return
-            if need_c:
-                lo, hi = span_even(idx, need_cs, need_c - need_cs)
-                if not lo <= rem_c <= hi:
-                    return
-            elif rem_c:
-                return
-        else:
-            # parity leaves the column split loose; bound with the k lowest
-            # remaining rows, whose lefts are cheapest and rights dearest
-            if need_b:
-                lo = prefix[idx + need_b] - prefix[idx]
-                if not lo <= rem_b <= need_b * c_base - lo:
-                    return
-            elif rem_b:
-                return
-            if need_c:
-                lo = prefix[idx + need_c] - prefix[idx]
-                if not lo <= rem_c <= need_c * c_base - lo:
-                    return
-            elif rem_c:
-                return
+                yield CanonicalBorder(
+                    n, v, w,
+                    tuple(x for x in picks if x > 0),
+                    tuple(-x for x in picks if x < 0),
+                )
+            continue
+        need_c = total - idx - need_b
+        by_need = windows[idx]
+        lo, hi, lo2, hi2 = by_need[need_b, owed_b]
+        if not (lo <= rem_b <= hi or lo2 <= rem_b <= hi2):
+            continue
+        lo, hi, lo2, hi2 = by_need[need_c, owed_c]
+        if not (lo <= rem_c <= hi or lo2 <= rem_c <= hi2):
+            continue
 
+        # children go on the stack in reverse, so they are visited as
+        # b-small, c-small, b-large, c-large
         row = free[idx]
         large = c_base - row
-        if need_b and row <= rem_b and need_bs != 0:
-            sel_b.append(row)
-            yield from rec(idx + 1, need_b - 1, need_c, rem_b - row, rem_c,
-                           need_bs - 1, need_cs)
-            sel_b.pop()
-        if need_c and row <= rem_c and need_cs != 0:
-            sel_c.append(row)
-            yield from rec(idx + 1, need_b, need_c - 1, rem_b, rem_c - row,
-                           need_bs, need_cs - 1)
-            sel_c.pop()
-        if need_b and large <= rem_b and (not even or need_b - need_bs > 0):
-            sel_b.append(large)
-            yield from rec(idx + 1, need_b - 1, need_c, rem_b - large, rem_c,
-                           need_bs, need_cs)
-            sel_b.pop()
-        if need_c and large <= rem_c and (not even or need_c - need_cs > 0):
-            sel_c.append(large)
-            yield from rec(idx + 1, need_b, need_c - 1, rem_b, rem_c - large,
-                           need_bs, need_cs)
-            sel_c.pop()
+        nxt = idx + 1
+        if need_c and large <= rem_c and need_c > owed_c:
+            push((nxt, need_b, rem_b, rem_c - large, owed_b, owed_c, -large))
+        if need_b and large <= rem_b and need_b > owed_b:
+            push((nxt, need_b - 1, rem_b - large, rem_c, owed_b, owed_c, large))
+        if need_c and row <= rem_c and owed_c > owed_floor:
+            push((nxt, need_b, rem_b, rem_c - row, owed_b, owed_c - 1, -row))
+        if need_b and row <= rem_b and owed_b > owed_floor:
+            push((nxt, need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c, row))
 
-    yield from rec(0, n, n, rem_b0, rem_c0, need_bs0, need_cs0)
+
+def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
+    """Number of borders ``_solutions`` would list, one layer of rows at a time.
+
+    The state after the first idx rows is (need_b, rem_b, rem_c, owed_b,
+    owed_c); need_c is the rows left minus need_b.  Each layer maps states
+    to the number of ways of reaching them, and a state is dropped by the
+    same window check the backtracker prunes on.
+    """
+    rows = _Rows(n, v, w)
+    c_base = rows.c_base
+    total = rows.total
+    owed_floor = -rows.slack
+    layer = {(n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c): 1}
+    for idx, row in enumerate(rows.free):
+        large = c_base - row
+        rows_left = total - idx
+        windows = _Windows(rows, idx)
+        following: dict[tuple[int, int, int, int, int], int] = {}
+        get = following.get
+        states = iter(layer.items())
+        # the budget is charged per chunk, so a time limit also holds
+        # inside one large layer
+        while chunk := list(islice(states, 4096)):
+            state.on_nodes(len(chunk))
+            for (need_b, rem_b, rem_c, owed_b, owed_c), ways in chunk:
+                need_c = rows_left - need_b
+                lo, hi, lo2, hi2 = windows[need_b, owed_b]
+                if not (lo <= rem_b <= hi or lo2 <= rem_b <= hi2):
+                    continue
+                lo, hi, lo2, hi2 = windows[need_c, owed_c]
+                if not (lo <= rem_c <= hi or lo2 <= rem_c <= hi2):
+                    continue
+                if need_b:
+                    if row <= rem_b and owed_b > owed_floor:
+                        key = (need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c)
+                        following[key] = get(key, 0) + ways
+                    if large <= rem_b and need_b > owed_b:
+                        key = (need_b - 1, rem_b - large, rem_c, owed_b, owed_c)
+                        following[key] = get(key, 0) + ways
+                if need_c:
+                    if row <= rem_c and owed_c > owed_floor:
+                        key = (need_b, rem_b, rem_c - row, owed_b, owed_c - 1)
+                        following[key] = get(key, 0) + ways
+                    if large <= rem_c and need_c > owed_c:
+                        key = (need_b, rem_b, rem_c - large, owed_b, owed_c)
+                        following[key] = get(key, 0) + ways
+        layer = following
+    state.on_nodes(len(layer))
+    return sum(
+        ways for (_, rem_b, rem_c, _, _), ways in layer.items() if rem_b == 0 and rem_c == 0
+    )
 
 
 def enumerate_omega(
@@ -279,28 +405,46 @@ def search_first(key: OmegaKey) -> CanonicalBorder:
     )
 
 
+def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
+    """Exact number of magic borders with the key's corners, without listing them.
+
+    Equals the length of :func:`enumerate_omega`'s stream.  Every state
+    the counter expands is one budget node, so a node or time limit raises
+    :class:`BudgetExhausted`; a solution limit would truncate the count and
+    is rejected.  Memory grows with the states of one layer, which a node
+    limit also bounds.
+    """
+    _check_key(key)
+    _reject_solution_limit(budget)
+    return _count(key.n, key.v, key.w, _BudgetState(budget))
+
+
 def count_omega(
     n: int, budget: SearchBudget | None = None
 ) -> dict[tuple[int, int], int]:
     """Exact set-level border counts for every small corner pair (v, w).
 
-    The node/time budget is shared across the whole table; a solution
-    limit would bias the counts and is rejected.
+    Reflecting a border in the vertical axis keeps its top row, swaps its
+    upper corners and complements its left column, so (v, w) and (w, v)
+    have equal counts and only v < w is counted.  The node/time budget is
+    shared across the whole table; a solution limit would bias the counts
+    and is rejected.
     """
     check_inner_order(n)
-    if budget and budget.max_solutions is not None:
-        raise ValueError(
-            "a solution limit would truncate the counts; use node or time limits"
-        )
+    _reject_solution_limit(budget)
     state = _BudgetState(budget)
-    counts: dict[tuple[int, int], int] = {}
     small = 2 * n + 2
-    for v in range(1, small + 1):
-        for w in range(1, small + 1):
-            if v == w:
-                continue
-            counts[(v, w)] = sum(1 for _ in _solutions(n, v, w, state))
-    return counts
+    below = {
+        (v, w): _count(n, v, w, state)
+        for v in range(1, small + 1)
+        for w in range(v + 1, small + 1)
+    }
+    return {
+        (v, w): below[(min(v, w), max(v, w))]
+        for v in range(1, small + 1)
+        for w in range(1, small + 1)
+        if v != w
+    }
 
 
 def format_counts(counts: dict[tuple[int, int], int]) -> str:

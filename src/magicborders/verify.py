@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import eq
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
@@ -230,6 +231,16 @@ def _square_shape_violations(cells: Sequence[Sequence[int]]) -> list[Violation]:
     return violations
 
 
+def _is_permutation(cells: Sequence[Sequence[int]], order: int) -> bool:
+    """Whether the cells hold 1..order^2 once each.
+
+    Sorted cells are compared with a lazy range, so no second list of
+    order^2 fresh integers is built next to them.
+    """
+    values = sorted(chain.from_iterable(cells))
+    return len(values) == order * order and all(map(eq, values, range(1, len(values) + 1)))
+
+
 def verify_square(cells: Sequence[Sequence[int]]) -> CheckReport:
     """Check that cells form a magic square: a permutation of 1..N^2 with
     every row, column and both main diagonals summing to the magic constant."""
@@ -239,8 +250,7 @@ def verify_square(cells: Sequence[Sequence[int]]) -> CheckReport:
     order = len(cells)
     target = magic_constant(order)
 
-    flat = [x for row in cells for x in row]
-    if sorted(flat) != list(range(1, order * order + 1)):
+    if not _is_permutation(cells, order):
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )
@@ -288,8 +298,7 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
         return CheckReport.from_violations(violations)
     order = len(cells)
 
-    flat = [x for row in cells for x in row]
-    if sorted(flat) != list(range(1, order * order + 1)):
+    if not _is_permutation(cells, order):
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )

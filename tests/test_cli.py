@@ -170,6 +170,16 @@ def test_enumerate_budget_exhaustion_exits_3(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_enumerate_deep_search_runs_out_of_time_without_a_traceback(capsys):
+    # 1200 diagram rows deep: far beyond the interpreter's recursion limit
+    code, out, err = run(
+        capsys, "enumerate", "--order", "600", "--corners", "1,2", "--limit", "1",
+        "--max-seconds", "1",
+    )
+    assert code == 3 and out == ""
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_enumerate_warns_beyond_desk_scale(capsys):
     code, out, err = run(
         capsys, "enumerate", "--order", "8", "--corners", "1,2", "--limit", "1"

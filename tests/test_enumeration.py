@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from magicborders import (
     NoBorderError,
     OmegaKey,
     SearchBudget,
+    count_borders,
     count_omega,
     enumerate_omega,
     format_counts,
@@ -23,6 +25,7 @@ from magicborders import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REGEN_SCRIPT = Path(__file__).parent.parent / "scripts" / "regen_count_fixture.py"
 
 
 def listing(n, v, w, budget=None):
@@ -180,3 +183,51 @@ def test_engine_matches_an_independent_brute_force(n, v, w):
 def test_constructions_appear_in_the_exhaustive_listing():
     plan = seed_order4(1, 2)
     assert CanonicalBorder.from_plan(plan) in set(listing(4, 1, 2))
+
+
+def small_counts(border):
+    n = border.n
+    c = complement_base(n)
+    top = (border.v, *border.b_set, border.w)
+    left = (border.v, *border.c_set, c - border.w)
+    return [sum(x <= 2 * n + 2 for x in line) for line in (top, left)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_counter_matches_the_listing_and_lines_obey_the_small_count_lemma(n):
+    # every line holds (n+2)/2 small values at even n, and (n+1)/2 or
+    # (n+3)/2 at odd n; the listing is exhaustive at every key
+    admissible = {(n + 2) // 2, (n + 3) // 2} if n % 2 else {(n + 2) // 2}
+    small = 2 * n + 2
+    total = 0
+    for v in range(1, small + 1):
+        for w in range(1, small + 1):
+            if v == w:
+                continue
+            key = OmegaKey(n, v, w)
+            borders = list(enumerate_omega(key))
+            assert count_borders(key) == len(borders), key
+            for border in borders:
+                assert set(small_counts(border)) <= admissible, border
+            total += len(borders)
+    assert total == {3: 20, 4: 280, 5: 370, 6: 56980, 7: 7136}[n]
+
+
+def test_count_fixtures_match_a_fresh_count(capsys):
+    spec = importlib.util.spec_from_file_location("regen_count_fixture", REGEN_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--check"]) == 0
+    out = capsys.readouterr().out
+    assert "omega4_counts.txt: matches (90 pairs, 280 borders)" in out
+    assert "omega7_counts.txt: matches (240 pairs, 7136 borders)" in out
+
+
+def test_count_borders_keeps_the_budget_rules():
+    key = OmegaKey(5, 1, 2)
+    with pytest.raises(BudgetExhausted):
+        count_borders(key, SearchBudget(max_nodes=3))
+    with pytest.raises(ValueError):
+        count_borders(key, SearchBudget(max_solutions=5))
+    with pytest.raises(ValueError):
+        count_borders(OmegaKey(4, 1, 36))
