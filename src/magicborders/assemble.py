@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .construct import build_border
-from .core import complement_base
-from .verify import BorderFrame, BorderPlan, verify_border
+from .verify import BorderFrame, BorderPlan, read_ring, verify_border, write_ring
 
 _BASE_3 = ((2, 7, 6), (9, 5, 1), (4, 3, 8))
 _BASE_4 = ((16, 3, 2, 13), (5, 10, 11, 8), (9, 6, 7, 12), (4, 15, 14, 1))
@@ -35,34 +34,15 @@ def render_frame(plan: BorderPlan) -> BorderFrame:
         raise ValueError(
             "cannot render an invalid plan: " + "; ".join(str(v) for v in report.violations)
         )
-    n = plan.n
-    order = n + 2
-    c_base = complement_base(n)
+    order = plan.n + 2
     cells: list[list[int | None]] = [[None] * order for _ in range(order)]
-    cells[0][0] = plan.v
-    cells[0][order - 1] = plan.w
-    cells[order - 1][0] = c_base - plan.w
-    cells[order - 1][order - 1] = c_base - plan.v
-    for j, value in enumerate(plan.b, start=1):
-        cells[0][j] = value
-        cells[order - 1][j] = c_base - value
-    for i, value in enumerate(plan.c, start=1):
-        cells[i][0] = value
-        cells[i][order - 1] = c_base - value
-    return BorderFrame(n=n, cells=tuple(tuple(row) for row in cells))
+    write_ring(cells, 0, plan, 0)
+    return BorderFrame(n=plan.n, cells=tuple(tuple(row) for row in cells))
 
 
 def plan_from_frame(frame: BorderFrame) -> BorderPlan:
     """Read the plan back off a frame's top row and left column."""
-    order = frame.order
-    cells = frame.cells
-    return BorderPlan(
-        n=frame.n,
-        v=cells[0][0],
-        w=cells[0][order - 1],
-        b=tuple(cells[0][1 : order - 1]),
-        c=tuple(cells[i][0] for i in range(1, order - 1)),
-    )
+    return read_ring(frame.cells, 0, frame.n, 0)
 
 
 def ring_shift(order: int, k: int) -> int:
@@ -85,21 +65,7 @@ def build_square(order: int) -> list[list[int]]:
         cells[i][k : k + core] = [value + shift for value in row]
     for m in range(core + 2, order + 1, 2):
         k = (order - m) // 2
-        hi = k + m - 1
-        shift = ring_shift(order, k)
-        plan = build_border(m - 2)
-        pair_sum = complement_base(m - 2) + 2 * shift
-        top = [plan.v + shift, *(x + shift for x in plan.b), plan.w + shift]
-        cells[k][k : hi + 1] = top
-        # each bottom cell faces the top cell in its column, each bottom
-        # corner the top corner diagonally opposite
-        bottom = [pair_sum - x for x in top]
-        bottom[0], bottom[-1] = bottom[-1], bottom[0]
-        cells[hi][k : hi + 1] = bottom
-        for i, x in enumerate(plan.c, start=k + 1):
-            row = cells[i]
-            row[k] = x + shift
-            row[hi] = pair_sum - x - shift
+        write_ring(cells, k, build_border(m - 2), ring_shift(order, k))
     return cells
 
 
@@ -112,16 +78,7 @@ def layer_plans(cells: Sequence[Sequence[int]]) -> list[BorderPlan]:
     """
     order = len(cells)
     base = 3 if order % 2 else 4
-    plans = []
-    m = order
-    while m >= base + 2:
-        k = (order - m) // 2
-        shift = ring_shift(order, k)
-        n = m - 2
-        top = [cells[k][j] - shift for j in range(k, k + m)]
-        left = [cells[i][k] - shift for i in range(k + 1, k + m - 1)]
-        plans.append(
-            BorderPlan(n=n, v=top[0], w=top[-1], b=tuple(top[1:-1]), c=tuple(left))
-        )
-        m -= 2
-    return plans
+    return [
+        read_ring(cells, k, order - 2 * k - 2, ring_shift(order, k))
+        for k in range((order - base) // 2)
+    ]

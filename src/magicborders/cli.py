@@ -139,6 +139,8 @@ def _iter_keys(n: int, corners: tuple[int, int] | None):
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise DocumentError(f"--limit must be >= 0, got {args.limit}")
+    if args.limit is not None and args.count_only:
+        raise DocumentError("--limit does not apply to --count-only, which counts every border")
     n = args.order
     if n > DESK_SCALE_ORDER:
         print(
@@ -176,12 +178,14 @@ def cmd_enumerate(args) -> int:
 def cmd_orbit(args) -> int:
     doc = parse_document(_read_input(args.input))
     if isinstance(doc, BorderPlan):
-        plan = doc
+        plan, report = doc, verify_border(doc)
     elif isinstance(doc, GridDocument) and not doc.is_complete():
-        plan = plan_from_frame(doc.as_frame())
+        # the whole frame, not only the plan read off its top row and left
+        # column: the cells facing those must hold their complements too
+        frame = doc.as_frame()
+        plan, report = plan_from_frame(frame), verify_frame(frame)
     else:
         raise DocumentError("orbit expects a border plan or frame, not a full square")
-    report = verify_border(plan)
     if not report.valid:
         _print_report(report)
         return EXIT_INVALID
@@ -202,6 +206,8 @@ def _audit_line(audit) -> str:
 
 
 def cmd_tables(args) -> int:
+    if args.m and not args.check:
+        raise DocumentError("--m only applies with --check")
     if not args.check:
         print("seed tables ship verified; run with --check to (re)validate them")
         return EXIT_OK

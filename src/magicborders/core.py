@@ -10,8 +10,6 @@ turns border construction into picking one side per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 LEFT = "L"
 RIGHT = "R"
 
@@ -72,20 +70,10 @@ def complement(x: int, n: int) -> int:
     return complement_base(n) - x
 
 
-def is_small(x: int, n: int) -> bool:
-    """True when x sits in the left column of the diagram (x <= 2n+2)."""
-    _check_pool(x, n)
-    return x <= 2 * n + 2
-
-
 def row_of(x: int, n: int) -> int:
     """Diagram row of x: small values sit at row x, large at row C - x."""
     _check_pool(x, n)
     return x if x <= 2 * n + 2 else complement_base(n) - x
-
-
-def side_of(x: int, n: int) -> str:
-    return LEFT if is_small(x, n) else RIGHT
 
 
 def d_value(x: int, y: int, n: int) -> int:
@@ -107,17 +95,3 @@ def d_corner(v: int, n: int) -> int:
     if n % 2 == 0:
         raise ValueError(f"corner deviation requires an odd inner order, got {n}")
     return v - complement_base(n) // 2
-
-
-@dataclass(frozen=True)
-class DiagramRow:
-    """One row of the two-column diagram: i on the left, C - i on the right."""
-
-    index: int
-    left_value: int
-    right_value: int
-
-
-def diagram_rows(n: int) -> tuple[DiagramRow, ...]:
-    c = complement_base(n)
-    return tuple(DiagramRow(i, i, c - i) for i in range(1, 2 * n + 3))

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .verify import BorderFrame, BorderPlan
+from .verify import BorderFrame, BorderPlan, misplaced_cells
 
 GRID = "grid"
 CSV = "csv"
@@ -50,13 +50,10 @@ class GridDocument:
         order = self.order
         if order < 5:
             raise DocumentError(f"a frame needs order >= 5, got {order}")
-        for i, row in enumerate(self.cells):
-            for j, value in enumerate(row):
-                on_border = i in (0, order - 1) or j in (0, order - 1)
-                if on_border and value is None:
-                    raise DocumentError(f"frame border cell ({i},{j}) is empty")
-                if not on_border and value is not None:
-                    raise DocumentError(f"frame interior cell ({i},{j}) is filled")
+        for i, j, on_border in misplaced_cells(self.cells):
+            if on_border:
+                raise DocumentError(f"frame border cell ({i},{j}) is empty")
+            raise DocumentError(f"frame interior cell ({i},{j}) is filled")
         return BorderFrame(n=order - 2, cells=self.cells)
 
 
@@ -113,14 +110,17 @@ def _cell_from_token(token: str, where: str) -> int | None:
         raise DocumentError(f"unreadable cell {token!r} at {where}") from None
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: no floats, strings or booleans."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _grid_from_lists(raw, where: str) -> GridDocument:
     cells = []
     for i, row in enumerate(raw):
         parsed = []
         for j, x in enumerate(row):
-            if x is None:
-                parsed.append(None)
-            elif isinstance(x, int) and not isinstance(x, bool):
+            if x is None or _is_int(x):
                 parsed.append(x)
             else:
                 raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
@@ -139,16 +139,18 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
     if not isinstance(payload, dict):
         raise DocumentError("JSON document must be an object")
     if {"n", "v", "w", "b", "c"} <= payload.keys():
-        try:
-            return BorderPlan(
-                n=int(payload["n"]),
-                v=int(payload["v"]),
-                w=int(payload["w"]),
-                b=tuple(int(x) for x in payload["b"]),
-                c=tuple(int(x) for x in payload["c"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"unreadable plan document: {exc}") from None
+        for key in ("n", "v", "w"):
+            if not _is_int(payload[key]):
+                raise DocumentError(f"unreadable plan document: {key} is {payload[key]!r}")
+        for key in ("b", "c"):
+            line = payload[key]
+            if not isinstance(line, list) or not all(map(_is_int, line)):
+                raise DocumentError(
+                    f"unreadable plan document: {key} is {line!r}, not a list of integers"
+                )
+        return BorderPlan(
+            n=payload["n"], v=payload["v"], w=payload["w"], b=payload["b"], c=payload["c"]
+        )
     if {"order", "cells"} <= payload.keys():
         doc = _grid_from_lists(payload["cells"], "JSON cells")
         if doc.order != payload["order"]:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import (
     check_inner_order,
@@ -217,6 +217,81 @@ def verify_balance(plan: BorderPlan, pairing: "PairingScheme") -> CheckReport:
     return CheckReport.from_violations(violations)
 
 
+def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:
+    """Lay ``plan``, its values raised by ``shift``, out as ring k of ``cells``.
+
+    The top row and left column of the ring carry the plan; every other ring
+    cell holds the complement of the cell it faces, with the complement base
+    raised by twice the shift.
+    """
+    hi = k + plan.n + 1
+    pair_sum = complement_base(plan.n) + 2 * shift
+    top = [plan.v + shift, *(x + shift for x in plan.b), plan.w + shift]
+    cells[k][k : hi + 1] = top
+    # each bottom cell faces the top cell in its column, each bottom
+    # corner the top corner diagonally opposite
+    bottom = [pair_sum - x for x in top]
+    bottom[0], bottom[-1] = bottom[-1], bottom[0]
+    cells[hi][k : hi + 1] = bottom
+    for i, x in enumerate(plan.c, start=k + 1):
+        row = cells[i]
+        row[k] = x + shift
+        row[hi] = pair_sum - x - shift
+
+
+def read_ring(cells: Sequence[Sequence[int]], k: int, n: int, shift: int) -> BorderPlan:
+    """The plan of inner order n on ring k of ``cells``, lowered by ``shift``;
+    the inverse of :func:`write_ring`."""
+    hi = k + n + 1
+    top = cells[k][k : hi + 1]
+    left = [cells[i][k] for i in range(k + 1, hi)]
+    if shift:
+        top = [x - shift for x in top]
+        left = [x - shift for x in left]
+    return BorderPlan(n=n, v=top[0], w=top[-1], b=top[1:-1], c=left)
+
+
+def misplaced_cells(cells: Sequence[Sequence[int | None]]) -> Iterator[tuple[int, int, bool]]:
+    """Cells breaking the frame placement rule, in row-major order.
+
+    A frame fills its outer ring and leaves its interior empty (None).  Each
+    offending cell is yielded as (i, j, on_border): an empty border cell
+    when ``on_border`` is true, a filled interior cell otherwise.
+    """
+    hi = len(cells) - 1
+    for i, row in enumerate(cells):
+        for j, value in enumerate(row):
+            on_border = i in (0, hi) or j in (0, hi)
+            if on_border == (value is None):
+                yield i, j, on_border
+
+
+def _facing_violations(
+    cells: Sequence[Sequence[int]], lo: int, hi: int, pair_sum: int, condition: str
+) -> Iterator[Violation]:
+    """Facing cells of the ring spanning rows and columns lo..hi whose sum is
+    not ``pair_sum``.
+
+    Each ring cell faces one partner: the far end of its column for top and
+    bottom cells, of its row for left and right cells, and the diagonally
+    opposite corner for corners.  Pairs are walked corners first.
+    """
+    facing = chain(
+        ((lo, lo, hi, hi), (lo, hi, hi, lo)),
+        ((lo, j, hi, j) for j in range(lo + 1, hi)),
+        ((i, lo, i, hi) for i in range(lo + 1, hi)),
+    )
+    for i1, j1, i2, j2 in facing:
+        total = cells[i1][j1] + cells[i2][j2]
+        if total != pair_sum:
+            yield Violation(
+                condition,
+                f"cells ({i1},{j1}) and ({i2},{j2})",
+                expected=pair_sum,
+                actual=total,
+            )
+
+
 def _square_shape_violations(cells: Sequence[Sequence[int]]) -> list[Violation]:
     order = len(cells)
     violations = []
@@ -244,38 +319,7 @@ def _is_permutation(cells: Sequence[Sequence[int]], order: int) -> bool:
 def verify_square(cells: Sequence[Sequence[int]]) -> CheckReport:
     """Check that cells form a magic square: a permutation of 1..N^2 with
     every row, column and both main diagonals summing to the magic constant."""
-    violations = _square_shape_violations(cells)
-    if violations:
-        return CheckReport.from_violations(violations)
-    order = len(cells)
-    target = magic_constant(order)
-
-    if not _is_permutation(cells, order):
-        violations.append(
-            Violation("not-permutation", f"cells are not 1..{order * order}")
-        )
-    for i, row in enumerate(cells):
-        if sum(row) != target:
-            violations.append(
-                Violation("line-sum", f"row {i}", expected=target, actual=sum(row))
-            )
-    for j in range(order):
-        col = sum(cells[i][j] for i in range(order))
-        if col != target:
-            violations.append(
-                Violation("line-sum", f"column {j}", expected=target, actual=col)
-            )
-    diag = sum(cells[i][i] for i in range(order))
-    if diag != target:
-        violations.append(
-            Violation("line-sum", "main diagonal", expected=target, actual=diag)
-        )
-    anti = sum(cells[i][order - 1 - i] for i in range(order))
-    if anti != target:
-        violations.append(
-            Violation("line-sum", "anti diagonal", expected=target, actual=anti)
-        )
-    return CheckReport.from_violations(violations)
+    return _verify_lines(cells, bordered=False)
 
 
 def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
@@ -293,6 +337,13 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
     to m-2 subtracts the peeled ring's two cells from each running sum, so
     the whole check costs O(N^2).
     """
+    return _verify_lines(cells, bordered=True)
+
+
+def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport:
+    """The one line-sum pass behind :func:`verify_square` (the full square's
+    lines, as ``line-sum``) and :func:`verify_bordered` (every concentric
+    subsquare's lines, as ``subsquare-line-sum``, plus ring complements)."""
     violations = _square_shape_violations(cells)
     if violations:
         return CheckReport.from_violations(violations)
@@ -303,6 +354,7 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )
 
+    condition = "subsquare-line-sum" if bordered else "line-sum"
     base = 3 if order % 2 else 4
     pair_sum = order * order + 1
     row_sums = [sum(row) for row in cells]
@@ -310,17 +362,18 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
     diag = sum(cells[t][t] for t in range(order))
     anti = sum(cells[t][order - 1 - t] for t in range(order))
     m = order
-    while m == order or m >= base:
+    while True:
         k = (order - m) // 2
         lo, hi = k, k + m - 1
         line_target = m * pair_sum // 2
+        prefix = f"order {m} " if bordered else ""
         for lines, kind in ((row_sums, "row"), (col_sums, "column")):
             for i in range(lo, hi + 1):
                 if lines[i] != line_target:
                     violations.append(
                         Violation(
-                            "subsquare-line-sum",
-                            f"order {m} {kind} {i}",
+                            condition,
+                            f"{prefix}{kind} {i}",
                             expected=line_target,
                             actual=lines[i],
                         )
@@ -329,40 +382,20 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
             if total != line_target:
                 violations.append(
                     Violation(
-                        "subsquare-line-sum",
-                        f"order {m} {name}",
-                        expected=line_target,
-                        actual=total,
+                        condition, f"{prefix}{name}", expected=line_target, actual=total
                     )
                 )
-        if m >= base + 2:
-            # each ring cell faces one partner: the far end of its column for
-            # top/bottom cells, of its row for left/right cells, and the
-            # diagonally opposite corner for corners
-            top, bottom = cells[lo], cells[hi]
-            facing = chain(
-                ((lo, lo, hi, hi), (lo, hi, hi, lo)),
-                ((lo, j, hi, j) for j in range(lo + 1, hi)),
-                ((i, lo, i, hi) for i in range(lo + 1, hi)),
-            )
-            for i1, j1, i2, j2 in facing:
-                total = cells[i1][j1] + cells[i2][j2]
-                if total != pair_sum:
-                    violations.append(
-                        Violation(
-                            "ring-complement",
-                            f"cells ({i1},{j1}) and ({i2},{j2})",
-                            expected=pair_sum,
-                            actual=total,
-                        )
-                    )
-            # peel the ring off the running sums of the order m-2 subsquare
-            for i in range(lo + 1, hi):
-                row = cells[i]
-                row_sums[i] -= row[lo] + row[hi]
-                col_sums[i] -= top[i] + bottom[i]
-            diag -= top[lo] + bottom[hi]
-            anti -= top[hi] + bottom[lo]
+        if not bordered or m < base + 2:
+            break
+        violations.extend(_facing_violations(cells, lo, hi, pair_sum, "ring-complement"))
+        # peel the ring off the running sums of the order m-2 subsquare
+        top, bottom = cells[lo], cells[hi]
+        for i in range(lo + 1, hi):
+            row = cells[i]
+            row_sums[i] -= row[lo] + row[hi]
+            col_sums[i] -= top[i] + bottom[i]
+        diag -= top[lo] + bottom[hi]
+        anti -= top[hi] + bottom[lo]
         m -= 2
     return CheckReport.from_violations(violations)
 
@@ -372,46 +405,19 @@ def verify_frame(frame: BorderFrame) -> CheckReport:
     n = frame.n
     order = frame.order
     cells = frame.cells
-    violations: list[Violation] = []
     if len(cells) != order or any(len(row) != order for row in cells):
-        violations.append(Violation("shape", f"grid is not {order}x{order}"))
-        return CheckReport.from_violations(violations)
-
+        return CheckReport.from_violations(
+            [Violation("shape", f"grid is not {order}x{order}")]
+        )
     pair_sum = complement_base(n)
-    for i in range(order):
-        for j in range(order):
-            on_border = i in (0, order - 1) or j in (0, order - 1)
-            value = cells[i][j]
-            if on_border:
-                if value is None:
-                    violations.append(Violation("missing-cell", f"cell ({i},{j})"))
-            elif value is not None:
-                violations.append(Violation("interior-not-empty", f"cell ({i},{j})"))
+    violations = [
+        Violation("missing-cell" if on_border else "interior-not-empty", f"cell ({i},{j})")
+        for i, j, on_border in misplaced_cells(cells)
+    ]
     if violations:
         return CheckReport.from_violations(violations)
-
-    hi = order - 1
-    facing = [((0, 0), (hi, hi)), ((0, hi), (hi, 0))]
-    facing += [((0, j), (hi, j)) for j in range(1, hi)]
-    facing += [((i, 0), (i, hi)) for i in range(1, hi)]
-    for (i1, j1), (i2, j2) in facing:
-        total = cells[i1][j1] + cells[i2][j2]
-        if total != pair_sum:
-            violations.append(
-                Violation(
-                    "opposite-complement",
-                    f"cells ({i1},{j1}) and ({i2},{j2})",
-                    expected=pair_sum,
-                    actual=total,
-                )
-            )
-
-    plan = BorderPlan(
-        n=n,
-        v=cells[0][0],
-        w=cells[0][order - 1],
-        b=tuple(cells[0][1 : order - 1]),
-        c=tuple(cells[i][0] for i in range(1, order - 1)),
+    violations.extend(
+        _facing_violations(cells, 0, order - 1, pair_sum, "opposite-complement")
     )
-    violations.extend(verify_border(plan).violations)
+    violations.extend(verify_border(read_ring(cells, 0, n, 0)).violations)
     return CheckReport.from_violations(violations)

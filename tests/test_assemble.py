@@ -109,6 +109,10 @@ def test_layers_are_valid_and_partition_the_values():
         flat = {x for row in square for x in row}
         assert flat == consumed | core
         assert len(core) == (3 if order % 2 else 4) ** 2
+    for order in range(3, 61):
+        base = 3 if order % 2 else 4
+        expected = [build_border(m - 2) for m in range(order, base + 1, -2)]
+        assert layer_plans(build_square(order)) == expected, order
 
 
 def test_build_square_is_deterministic():

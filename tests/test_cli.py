@@ -221,6 +221,58 @@ def test_orbit_accepts_frames_and_rejects_invalid_plans(capsys, tmp_path):
     assert code == 1 and "invalid" in out
 
 
+def test_orbit_checks_the_whole_frame(capsys, tmp_path):
+    # the plan read off the top row and left column stays valid; only the
+    # swapped bottom cells no longer face their complements
+    code, out, _ = run(capsys, "build", "--order", "4", "--border-only")
+    rows = [line.split() for line in out.splitlines()]
+    rows[-1][1], rows[-1][2] = rows[-1][2], rows[-1][1]
+    path = tmp_path / "frame.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+    code, verified, _ = run(capsys, "verify", str(path))
+    assert code == 1 and verified.count("opposite-complement") == 2
+    code, out, _ = run(capsys, "orbit", str(path))
+    assert code == 1 and out == verified
+
+
+SEED_PLAN = {"n": 4, "v": 1, "w": 2, "b": [34, 33, 32, 9], "c": [6, 30, 29, 10]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 4.7),
+        ("n", "4"),
+        ("v", 1.9),
+        ("v", True),
+        ("b", ["34", "33", "32", "9"]),
+        ("b", [34, 33, 32, 9.0]),
+        ("c", {"6": 0, "30": 0, "29": 0, "10": 0}),
+    ],
+)
+def test_verify_rejects_plan_fields_that_are_not_json_integers(capsys, tmp_path, field, value):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({**SEED_PLAN, field: value}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable plan document") and f"{field} is" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("enumerate", "--order", "4", "--count-only", "--limit", "3"), "--limit"),
+        (("enumerate", "--order", "4", "--corners", "1,2", "--count-only", "--limit", "0"),
+         "--limit"),
+        (("tables", "--m", "8"), "--m"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_rejected(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_tables_check_reports_and_passes(capsys):
     code, out, _ = run(capsys, "tables", "--check", "--m", "8", "--m", "12")
     assert code == 0

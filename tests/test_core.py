@@ -74,19 +74,6 @@ def test_d_corner_rejects_even_orders():
         core.d_corner(1, 8)
 
 
-@given(st.integers(min_value=3, max_value=100))
-def test_diagram_rows_pair_to_the_complement_base(n):
-    rows = core.diagram_rows(n)
-    assert len(rows) == 2 * n + 2
-    c = core.complement_base(n)
-    seen = set()
-    for row in rows:
-        assert row.left_value + row.right_value == c
-        seen.add(row.left_value)
-        seen.add(row.right_value)
-    assert seen == core.border_pool(n)
-
-
 @given(
     st.integers(min_value=3, max_value=60),
     st.integers(min_value=1),

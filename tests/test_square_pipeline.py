@@ -1,10 +1,15 @@
-"""The ring-by-ring square pipeline against the cubic reference it replaced.
+"""The ring-by-ring square pipeline against the references it replaced.
 
 ``reference_build_square`` wraps the order N-2 square recursively and
 ``reference_verify_bordered`` re-sums every concentric subsquare from
 scratch.  Both are O(N^3) and kept here only as oracles: the library's
 ``build_square`` must return the same grid and ``verify_bordered`` the same
 report, violation for violation.
+
+The other ``reference_*`` functions lay out, read and check the ring by
+hand, each with its own copy of the layout; the library now routes them all
+through one ring view in ``verify``.  They must agree on valid and tampered
+squares and frames.
 """
 
 import subprocess
@@ -14,13 +19,23 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from magicborders import (
+    SYMMETRIES,
+    BorderFrame,
+    BorderPlan,
     CheckReport,
     Violation,
+    apply_symmetry,
     base_square,
     build_border,
     build_square,
+    complement_base,
+    layer_plans,
+    plan_from_frame,
     render_frame,
+    verify_border,
     verify_bordered,
+    verify_frame,
+    verify_square,
 )
 from magicborders.verify import _square_shape_violations
 
@@ -125,6 +140,144 @@ def reference_verify_bordered(cells) -> CheckReport:
     return CheckReport.from_violations(violations)
 
 
+def reference_render_frame(plan: BorderPlan) -> BorderFrame:
+    report = verify_border(plan)
+    if not report.valid:
+        raise ValueError(
+            "cannot render an invalid plan: " + "; ".join(str(v) for v in report.violations)
+        )
+    n = plan.n
+    order = n + 2
+    c_base = complement_base(n)
+    cells = [[None] * order for _ in range(order)]
+    cells[0][0] = plan.v
+    cells[0][order - 1] = plan.w
+    cells[order - 1][0] = c_base - plan.w
+    cells[order - 1][order - 1] = c_base - plan.v
+    for j, value in enumerate(plan.b, start=1):
+        cells[0][j] = value
+        cells[order - 1][j] = c_base - value
+    for i, value in enumerate(plan.c, start=1):
+        cells[i][0] = value
+        cells[i][order - 1] = c_base - value
+    return BorderFrame(n=n, cells=tuple(tuple(row) for row in cells))
+
+
+def reference_plan_from_frame(frame: BorderFrame) -> BorderPlan:
+    order = frame.order
+    cells = frame.cells
+    return BorderPlan(
+        n=frame.n,
+        v=cells[0][0],
+        w=cells[0][order - 1],
+        b=tuple(cells[0][1 : order - 1]),
+        c=tuple(cells[i][0] for i in range(1, order - 1)),
+    )
+
+
+def reference_layer_plans(cells) -> list[BorderPlan]:
+    order = len(cells)
+    base = 3 if order % 2 else 4
+    plans = []
+    m = order
+    while m >= base + 2:
+        k = (order - m) // 2
+        shift = 2 * k * (order - k)
+        n = m - 2
+        top = [cells[k][j] - shift for j in range(k, k + m)]
+        left = [cells[i][k] - shift for i in range(k + 1, k + m - 1)]
+        plans.append(
+            BorderPlan(n=n, v=top[0], w=top[-1], b=tuple(top[1:-1]), c=tuple(left))
+        )
+        m -= 2
+    return plans
+
+
+def reference_verify_square(cells) -> CheckReport:
+    violations = _square_shape_violations(cells)
+    if violations:
+        return CheckReport.from_violations(violations)
+    order = len(cells)
+    target = order * (order * order + 1) // 2
+
+    flat = [x for row in cells for x in row]
+    if sorted(flat) != list(range(1, order * order + 1)):
+        violations.append(
+            Violation("not-permutation", f"cells are not 1..{order * order}")
+        )
+    for i, row in enumerate(cells):
+        if sum(row) != target:
+            violations.append(
+                Violation("line-sum", f"row {i}", expected=target, actual=sum(row))
+            )
+    for j in range(order):
+        col = sum(cells[i][j] for i in range(order))
+        if col != target:
+            violations.append(
+                Violation("line-sum", f"column {j}", expected=target, actual=col)
+            )
+    diag = sum(cells[i][i] for i in range(order))
+    if diag != target:
+        violations.append(
+            Violation("line-sum", "main diagonal", expected=target, actual=diag)
+        )
+    anti = sum(cells[i][order - 1 - i] for i in range(order))
+    if anti != target:
+        violations.append(
+            Violation("line-sum", "anti diagonal", expected=target, actual=anti)
+        )
+    return CheckReport.from_violations(violations)
+
+
+def reference_verify_frame(frame: BorderFrame) -> CheckReport:
+    n = frame.n
+    order = frame.order
+    cells = frame.cells
+    violations = []
+    if len(cells) != order or any(len(row) != order for row in cells):
+        violations.append(Violation("shape", f"grid is not {order}x{order}"))
+        return CheckReport.from_violations(violations)
+
+    pair_sum = complement_base(n)
+    for i in range(order):
+        for j in range(order):
+            on_border = i in (0, order - 1) or j in (0, order - 1)
+            value = cells[i][j]
+            if on_border:
+                if value is None:
+                    violations.append(Violation("missing-cell", f"cell ({i},{j})"))
+            elif value is not None:
+                violations.append(Violation("interior-not-empty", f"cell ({i},{j})"))
+    if violations:
+        return CheckReport.from_violations(violations)
+
+    hi = order - 1
+    facing = [((0, 0), (hi, hi)), ((0, hi), (hi, 0))]
+    facing += [((0, j), (hi, j)) for j in range(1, hi)]
+    facing += [((i, 0), (i, hi)) for i in range(1, hi)]
+    for (i1, j1), (i2, j2) in facing:
+        total = cells[i1][j1] + cells[i2][j2]
+        if total != pair_sum:
+            violations.append(
+                Violation(
+                    "opposite-complement",
+                    f"cells ({i1},{j1}) and ({i2},{j2})",
+                    expected=pair_sum,
+                    actual=total,
+                )
+            )
+
+    plan = BorderPlan(
+        n=n,
+        v=cells[0][0],
+        w=cells[0][order - 1],
+        b=tuple(cells[0][1 : order - 1]),
+        c=tuple(cells[i][0] for i in range(1, order - 1)),
+    )
+    violations.extend(verify_border(plan).violations)
+    return CheckReport.from_violations(violations)
+
+
 def test_build_square_matches_the_recursive_reference():
     for order in range(3, 61):
         assert build_square(order) == reference_build_square(order), order
@@ -161,6 +314,62 @@ def tampered_squares(draw):
 @given(tampered_squares())
 def test_verify_bordered_matches_the_reference_on_tampered_squares(cells):
     assert verify_bordered(cells) == reference_verify_bordered(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tampered_squares())
+def test_verify_square_and_layer_plans_match_the_references_on_tampered_squares(cells):
+    assert verify_square(cells) == reference_verify_square(cells)
+    assert layer_plans(cells) == reference_layer_plans(cells)
+
+
+def test_frames_match_the_reference_layout():
+    for n in range(3, 31):
+        for symmetry in SYMMETRIES:
+            plan = apply_symmetry(build_border(n), symmetry)
+            frame = render_frame(plan)
+            assert frame == reference_render_frame(plan), (n, symmetry)
+            assert plan_from_frame(frame) == plan
+
+
+@st.composite
+def tampered_frames(draw):
+    n = draw(st.integers(min_value=3, max_value=20))
+    order = n + 2
+    cells = [list(row) for row in render_frame(build_border(n)).cells]
+    cell = st.tuples(
+        st.integers(min_value=0, max_value=order - 1),
+        st.integers(min_value=0, max_value=order - 1),
+    )
+    hi = order - 1
+    border_cell = st.sampled_from(
+        [(i, j) for i in range(order) for j in range(order) if i in (0, hi) or j in (0, hi)]
+    )
+    value = st.integers(-5, order * order + 5)
+    edits = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("swap"), border_cell, border_cell),
+                st.tuples(st.just("set"), border_cell, value),
+                st.tuples(st.just("set"), cell, st.one_of(st.none(), value)),
+            ),
+            max_size=4,
+        )
+    )
+    for kind, (i, j), other in edits:
+        if kind == "swap":
+            p, q = other
+            cells[i][j], cells[p][q] = cells[p][q], cells[i][j]
+        else:
+            cells[i][j] = other
+    return BorderFrame(n=n, cells=tuple(tuple(row) for row in cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_frames())
+def test_verify_frame_and_plan_from_frame_match_the_references_on_tampered_frames(frame):
+    assert verify_frame(frame) == reference_verify_frame(frame)
+    assert plan_from_frame(frame) == reference_plan_from_frame(frame)
 
 
 def test_verify_bordered_checks_the_lines_of_squares_without_a_ring():
