@@ -6,18 +6,8 @@ square's symmetry group, and stack borders into complete bordered magic
 squares.
 """
 
-from .assemble import base_square, build_square, layer_plans, plan_from_frame, render_frame
-from .construct import (
-    PairingScheme,
-    build_border,
-    build_pairing,
-    recipe_case,
-    recipe_even_4k,
-    recipe_even_4k_plus_2,
-    recipe_n3,
-    recipe_odd,
-    scheme_from_plan,
-)
+from .assemble import build_square, plan_from_frame, render_frame
+from .construct import PairingScheme, build_border, build_pairing
 from .core import (
     InfeasibleCornersError,
     border_pool,
@@ -27,16 +17,7 @@ from .core import (
     d_value,
     magic_constant,
 )
-from .corners import (
-    SeedAudit,
-    block_sets,
-    construct_with_corners,
-    corners_feasible,
-    extend_border,
-    missing_pairs,
-    seed_order4,
-    seed_order_m,
-)
+from .corners import construct_with_corners, extend_border, seed_order4
 from .enumeration import (
     BudgetExhausted,
     CanonicalBorder,
@@ -47,10 +28,9 @@ from .enumeration import (
     count_omega,
     enumerate_omega,
     format_counts,
-    ordered_variant_count,
     search_first,
 )
-from .transform import SYMMETRIES, apply_symmetry, compose, orbit, permute_lines
+from .transform import SYMMETRIES, apply_symmetry, orbit, permute_lines
 from .verify import (
     BorderFrame,
     BorderPlan,
@@ -77,20 +57,15 @@ __all__ = [
     "PairingScheme",
     "SYMMETRIES",
     "SearchBudget",
-    "SeedAudit",
     "Violation",
     "apply_symmetry",
-    "base_square",
-    "block_sets",
     "border_pool",
     "build_border",
     "build_pairing",
     "build_square",
     "complement",
     "complement_base",
-    "compose",
     "construct_with_corners",
-    "corners_feasible",
     "count_borders",
     "count_omega",
     "d_corner",
@@ -98,23 +73,13 @@ __all__ = [
     "enumerate_omega",
     "extend_border",
     "format_counts",
-    "layer_plans",
     "magic_constant",
-    "missing_pairs",
     "orbit",
-    "ordered_variant_count",
     "permute_lines",
     "plan_from_frame",
-    "recipe_case",
-    "recipe_even_4k",
-    "recipe_even_4k_plus_2",
-    "recipe_n3",
-    "recipe_odd",
     "render_frame",
-    "scheme_from_plan",
     "search_first",
     "seed_order4",
-    "seed_order_m",
     "verify_balance",
     "verify_border",
     "verify_bordered",

@@ -36,7 +36,15 @@ from .enumeration import (
     format_counts,
 )
 from .transform import SYMMETRIES, apply_symmetry
-from .verify import BorderPlan, CheckReport, verify_border, verify_bordered, verify_frame, verify_square
+from .verify import (
+    BorderPlan,
+    CheckReport,
+    misplaced_cells,
+    verify_border,
+    verify_bordered,
+    verify_frame,
+    verify_square,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -110,17 +118,30 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _reject_holed_square(doc: GridDocument) -> None:
+    """A grid too small for a frame, or with a filled interior cell, is a
+    square with holes rather than a frame."""
+    misplaced_interior = (not on_border for _, _, on_border in misplaced_cells(doc.cells))
+    if doc.order < 5 or any(misplaced_interior):
+        i, j = next(
+            (i, j) for i, row in enumerate(doc.cells) for j, x in enumerate(row) if x is None
+        )
+        raise DocumentError(f"grid has an empty cell at ({i},{j})")
+
+
 def cmd_verify(args) -> int:
     doc = parse_document(_read_input(args.input))
-    if isinstance(doc, BorderPlan):
-        report = verify_border(doc)
-    elif isinstance(doc, GridDocument) and doc.is_complete():
+    if isinstance(doc, GridDocument) and doc.is_complete():
         # the bordered check covers every line of the full square as its
         # order-N subsquare, so it runs alone
         check = verify_bordered if args.bordered else verify_square
         report = check(doc.cells)
     else:
-        report = verify_frame(doc.as_frame())
+        if isinstance(doc, GridDocument):
+            _reject_holed_square(doc)
+        if args.bordered:
+            raise DocumentError("--bordered applies to full squares only")
+        report = verify_border(doc) if isinstance(doc, BorderPlan) else verify_frame(doc.as_frame())
     _print_report(report)
     return EXIT_OK if report.valid else EXIT_INVALID
 

@@ -9,116 +9,41 @@ same border.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import LEFT, RIGHT, border_pool, check_inner_order, complement_base
+from .core import LEFT, RIGHT, check_inner_order, complement_base
 from .verify import BorderPlan, verify_border
-
-CASE_EVEN_4K = "even_4k"
-CASE_EVEN_4K_PLUS_2 = "even_4k_plus_2"
-CASE_ODD_GENERAL = "odd_general"
-CASE_N3_SPECIAL = "n3_special"
-
-
-def recipe_case(n: int) -> str:
-    """Which recipe serves inner order n (n=4 runs the 4k recipe's fixed part)."""
-    check_inner_order(n)
-    if n == 3:
-        return CASE_N3_SPECIAL
-    if n % 4 == 0:
-        return CASE_EVEN_4K
-    if n % 2 == 0:
-        return CASE_EVEN_4K_PLUS_2
-    return CASE_ODD_GENERAL
-
-
-def _row_value(row: int, side: str, c_base: int) -> int:
-    """The value diagram row ``row`` offers on ``side``."""
-    return row if side == LEFT else c_base - row
 
 
 @dataclass(frozen=True)
 class PairingScheme:
-    """A full set of diagram choices plus the pairing that certifies them.
+    """A border plus the pairing that certifies its balance.
 
-    ``sides[i-1]`` and ``tags[i-1]`` give the side ("L"/"R") and role
-    ("v", "w", "b", "c") selected at row i.  ``pairs`` holds (x, y, side)
-    triples where side "b" means the pair belongs to the top-row balance
-    sum and "c" to the column balance sum.
+    ``pairs`` holds (x, y, side) triples where side "b" means the pair
+    belongs to the top-row balance sum and "c" to the column balance sum.
     """
 
-    n: int
-    sides: tuple[str, ...]
-    tags: tuple[str, ...]
+    border: BorderPlan
     pairs: tuple[tuple[int, int, str], ...]
 
-    def selected_value(self, row: int) -> int:
-        return _row_value(row, self.sides[row - 1], complement_base(self.n))
-
-    def selections(self) -> list[tuple[int, str, str, int]]:
-        """(row, side, tag, value) for every diagram row."""
-        c_base = complement_base(self.n)
-        return [
-            (row, side, tag, _row_value(row, side, c_base))
-            for row, (side, tag) in enumerate(zip(self.sides, self.tags), start=1)
-        ]
-
     def plan(self) -> BorderPlan:
-        """Extract the border plan, b and c listed in diagram-row order."""
-        v = w = None
-        b: list[int] = []
-        c: list[int] = []
-        for _row, _side, tag, value in self.selections():
-            if tag == "v":
-                v = value
-            elif tag == "w":
-                w = value
-            elif tag == "b":
-                b.append(value)
-            else:
-                c.append(value)
-        if v is None or w is None:
-            raise ValueError("scheme does not tag both corners")
-        return BorderPlan(n=self.n, v=v, w=w, b=tuple(b), c=tuple(c))
-
-    def validate(self) -> None:
-        """Structural sanity: row coverage and tag counts."""
-        n = self.n
-        if len(self.sides) != 2 * n + 2 or len(self.tags) != 2 * n + 2:
-            raise ValueError("scheme must decide every diagram row exactly once")
-        bad = [s for s in self.sides if s not in (LEFT, RIGHT)]
-        if bad:
-            raise ValueError(f"unknown sides {bad}")
-        counts = {tag: self.tags.count(tag) for tag in ("v", "w", "b", "c")}
-        if counts != {"v": 1, "w": 1, "b": n, "c": n}:
-            raise ValueError(f"bad tag counts {counts}")
-        c_base = complement_base(n)
-        selected = [
-            _row_value(row, side, c_base)
-            for row, side in enumerate(self.sides, start=1)
-        ]
-        allowed = set(selected) | {c_base - selected[self.tags.index("w")]}
-        for x, y, label in self.pairs:
-            if label not in ("b", "c"):
-                raise ValueError(f"unknown pair label {label!r}")
-            if x not in allowed or y not in allowed:
-                raise ValueError(f"pair ({x},{y}) uses unselected values")
+        return self.border
 
 
 class _SchemeBuilder:
+    """One slot per diagram row, holding the (tag, value) a recipe takes there."""
+
     def __init__(self, n: int):
         self.n = n
         self.c_base = complement_base(n)
-        self.sides: list[str | None] = [None] * (2 * n + 2)
-        self.tags: list[str | None] = [None] * (2 * n + 2)
+        self.slots: list[tuple[str, int] | None] = [None] * (2 * n + 2)
         self.pairs: list[tuple[int, int, str]] = []
 
     def take(self, row: int, side: str, tag: str) -> int:
-        if self.sides[row - 1] is not None:
+        if self.slots[row - 1] is not None:
             raise ValueError(f"row {row} already decided")
-        self.sides[row - 1] = side
-        self.tags[row - 1] = tag
-        return _row_value(row, side, self.c_base)
+        value = row if side == LEFT else self.c_base - row
+        self.slots[row - 1] = (tag, value)
+        return value
 
     def pair(self, x: int, y: int, label: str) -> None:
         self.pairs.append((x, y, label))
@@ -134,17 +59,20 @@ class _SchemeBuilder:
         self.pair(fourth, third, label)
 
     def scheme(self) -> PairingScheme:
-        if any(s is None for s in self.sides):
-            missing = [i + 1 for i, s in enumerate(self.sides) if s is None]
+        """The border read off the slots in diagram-row order, with its pairs."""
+        missing = [row for row, slot in enumerate(self.slots, start=1) if slot is None]
+        if missing:
             raise ValueError(f"rows {missing} left undecided")
-        built = PairingScheme(
-            n=self.n,
-            sides=tuple(self.sides),  # type: ignore[arg-type]
-            tags=tuple(self.tags),  # type: ignore[arg-type]
-            pairs=tuple(self.pairs),
+        taken: dict[str, list[int]] = {"v": [], "w": [], "b": [], "c": []}
+        for tag, value in self.slots:  # type: ignore[misc]
+            taken[tag].append(value)
+        if len(taken["v"]) != 1 or len(taken["w"]) != 1:
+            raise ValueError("scheme must tag each corner exactly once")
+        border = BorderPlan(
+            n=self.n, v=taken["v"][0], w=taken["w"][0],
+            b=tuple(taken["b"]), c=tuple(taken["c"]),
         )
-        built.validate()
-        return built
+        return PairingScheme(border, tuple(self.pairs))
 
 
 def _alternating_blocks(builder: _SchemeBuilder, first_row: int) -> None:
@@ -259,64 +187,42 @@ def recipe_odd(n: int) -> PairingScheme:
 
 
 def scheme_from_plan(plan: BorderPlan) -> PairingScheme:
-    """Rebuild a pairing for an already-valid plan.
+    """Pair the values of an already-valid plan.
 
     The deviation sum over a fixed multiset does not depend on how it is
     matched, so pairing sorted neighbours is as good as any choice.
     """
     n = check_inner_order(plan.n)
-    c_base = complement_base(n)
-    sides: list[str] = [""] * (2 * n + 2)
-    tags: list[str] = [""] * (2 * n + 2)
-    for tag, values in (("v", [plan.v]), ("w", [plan.w]), ("b", plan.b), ("c", plan.c)):
-        for x in values:
-            row = x if x <= 2 * n + 2 else c_base - x
-            if sides[row - 1]:
-                raise ValueError(f"plan selects row {row} twice")
-            sides[row - 1] = LEFT if x <= 2 * n + 2 else RIGHT
-            tags[row - 1] = tag
-
-    def adjacent_pairs(values: list[int], label: str) -> list[tuple[int, int, str]]:
-        ordered = sorted(values)
-        return [
-            (ordered[i], ordered[i + 1], label) for i in range(0, len(ordered), 2)
-        ]
-
     if n % 2 == 0:
-        beta = list(plan.b) + [plan.v, plan.w]
-        gamma = list(plan.c)
+        beta, gamma = [*plan.b, plan.v, plan.w], list(plan.c)
     else:
-        beta = list(plan.b) + [plan.w]
-        gamma = list(plan.c) + [c_base - plan.w]
-    pairs = adjacent_pairs(beta, "b") + adjacent_pairs(gamma, "c")
-    scheme = PairingScheme(n=n, sides=tuple(sides), tags=tuple(tags), pairs=tuple(pairs))
-    scheme.validate()
-    return scheme
+        beta, gamma = [*plan.b, plan.w], [*plan.c, complement_base(n) - plan.w]
+    pairs = []
+    for values, label in ((beta, "b"), (gamma, "c")):
+        ordered = sorted(values)
+        pairs += [(ordered[i], ordered[i + 1], label) for i in range(0, len(ordered), 2)]
+    return PairingScheme(plan, tuple(pairs))
 
 
-@lru_cache(maxsize=1)
+# Order 3 falls outside the general odd recipe.  Its border, in diagram-row
+# order, is the first one an exhaustive search over corner pairs finds; the
+# tests keep that search as the oracle for this literal.
+_N3 = scheme_from_plan(BorderPlan(n=3, v=1, w=3, b=(22, 21, 18), c=(2, 20, 19)))
+
+
 def recipe_n3() -> PairingScheme:
-    """Order 3 falls outside the general odd recipe; search the 8-row pool once."""
-    from .enumeration import OmegaKey, enumerate_omega
-
-    pool = sorted(border_pool(3))
-    for v in pool:
-        for w in pool:
-            if w == v or v + w == complement_base(3):
-                continue
-            for found in enumerate_omega(OmegaKey(3, v, w)):
-                return scheme_from_plan(found.to_plan())
-    raise RuntimeError("no order-3 magic border exists; this should be unreachable")
+    """The fixed order-3 border and its pairing."""
+    return _N3
 
 
 def build_pairing(n: int) -> PairingScheme:
-    """Dispatch to the recipe serving inner order n."""
-    case = recipe_case(n)
-    if case == CASE_N3_SPECIAL:
+    """Dispatch to the recipe serving inner order n (n=4 runs the 4k recipe's fixed part)."""
+    check_inner_order(n)
+    if n == 3:
         return recipe_n3()
-    if case == CASE_EVEN_4K:
+    if n % 4 == 0:
         return recipe_even_4k(n // 4)
-    if case == CASE_EVEN_4K_PLUS_2:
+    if n % 2 == 0:
         return recipe_even_4k_plus_2((n - 2) // 4)
     return recipe_odd(n)
 

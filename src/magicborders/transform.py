@@ -33,30 +33,6 @@ SYMMETRIES = (
 )
 
 
-def grid_image(cells: Sequence[Sequence], symmetry: str):
-    """Apply a symmetry to a square grid of anything (values or None)."""
-    rows = [list(row) for row in cells]
-    if symmetry == IDENTITY:
-        out = rows
-    elif symmetry == REFLECT_VERTICAL:
-        out = [row[::-1] for row in rows]
-    elif symmetry == REFLECT_HORIZONTAL:
-        out = rows[::-1]
-    elif symmetry == ROTATE_180:
-        out = [row[::-1] for row in rows[::-1]]
-    elif symmetry == TRANSPOSE:
-        out = [list(col) for col in zip(*rows)]
-    elif symmetry == ANTI_TRANSPOSE:
-        out = [list(col) for col in zip(*[row[::-1] for row in rows[::-1]])]
-    elif symmetry == ROTATE_90:
-        out = [list(col) for col in zip(*rows[::-1])]
-    elif symmetry == ROTATE_270:
-        out = [list(col) for col in zip(*rows)][::-1]
-    else:
-        raise ValueError(f"unknown symmetry {symmetry!r}")
-    return [tuple(row) for row in out]
-
-
 def apply_symmetry(plan: BorderPlan, symmetry: str) -> BorderPlan:
     """The plan whose frame is the symmetry image of this plan's frame."""
     n = plan.n
@@ -92,17 +68,15 @@ def apply_symmetry(plan: BorderPlan, symmetry: str) -> BorderPlan:
 
 
 def _composition_table() -> dict[tuple[str, str], str]:
-    # derive the group table once from a grid with no symmetry of its own
-    marker = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-    images = {s: grid_image(marker, s) for s in SYMMETRIES}
-    table = {}
-    for s1 in SYMMETRIES:
-        for s2 in SYMMETRIES:
-            combined = grid_image(images[s1], s2)
-            matches = [s for s, image in images.items() if image == combined]
-            assert len(matches) == 1
-            table[(s1, s2)] = matches[0]
-    return table
+    # derive the group table once from a plan whose eight images all differ
+    marker = BorderPlan(n=3, v=1, w=2, b=(3, 4, 5), c=(6, 7, 8))
+    images = {s: apply_symmetry(marker, s) for s in SYMMETRIES}
+    by_image = {image: s for s, image in images.items()}
+    return {
+        (s1, s2): by_image[apply_symmetry(images[s1], s2)]
+        for s1 in SYMMETRIES
+        for s2 in SYMMETRIES
+    }
 
 
 _COMPOSE = _composition_table()

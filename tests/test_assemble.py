@@ -1,11 +1,9 @@
 import pytest
 
 from magicborders import (
-    base_square,
     build_border,
     build_square,
     complement_base,
-    layer_plans,
     magic_constant,
     plan_from_frame,
     render_frame,
@@ -13,6 +11,7 @@ from magicborders import (
     verify_bordered,
     verify_square,
 )
+from magicborders.assemble import base_square, layer_plans
 from magicborders.verify import BorderPlan
 
 from goldens import (

@@ -129,6 +129,36 @@ def test_verify_bordered_rejects_an_order2_permutation(capsys, tmp_path):
     assert "  subsquare-line-sum at order 2 row 0: expected 5, got 3" in lines
 
 
+@pytest.mark.parametrize("fmt", ["grid", "json"])
+def test_verify_bordered_rejects_frames_and_plans(capsys, tmp_path, fmt):
+    _, out, _ = run(capsys, "build", "--order", "4", "--border-only", "--format", fmt)
+    path = tmp_path / "border.txt"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "--bordered")
+    assert code == 1 and out == ""
+    assert err == "error: --bordered applies to full squares only\n"
+
+
+def test_verify_reports_the_hole_of_a_square_too_small_for_a_frame(capsys, tmp_path):
+    path = tmp_path / "holed3.txt"
+    path.write_text("8 1 6\n3 . 7\n4 9 2\n", encoding="utf-8")
+    for flags in ((), ("--bordered",)):
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert code == 1 and out == ""
+        assert err == "error: grid has an empty cell at (1,1)\n"
+
+
+def test_verify_reports_the_hole_of_a_square_with_a_filled_interior(capsys, tmp_path):
+    _, out, _ = run(capsys, "build", "--order", "5")
+    square = [row.split() for row in out.splitlines()]
+    square[0][1] = "."
+    path = tmp_path / "holed5.txt"
+    path.write_text("\n".join(" ".join(row) for row in square) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: grid has an empty cell at (0,1)\n"
+
+
 def test_verify_parse_failure_names_the_spot(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 x\n4 5 6\n7 8 9\n", encoding="utf-8")

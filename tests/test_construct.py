@@ -1,29 +1,32 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicborders import (
+    OmegaKey,
     border_pool,
     build_border,
     build_pairing,
     complement,
+    complement_base,
     d_corner,
     d_value,
+    enumerate_omega,
     magic_constant,
-    recipe_case,
+    verify_balance,
+    verify_border,
+)
+from magicborders import enumeration
+from magicborders.construct import (
+    _SchemeBuilder,
     recipe_even_4k,
     recipe_even_4k_plus_2,
     recipe_n3,
     recipe_odd,
     scheme_from_plan,
-    verify_balance,
-    verify_border,
 )
-from magicborders.construct import (
-    CASE_EVEN_4K,
-    CASE_EVEN_4K_PLUS_2,
-    CASE_N3_SPECIAL,
-    CASE_ODD_GENERAL,
-)
+from magicborders.core import LEFT, RIGHT, row_of
 
 from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN
 
@@ -44,12 +47,12 @@ def test_build_border_reproduces_the_order7_reference():
     assert canonical(build_border(7)) == canonical(ORDER7_PLAN)
 
 
-def test_recipe_case_dispatch():
-    assert recipe_case(3) == CASE_N3_SPECIAL
-    assert recipe_case(4) == CASE_EVEN_4K  # the fixed opening alone fills n=4
-    assert recipe_case(6) == CASE_EVEN_4K_PLUS_2
-    assert recipe_case(8) == CASE_EVEN_4K
-    assert recipe_case(9) == CASE_ODD_GENERAL
+def test_build_border_dispatch():
+    assert build_border(3) == recipe_n3().plan()
+    assert build_border(4) == recipe_even_4k(1).plan()  # the fixed opening alone fills n=4
+    assert build_border(6) == recipe_even_4k_plus_2(1).plan()
+    assert build_border(8) == recipe_even_4k(2).plan()
+    assert build_border(9) == recipe_odd(9).plan()
 
 
 def test_even_4k_opening_instantiated_at_order4():
@@ -88,10 +91,12 @@ def test_even_4k_plus_2_column_balance_at_order10():
 
 
 def test_odd_recipe_reproduces_the_order7_reference_selections():
-    scheme = recipe_odd(7)
-    assert canonical(scheme.plan()) == canonical(ORDER7_PLAN)
-    # middle-part sides, rows 5..11
-    assert tuple(scheme.sides[4:11]) == ("R", "R", "L", "L", "R", "L", "L")
+    plan = recipe_odd(7).plan()
+    assert canonical(plan) == canonical(ORDER7_PLAN)
+    # middle-part sides, rows 5..11: a small value sits on the left
+    by_row = {row_of(x, 7): x for x in plan.values()}
+    sides = tuple("L" if by_row[row] <= 2 * 7 + 2 else "R" for row in range(5, 12))
+    assert sides == ("R", "R", "L", "L", "R", "L", "L")
 
 
 def test_odd_recipe_at_order9():
@@ -133,6 +138,52 @@ def test_order3_special_case():
     assert recipe_n3() is recipe_n3()  # cached constant
 
 
+def first_order3_border_by_search():
+    """The corner-pair loop that once ran inside the order-3 recipe."""
+    pool = sorted(border_pool(3))
+    for v in pool:
+        for w in pool:
+            if w == v or v + w == complement_base(3):
+                continue
+            for found in enumerate_omega(OmegaKey(3, v, w)):
+                return found.to_plan()
+    raise AssertionError("no order-3 magic border found")
+
+
+def test_order3_literal_is_the_first_border_the_search_finds():
+    found = first_order3_border_by_search()
+
+    def in_row_order(values):
+        return tuple(sorted(values, key=lambda x: row_of(x, 3)))
+
+    # the literal lists b and c in diagram-row order, as the old recipe did
+    expected = dataclasses.replace(found, b=in_row_order(found.b), c=in_row_order(found.c))
+    assert recipe_n3().plan() == expected
+
+
+def test_no_construct_call_runs_a_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("construct must not search")
+
+    monkeypatch.setattr(enumeration, "enumerate_omega", forbidden)
+    monkeypatch.setattr(enumeration, "search_first", forbidden)
+    for n in range(3, 61):
+        assert verify_border(build_border(n)).valid
+
+
+def test_scheme_builder_rejects_undecided_rows_and_corner_miscounts():
+    builder = _SchemeBuilder(3)
+    for row in range(1, 8):
+        builder.take(row, LEFT, "v" if row == 1 else "w" if row == 2 else "b")
+    with pytest.raises(ValueError, match=r"rows \[8\] left undecided"):
+        builder.scheme()
+    builder.take(8, RIGHT, "v")
+    with pytest.raises(ValueError, match="corner"):
+        builder.scheme()
+    with pytest.raises(ValueError, match="already decided"):
+        builder.take(8, LEFT, "c")
+
+
 def test_build_border_is_deterministic():
     for n in (3, 6, 7, 8, 13):
         assert build_border(n) == build_border(n)
@@ -149,10 +200,8 @@ def test_every_order_yields_a_valid_balanced_border(n):
 
 def test_every_diagram_row_is_consumed_exactly_once():
     for n in range(3, 31):
-        scheme = build_pairing(n)
-        scheme.validate()
-        values = [scheme.selected_value(row) for row in range(1, 2 * n + 3)]
-        assert len(set(values)) == 2 * n + 2
+        plan = build_pairing(n).plan()
+        assert sorted(row_of(x, n) for x in plan.values()) == list(range(1, 2 * n + 3))
 
 
 def test_recipes_never_select_complementary_values():

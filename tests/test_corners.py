@@ -4,22 +4,22 @@ from magicborders import (
     CanonicalBorder,
     InfeasibleCornersError,
     OmegaKey,
-    block_sets,
     construct_with_corners,
-    corners_feasible,
     enumerate_omega,
     extend_border,
-    missing_pairs,
     seed_order4,
-    seed_order_m,
     verify_border,
 )
 from magicborders.corners import (
     audit_order4,
     audit_order_m,
+    block_sets,
+    corners_feasible,
     eval_poly,
+    missing_pairs,
     order4_table,
     parameterized_table,
+    seed_order_m,
     seed_order_m_audit,
 )
 

@@ -138,7 +138,7 @@ def test_canonical_border_round_trip():
 
 
 def test_ordered_variant_count_is_a_clearly_derived_figure():
-    from magicborders import ordered_variant_count
+    from magicborders.enumeration import ordered_variant_count
 
     assert ordered_variant_count(1, 4) == 24 * 24
     assert ordered_variant_count(2, 3) == 2 * 36

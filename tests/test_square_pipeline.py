@@ -25,11 +25,9 @@ from magicborders import (
     CheckReport,
     Violation,
     apply_symmetry,
-    base_square,
     build_border,
     build_square,
     complement_base,
-    layer_plans,
     plan_from_frame,
     render_frame,
     verify_border,
@@ -37,6 +35,7 @@ from magicborders import (
     verify_frame,
     verify_square,
 )
+from magicborders.assemble import base_square, layer_plans
 from magicborders.verify import _square_shape_violations
 
 SRC = Path(__file__).resolve().parents[1] / "src"

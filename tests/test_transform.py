@@ -7,20 +7,50 @@ from magicborders import (
     apply_symmetry,
     build_border,
     complement,
-    compose,
     orbit,
     permute_lines,
     verify_border,
 )
 from magicborders.assemble import render_frame
 from magicborders.transform import (
+    ANTI_TRANSPOSE,
     IDENTITY,
+    REFLECT_HORIZONTAL,
     REFLECT_VERTICAL,
+    ROTATE_90,
+    ROTATE_180,
+    ROTATE_270,
     SYMMETRIES,
-    grid_image,
+    TRANSPOSE,
+    _COMPOSE,
+    compose,
 )
 
 from goldens import ORDER8_PLAN, ORDER8_PERMUTED_FRAME_TEXT, frame_cells
+
+
+def grid_image(cells, symmetry):
+    """Apply a symmetry to a square grid of anything (values or None)."""
+    rows = [list(row) for row in cells]
+    if symmetry == IDENTITY:
+        out = rows
+    elif symmetry == REFLECT_VERTICAL:
+        out = [row[::-1] for row in rows]
+    elif symmetry == REFLECT_HORIZONTAL:
+        out = rows[::-1]
+    elif symmetry == ROTATE_180:
+        out = [row[::-1] for row in rows[::-1]]
+    elif symmetry == TRANSPOSE:
+        out = [list(col) for col in zip(*rows)]
+    elif symmetry == ANTI_TRANSPOSE:
+        out = [list(col) for col in zip(*[row[::-1] for row in rows[::-1]])]
+    elif symmetry == ROTATE_90:
+        out = [list(col) for col in zip(*rows[::-1])]
+    elif symmetry == ROTATE_270:
+        out = [list(col) for col in zip(*rows)][::-1]
+    else:
+        raise ValueError(f"unknown symmetry {symmetry!r}")
+    return [tuple(row) for row in out]
 
 
 def test_identity_leaves_the_plan_alone():
@@ -69,6 +99,20 @@ def test_composition_law_on_the_full_table():
             chained = apply_symmetry(apply_symmetry(plan, s1), s2)
             direct = apply_symmetry(plan, compose(s1, s2))
             assert chained == direct, (s1, s2)
+
+
+def test_composition_table_matches_the_grid_images():
+    # the grid action on a marker with no symmetry of its own is the oracle
+    marker = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    images = {s: grid_image(marker, s) for s in SYMMETRIES}
+    expected = {}
+    for s1 in SYMMETRIES:
+        for s2 in SYMMETRIES:
+            combined = grid_image(images[s1], s2)
+            matches = [s for s, image in images.items() if image == combined]
+            assert len(matches) == 1
+            expected[(s1, s2)] = matches[0]
+    assert _COMPOSE == expected
 
 
 def test_the_eight_symmetries_form_a_group():

@@ -12,7 +12,6 @@ from magicborders import (
     complement,
     d_corner,
     d_value,
-    scheme_from_plan,
     verify_balance,
     verify_border,
     verify_bordered,
@@ -20,6 +19,7 @@ from magicborders import (
     verify_square,
 )
 from magicborders.assemble import render_frame
+from magicborders.construct import scheme_from_plan
 
 from goldens import LO_SHU, ORDER7_PLAN, ORDER8_PLAN, ALL_GOLDEN_PLANS, ALL_GOLDEN_FRAMES, frame_cells
 
