@@ -39,7 +39,6 @@ from .transform import SYMMETRIES, apply_symmetry
 from .verify import (
     BorderPlan,
     CheckReport,
-    misplaced_cells,
     verify_border,
     verify_bordered,
     verify_frame,
@@ -51,7 +50,9 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 
+# beyond these inner orders a listing, or a count, may run for very long
 DESK_SCALE_ORDER = 6
+COUNT_DESK_SCALE_ORDER = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,10 +120,14 @@ def cmd_build(args) -> int:
 
 
 def _reject_holed_square(doc: GridDocument) -> None:
-    """A grid too small for a frame, or with a filled interior cell, is a
-    square with holes rather than a frame."""
-    misplaced_interior = (not on_border for _, _, on_border in misplaced_cells(doc.cells))
-    if doc.order < 5 or any(misplaced_interior):
+    """Tell a frame from a square with holes, for a grid with an empty cell.
+
+    A grid of order 5 or more whose interior is mostly empty is a frame,
+    and ``GridDocument.as_frame`` names any cell out of place in it.  Any
+    other grid is a square with holes, reported at its first empty cell.
+    """
+    interior = [x for row in doc.cells[1:-1] for x in row[1:-1]]
+    if doc.order < 5 or 2 * interior.count(None) <= len(interior):
         i, j = next(
             (i, j) for i, row in enumerate(doc.cells) for j, x in enumerate(row) if x is None
         )
@@ -163,9 +168,13 @@ def cmd_enumerate(args) -> int:
     if args.limit is not None and args.count_only:
         raise DocumentError("--limit does not apply to --count-only, which counts every border")
     n = args.order
-    if n > DESK_SCALE_ORDER:
+    if args.count_only:
+        what, desk_scale = "counting", COUNT_DESK_SCALE_ORDER
+    else:
+        what, desk_scale = "exhaustive search", DESK_SCALE_ORDER
+    if n > desk_scale:
         print(
-            f"warning: exhaustive search beyond inner order {DESK_SCALE_ORDER} "
+            f"warning: {what} beyond inner order {desk_scale} "
             "can take very long; consider --max-nodes or --max-seconds",
             file=sys.stderr,
         )
@@ -201,6 +210,7 @@ def cmd_orbit(args) -> int:
     if isinstance(doc, BorderPlan):
         plan, report = doc, verify_border(doc)
     elif isinstance(doc, GridDocument) and not doc.is_complete():
+        _reject_holed_square(doc)
         # the whole frame, not only the plan read off its top row and left
         # column: the cells facing those must hold their complements too
         frame = doc.as_frame()

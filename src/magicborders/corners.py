@@ -1,12 +1,27 @@
 """Corner-prescribed borders for even inner orders.
 
 For even n, small corners (both in 1..2n+2) admit a magic border exactly
-when they have opposite parity.  Construction works from a literal
-order-4 seed table, a +4 extension step that can also shift both corners
-by 0..8, and a parameterized table covering the 20 corner pairs per order
-that no extension reaches.  Parameterized entries are data, not trusted
-ground truth: each instantiation is classified by the verifier and
-repaired when a value is off.
+when they have opposite parity.  Construction never searches.  It starts
+from a literal seed, an order-4 border from the paper's table or an
+order-6 border from a table of first search results, and grows it four
+orders at a time with one of two steps:
+
+- the +4 extension (:func:`extend_border`) adds eight diagram rows above
+  and below the existing ones, shifting both corners by 0..8;
+- block insertion (:func:`insert_block`) adds eight rows between the
+  corners' rows, so v stays and w rises by 8.  It covers the 20 "gap"
+  pairs per order that no extension reaches, and a gap pair (v, w) at
+  order n comes from the gap pair (v, w-8) at order n-4.
+
+Both steps keep the invariant behind validity at even order: every line
+holds as many small as large values, and the rows of its small values
+sum to the rows of its large ones.
+
+The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
+is kept as an artifact for ``tables --check``: its entries are data, not
+trusted ground truth, so each instantiation is classified by the
+verifier, repaired when one value is off, and otherwise rebuilt by the
+construction above.
 """
 
 from __future__ import annotations
@@ -23,7 +38,6 @@ from .core import (
     in_pool,
     magic_constant,
 )
-from .enumeration import OmegaKey, search_first
 from .transform import (
     ANTI_TRANSPOSE,
     REFLECT_VERTICAL,
@@ -97,21 +111,25 @@ class Table2Row:
         return BorderPlan(n=m, v=self.v, w=eval_poly(self.w_expr, m), b=b, c=c)
 
 
+_LITERAL_ORDERS = {"order4": 4, "order6": 6}
+
+
 @lru_cache(maxsize=1)
-def _seed_data() -> tuple[dict[tuple[int, int], BorderPlan], tuple[Table2Row, ...]]:
+def _seed_data() -> tuple[dict[int, dict[tuple[int, int], BorderPlan]], tuple[Table2Row, ...]]:
     text = resources.files("magicborders").joinpath("data/seed_tables.txt").read_text()
-    order4: dict[tuple[int, int], BorderPlan] = {}
+    literals: dict[int, dict[tuple[int, int], BorderPlan]] = {4: {}, 6: {}}
     rows: list[Table2Row] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, *fields = line.split()
-        if kind == "order4":
+        if kind in _LITERAL_ORDERS:
+            n = _LITERAL_ORDERS[kind]
             v, w = int(fields[0]), int(fields[1])
             b = tuple(int(x) for x in fields[2].split(","))
             c = tuple(int(x) for x in fields[3].split(","))
-            order4[(v, w)] = BorderPlan(n=4, v=v, w=w, b=b, c=c)
+            literals[n][(v, w)] = BorderPlan(n=n, v=v, w=w, b=b, c=c)
         elif kind == "orderm":
             rows.append(
                 Table2Row(
@@ -123,11 +141,11 @@ def _seed_data() -> tuple[dict[tuple[int, int], BorderPlan], tuple[Table2Row, ..
             )
         else:
             raise ValueError(f"unknown seed-table record {kind!r}")
-    return order4, tuple(rows)
+    return literals, tuple(rows)
 
 
 def order4_table() -> dict[tuple[int, int], BorderPlan]:
-    return dict(_seed_data()[0])
+    return dict(_seed_data()[0][4])
 
 
 def parameterized_table() -> tuple[Table2Row, ...]:
@@ -136,9 +154,8 @@ def parameterized_table() -> tuple[Table2Row, ...]:
 
 def seed_order4(v: int, w: int) -> BorderPlan:
     """The literal order-4 seed with corners (v, w); v odd, w even."""
-    table = _seed_data()[0]
     try:
-        return table[(v, w)]
+        return _seed_data()[0][4][(v, w)]
     except KeyError:
         raise ValueError(
             f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
@@ -160,24 +177,27 @@ def block_sets(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def missing_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """Ascending corner pairs at order m that no +4 extension step reaches."""
-    if m % 4 or m < 8:
-        raise ValueError(f"extension gaps arise at orders 8, 12, 16, ...; got {m}")
-    inner_small = 2 * (m - 4) + 2
-    pairs = []
-    for v in range(1, 9):
-        for w in range(v + 1, 2 * m + 3):
-            if (v + w) % 2 == 0:
-                continue
-            lo = max(0, w - inner_small)
-            hi = min(8, v - 1)
-            if not any(lo <= j <= hi for j in (0, 2, 4, 6, 8)):
-                pairs.append((v, w))
-    return tuple(pairs)
+    if m % 2 or m < 8:
+        raise ValueError(f"extension gaps arise at even orders from 8; got {m}")
+    return tuple(
+        (v, w)
+        for v in range(1, 9)
+        for w in range(v + 1, 2 * m + 3)
+        if (v + w) % 2 and _extension_shift(m, v, w) is None
+    )
 
 
 # --- extension -------------------------------------------------------------
 
 _EXTENSION_UNITS = (("b", True), ("b", False), ("c", False), ("c", True))
+
+
+def _extension_shift(n: int, v: int, w: int) -> int | None:
+    """The least shift by which a +4 step reaches small corners v < w at order n, if any."""
+    inner_small = 2 * (n - 4) + 2
+    lo = max(0, w - inner_small)
+    hi = min(8, v - 1)
+    return next((j for j in (0, 2, 4, 6, 8) if lo <= j <= hi), None)
 
 
 def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
@@ -228,6 +248,86 @@ def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
     return BorderPlan(
         n=new_n, v=plan.v + shift, w=plan.w + shift, b=tuple(new_b), c=tuple(new_c)
     )
+
+
+# Offsets of the eight inserted rows, given what the shift of the rows at
+# and above the insertion point did to each line: e counts that line's
+# shifted small values minus its shifted large ones, so the shift moved
+# the line's signed row sum by 8e.  Each entry hands 0..7 out as (top
+# small, top large, left small, left large) pairs whose signed offset sums
+# are -8*e_top and -8*e_left.
+_BLOCK_SPLITS = {
+    (0, 0): ((0, 3), (1, 2), (4, 7), (5, 6)),
+    (1, 1): ((0, 3), (4, 7), (1, 2), (5, 6)),
+    (-1, -1): ((4, 7), (0, 3), (5, 6), (1, 2)),
+    (1, -1): ((0, 1), (4, 5), (6, 7), (2, 3)),
+    (-1, 1): ((6, 7), (2, 3), (0, 1), (4, 5)),
+    (1, 0): ((0, 1), (2, 7), (3, 6), (4, 5)),
+    (-1, 0): ((6, 7), (0, 5), (1, 4), (2, 3)),
+    (0, 1): ((3, 6), (4, 5), (0, 1), (2, 7)),
+    (0, -1): ((1, 4), (2, 3), (6, 7), (0, 5)),
+}
+
+
+def insert_block(plan: BorderPlan) -> BorderPlan:
+    """Grow a valid even border with small corners v < w by +4, to corners (v, w+8).
+
+    Eight new diagram rows go in at the lowest row t with v < t <= w that
+    balances: every row from t up (the corner w's included) moves up by
+    8, and the new rows t..t+7 go four to the top row and four to the
+    left column, two on each side.  A valid even line holds as many small
+    as large values, with equal row sums on both sides; the move shifts
+    that row difference by 8e for the line's count e of moved small
+    minus moved large values, and the new rows cancel it for |e| <= 1.
+    """
+    n = check_inner_order(plan.n)
+    if n % 2:
+        raise ValueError("only even borders take a block: odd ones cannot split evenly")
+    small = 2 * n + 2
+    v, w = plan.v, plan.w
+    if not 1 <= v < w <= small:
+        raise ValueError(f"block insertion needs small corners v < w, got ({v}, {w})")
+    c_old = complement_base(n)
+
+    # per diagram row: +1 for a small value, -1 for a large one, per line;
+    # the corner w is small in the top row and its complement closes the
+    # left column
+    top = [0] * (small + 1)
+    left = [0] * (small + 1)
+    for counts, values in ((top, plan.b), (left, plan.c)):
+        for x in values:
+            if x <= small:
+                counts[x] += 1
+            else:
+                counts[c_old - x] -= 1
+    top[w] += 1
+    left[w] -= 1
+
+    e_top, e_left = sum(top[v + 1 :]), sum(left[v + 1 :])
+    for t in range(v + 1, w + 1):
+        split = _BLOCK_SPLITS.get((e_top, e_left))
+        if split is not None:
+            break
+        e_top -= top[t]
+        e_left -= left[t]
+    else:
+        raise RuntimeError(f"no insertion row balances the border with corners ({v}, {w})")
+
+    new_n = n + 4
+    c_new = complement_base(new_n)
+
+    def moved(x: int) -> int:
+        if x <= small:
+            return x + 8 if x >= t else x
+        row = c_old - x
+        return c_new - (row + 8 if row >= t else row)
+
+    top_small, top_large, left_small, left_large = split
+    new_b = [moved(x) for x in plan.b]
+    new_b += [t + a for a in top_small] + [c_new - t - a for a in top_large]
+    new_c = [moved(x) for x in plan.c]
+    new_c += [t + a for a in left_small] + [c_new - t - a for a in left_large]
+    return BorderPlan(n=new_n, v=v, w=w + 8, b=tuple(new_b), c=tuple(new_c))
 
 
 # --- parameterized seeds with classification -------------------------------
@@ -289,7 +389,7 @@ def seed_order_m_audit(m: int, v: int, w: int) -> SeedAudit:
     repaired = _repair_single_substitution(raw)
     if repaired is not None:
         return SeedAudit(row.row_id, m, v, w, "repaired", repaired, report)
-    rebuilt = search_first(OmegaKey(m, v, w)).to_plan()
+    rebuilt = _small_corners(m, v, w)
     return SeedAudit(row.row_id, m, v, w, "rebuilt", rebuilt, report)
 
 
@@ -319,31 +419,30 @@ def audit_order_m(m: int) -> list[SeedAudit]:
 # --- corner-prescribed construction ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _order6_seed(v: int, w: int) -> BorderPlan:
-    # no printed base covers orders 4k+2; search once and keep the result
-    return search_first(OmegaKey(6, v, w)).to_plan()
-
-
 def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     if v > w:
         return apply_symmetry(_small_corners(n, w, v), REFLECT_VERTICAL)
-    if n == 4:
-        if v % 2:
-            return seed_order4(v, w)
-        return apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL)
+    # walk down to a seed, noting each step (an extension shift, or None
+    # for a block insertion), then replay the steps upward
+    steps = []
+    while n > 6:
+        shift = _extension_shift(n, v, w)
+        steps.append(shift)
+        if shift is None:
+            w -= 8
+        else:
+            v -= shift
+            w -= shift
+        n -= 4
     if n == 6:
-        return _order6_seed(v, w)
-    inner_small = 2 * (n - 4) + 2
-    lo = max(0, w - inner_small)
-    hi = min(8, v - 1)
-    shifts = [j for j in (0, 2, 4, 6, 8) if lo <= j <= hi]
-    if shifts:
-        j = shifts[0]
-        return extend_border(_small_corners(n - 4, v - j, w - j), j)
-    if n % 4 == 0:
-        return seed_order_m(n, v, w)
-    return search_first(OmegaKey(n, v, w)).to_plan()
+        plan = _seed_data()[0][6][(v, w)]
+    elif v % 2:
+        plan = seed_order4(v, w)
+    else:
+        plan = apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL)
+    for shift in reversed(steps):
+        plan = insert_block(plan) if shift is None else extend_border(plan, shift)
+    return plan
 
 
 def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:

@@ -168,6 +168,14 @@ def _check_key(key: OmegaKey) -> None:
         raise ValueError("corners must not be complementary")
 
 
+def _parity_forbids(key: OmegaKey) -> bool:
+    """Whether the key has same-parity small corners at even order, which no border has."""
+    small = 2 * key.n + 2
+    return (
+        key.n % 2 == 0 and key.v <= small and key.w <= small and key.v % 2 == key.w % 2
+    )
+
+
 _EMPTY = (1, 0)
 
 
@@ -364,8 +372,11 @@ def enumerate_omega(
     Deterministic order for identical inputs.  Raises
     :class:`BudgetExhausted` mid-stream if a node or time limit cuts the
     search short; a normally finished stream means the listing is complete.
+    Keys with same-parity small corners at even order end at once, empty.
     """
     _check_key(key)
+    if _parity_forbids(key):
+        return
     state = _BudgetState(budget)
     max_solutions = budget.max_solutions if budget else None
     emitted = 0
@@ -385,16 +396,15 @@ def search_first(key: OmegaKey) -> CanonicalBorder:
     """
     _check_key(key)
     n = key.n
-    small = 2 * n + 2
-    both_small = key.v <= small and key.w <= small
-    if n % 2 == 0 and both_small and key.v % 2 == key.w % 2:
+    if _parity_forbids(key):
         raise InfeasibleCornersError(
             f"no magic border of even inner order {n} has same-parity "
             f"upper corners ({key.v}, {key.w})"
         )
     for solution in enumerate_omega(key, SearchBudget(max_solutions=1)):
         return solution
-    if n % 2 == 0 and both_small:
+    small = 2 * n + 2
+    if n % 2 == 0 and key.v <= small and key.w <= small:
         raise RuntimeError(
             f"invariant failure: opposite-parity corners ({key.v}, {key.w}) at even "
             f"order {n} must admit a border, but exhaustive search found none"

@@ -218,6 +218,60 @@ def test_enumerate_warns_beyond_desk_scale(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_counting_warns_only_beyond_its_own_desk_scale(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--order", "9", "--corners", "1,3", "--count-only"
+    )
+    assert (code, out, err) == (0, "529\n", "")
+    code, out, err = run(
+        capsys, "enumerate", "--order", "10", "--corners", "1,2", "--count-only",
+        "--max-nodes", "100",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("warning: counting beyond inner order 9 can take very long")
+    code, _, err = run(
+        capsys, "enumerate", "--order", "7", "--corners", "1,3", "--limit", "1"
+    )
+    assert code == 0
+    assert err.startswith("warning: exhaustive search beyond inner order 6")
+
+
+def test_same_parity_listing_prints_nothing(capsys):
+    for n in ("4", "6", "40"):
+        code, out, err = run(
+            capsys, "enumerate", "--order", n, "--corners", "1,3", "--limit", "2"
+        )
+        assert code == 0 and out == ""
+
+
+def _edited_grid(text, cell, value):
+    rows = [line.split() for line in text.splitlines()]
+    rows[cell[0]][cell[1]] = value
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build, cell, value, message",
+    [
+        # a frame with one stray interior value is a frame
+        (("--order", "5", "--border-only"), (2, 2), "5",
+         "error: frame interior cell (2,2) is filled\n"),
+        # a square with one hole is a square, not a frame
+        (("--order", "5"), (2, 3), ".", "error: grid has an empty cell at (2,3)\n"),
+        (("--order", "5"), (0, 1), ".", "error: grid has an empty cell at (0,1)\n"),
+    ],
+)
+def test_verify_and_orbit_tell_frames_from_holed_squares_alike(
+    capsys, tmp_path, build, cell, value, message
+):
+    _, out, _ = run(capsys, "build", *build)
+    path = tmp_path / "grid.txt"
+    path.write_text(_edited_grid(out, cell, value), encoding="utf-8")
+    for command in ("verify", "orbit"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", message), command
+
+
 def test_orbit_emits_eight_verified_plans(capsys, tmp_path):
     code, out, _ = run(
         capsys, "build", "--order", "4", "--border-only", "--format", "json"

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from magicborders import (
@@ -7,21 +11,30 @@ from magicborders import (
     construct_with_corners,
     enumerate_omega,
     extend_border,
+    search_first,
     seed_order4,
     verify_border,
 )
+from magicborders import corners, enumeration
+from magicborders.core import complement_base, row_of
 from magicborders.corners import (
+    _BLOCK_SPLITS,
     audit_order4,
     audit_order_m,
     block_sets,
     corners_feasible,
     eval_poly,
+    insert_block,
     missing_pairs,
     order4_table,
     parameterized_table,
     seed_order_m,
     seed_order_m_audit,
 )
+from magicborders.documents import parse_document
+from magicborders.transform import REFLECT_VERTICAL, apply_symmetry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_feasibility_is_opposite_parity():
@@ -127,8 +140,7 @@ def test_missing_pairs_at_order8_match_the_published_list():
         (8, 2 * m + 1),
     }
     assert set(missing_pairs(m)) == expected
-    assert len(missing_pairs(12)) == 20
-    assert len(missing_pairs(16)) == 20
+    assert all(len(missing_pairs(m)) == 20 for m in range(8, 41, 2))
 
 
 def test_parameterized_rows_cover_exactly_the_missing_pairs():
@@ -235,3 +247,134 @@ def test_constructed_order4_plans_appear_in_the_exhaustive_listing():
             plan = construct_with_corners(4, v, w)
             everything = set(enumerate_omega(OmegaKey(4, v, w)))
             assert CanonicalBorder.from_plan(plan) in everything
+
+
+def test_every_order6_literal_is_the_first_border_the_search_finds():
+    table = corners._seed_data()[0][6]
+    assert set(table) == {
+        (v, w) for v in range(1, 15) for w in range(v + 1, 15) if (v + w) % 2
+    }
+    for (v, w), plan in table.items():
+        assert plan == search_first(OmegaKey(6, v, w)).to_plan(), (v, w)
+        assert construct_with_corners(6, v, w) == plan
+
+
+def test_block_splits_hand_out_the_eight_rows_and_cancel_each_shift():
+    assert set(_BLOCK_SPLITS) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    for (e_top, e_left), split in _BLOCK_SPLITS.items():
+        top_small, top_large, left_small, left_large = split
+        assert sorted(top_small + top_large + left_small + left_large) == list(range(8))
+        assert sum(top_small) - sum(top_large) == -8 * e_top
+        assert sum(left_small) - sum(left_large) == -8 * e_left
+
+
+def _insertion_inputs():
+    """The borders a block goes into: (v, w - 8) at order m - 4 for each gap pair (v, w) at m."""
+    return [
+        construct_with_corners(m - 4, v, w - 8)
+        for m in (8, 10, 12, 14, 20, 26)
+        for v, w in missing_pairs(m)
+    ]
+
+
+def test_insert_block_keeps_v_raises_w_by_eight_and_adds_one_run_of_rows():
+    for plan in _insertion_inputs():
+        n = plan.n
+        grown = insert_block(plan)
+        assert verify_border(grown).valid, plan
+        assert (grown.n, grown.v, grown.w) == (n + 4, plan.v, plan.w + 8)
+
+        # the new values are appended to both lines and fill one run of rows
+        added = grown.b[len(plan.b) :] + grown.c[len(plan.c) :]
+        assert len(grown.b) - len(plan.b) == len(grown.c) - len(plan.c) == 4
+        t = min(row_of(x, n + 4) for x in added)
+        assert sorted(row_of(x, n + 4) for x in added) == list(range(t, t + 8))
+        assert plan.v < t <= plan.w
+        # below t nothing moves, and every old value from row t up moves
+        # up 8 rows, keeping its side and its place in its line
+        delta = complement_base(n + 4) - complement_base(n)
+        small = 2 * n + 2
+
+        def moved(x):
+            shift = 8 if row_of(x, n) >= t else 0
+            return x + shift if x <= small else x + delta - shift
+
+        assert grown.b[: len(plan.b)] == tuple(map(moved, plan.b))
+        assert grown.c[: len(plan.c)] == tuple(map(moved, plan.c))
+
+
+def test_insert_block_rejects_what_it_cannot_grow():
+    plan = seed_order4(1, 2)
+    with pytest.raises(ValueError):
+        insert_block(apply_symmetry(plan, REFLECT_VERTICAL))  # v > w
+    with pytest.raises(ValueError):
+        insert_block(construct_with_corners(4, 1, 27))  # large w
+    from magicborders import build_border
+
+    with pytest.raises(ValueError):
+        insert_block(build_border(7))
+
+
+def _four_images(n, v, w):
+    c_base = complement_base(n)
+    return ((v, w), (c_base - v, w), (v, c_base - w), (c_base - v, c_base - w))
+
+
+def test_no_corner_construction_runs_a_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("corner construction must not search")
+
+    for name in ("search_first", "enumerate_omega", "count_borders", "_solutions", "_count"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    assert enumeration not in vars(corners).values()
+    assert not any(
+        getattr(x, "__module__", None) == enumeration.__name__ for x in vars(corners).values()
+    )
+
+    requests = []
+    for n in range(4, 31, 2):
+        small = 2 * n + 2
+        requests += [
+            (n, v, w)
+            for v in range(1, small + 1)
+            for w in range(v + 1, small + 1)
+            if (v + w) % 2
+        ]
+    # gap pairs and ordinary pairs far beyond the old search's reach
+    for n in (62, 102, 402):
+        small = 2 * n + 2
+        requests += [(n, 1, small), (n, 2, small - 1), (n, 8, small - 1), (n, 2, 3)]
+        requests += [(n, v, small - 7 + v % 2) for v in range(1, 9)]
+    for n, v, w in requests:
+        for i, (x, y) in enumerate(_four_images(n, v, w)):
+            if (i + v + w) % 4 < 2:
+                x, y = y, x
+            plan = construct_with_corners(n, x, y)
+            assert (plan.v, plan.w) == (x, y)
+
+
+def test_gap_pairs_chain_down_to_gap_pairs():
+    for m in range(12, 41, 2):
+        for v, w in missing_pairs(m):
+            assert (v, w - 8) in missing_pairs(m - 4), (m, v, w)
+
+
+def test_long_corner_chains_do_not_recurse():
+    script = (
+        "import sys\n"
+        "from magicborders.cli import main\n"
+        "sys.setrecursionlimit(60)\n"
+        "sys.exit(main(['build', '--order', '4000', '--border-only', "
+        "'--corners', '1,2', '--format', 'json']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    plan = parse_document(result.stdout)
+    assert (plan.n, plan.v, plan.w) == (4000, 1, 2)
+    assert verify_border(plan).valid
