@@ -7,7 +7,7 @@ squares.
 """
 
 from .assemble import build_square, plan_from_frame, render_frame
-from .construct import PairingScheme, build_border, build_pairing
+from .construct import build_border
 from .core import (
     InfeasibleCornersError,
     border_pool,
@@ -36,7 +36,6 @@ from .verify import (
     BorderPlan,
     CheckReport,
     Violation,
-    verify_balance,
     verify_border,
     verify_bordered,
     verify_frame,
@@ -54,14 +53,12 @@ __all__ = [
     "InfeasibleCornersError",
     "NoBorderError",
     "OmegaKey",
-    "PairingScheme",
     "SYMMETRIES",
     "SearchBudget",
     "Violation",
     "apply_symmetry",
     "border_pool",
     "build_border",
-    "build_pairing",
     "build_square",
     "complement",
     "complement_base",
@@ -80,7 +77,6 @@ __all__ = [
     "render_frame",
     "search_first",
     "seed_order4",
-    "verify_balance",
     "verify_border",
     "verify_bordered",
     "verify_frame",

@@ -102,10 +102,6 @@ def cmd_build(args) -> int:
     if args.border_only:
         n = args.order
         if args.corners:
-            if n % 2:
-                raise DocumentError(
-                    "corner-prescribed borders exist for even inner orders only"
-                )
             plan = construct_with_corners(n, *args.corners)
         else:
             plan = build_border(n)

@@ -1,32 +1,17 @@
 """Deterministic recipes that build a magic border for every inner order n >= 3.
 
-Each recipe picks one value per diagram row and records a pairing whose
-deviation sums certify the balance conditions checked by
-:func:`magicborders.verify.verify_balance`.  The same n always yields the
+Each recipe picks one side of every diagram row and returns the border
+as a :class:`~magicborders.verify.BorderPlan`.  Its docstring states why
+the border is magic: the picks fall into pairs whose deviations cancel
+line by line.  :func:`build_border` checks every result with
+:func:`~magicborders.verify.verify_border`.  The same n always yields the
 same border.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import LEFT, RIGHT, check_inner_order, complement_base
 from .verify import BorderPlan, verify_border
-
-
-@dataclass(frozen=True)
-class PairingScheme:
-    """A border plus the pairing that certifies its balance.
-
-    ``pairs`` holds (x, y, side) triples where side "b" means the pair
-    belongs to the top-row balance sum and "c" to the column balance sum.
-    """
-
-    border: BorderPlan
-    pairs: tuple[tuple[int, int, str], ...]
-
-    def plan(self) -> BorderPlan:
-        return self.border
 
 
 class _SchemeBuilder:
@@ -36,30 +21,23 @@ class _SchemeBuilder:
         self.n = n
         self.c_base = complement_base(n)
         self.slots: list[tuple[str, int] | None] = [None] * (2 * n + 2)
-        self.pairs: list[tuple[int, int, str]] = []
 
-    def take(self, row: int, side: str, tag: str) -> int:
+    def take(self, row: int, side: str, tag: str) -> None:
         if self.slots[row - 1] is not None:
             raise ValueError(f"row {row} already decided")
         value = row if side == LEFT else self.c_base - row
         self.slots[row - 1] = (tag, value)
-        return value
-
-    def pair(self, x: int, y: int, label: str) -> None:
-        self.pairs.append((x, y, label))
 
     def block(self, start_row: int, label: str) -> None:
-        """Four consecutive rows matched into two pairs with deviations -1, +1."""
+        """Four consecutive rows L, R, R, L: two pairs with deviations -1, +1."""
         a = start_row
-        first = self.take(a, LEFT, label)
-        second = self.take(a + 1, RIGHT, label)
-        third = self.take(a + 2, RIGHT, label)
-        fourth = self.take(a + 3, LEFT, label)
-        self.pair(first, second, label)
-        self.pair(fourth, third, label)
+        self.take(a, LEFT, label)
+        self.take(a + 1, RIGHT, label)
+        self.take(a + 2, RIGHT, label)
+        self.take(a + 3, LEFT, label)
 
-    def scheme(self) -> PairingScheme:
-        """The border read off the slots in diagram-row order, with its pairs."""
+    def plan(self) -> BorderPlan:
+        """The border read off the slots in diagram-row order."""
         missing = [row for row, slot in enumerate(self.slots, start=1) if slot is None]
         if missing:
             raise ValueError(f"rows {missing} left undecided")
@@ -68,11 +46,10 @@ class _SchemeBuilder:
             taken[tag].append(value)
         if len(taken["v"]) != 1 or len(taken["w"]) != 1:
             raise ValueError("scheme must tag each corner exactly once")
-        border = BorderPlan(
+        return BorderPlan(
             n=self.n, v=taken["v"][0], w=taken["w"][0],
             b=tuple(taken["b"]), c=tuple(taken["c"]),
         )
-        return PairingScheme(border, tuple(self.pairs))
 
 
 def _alternating_blocks(builder: _SchemeBuilder, first_row: int) -> None:
@@ -82,7 +59,7 @@ def _alternating_blocks(builder: _SchemeBuilder, first_row: int) -> None:
         builder.block(a, "b" if index % 2 == 0 else "c")
 
 
-def recipe_even_4k(k: int) -> PairingScheme:
+def recipe_even_4k(k: int) -> BorderPlan:
     """Border choice for n = 4k: a fixed ten-row opening, then balanced blocks.
 
     The opening puts the corners at rows 2 and 5 of the right column and
@@ -94,57 +71,55 @@ def recipe_even_4k(k: int) -> PairingScheme:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     n = 4 * k
     builder = _SchemeBuilder(n)
-    b1 = builder.take(1, LEFT, "b")
-    v = builder.take(2, RIGHT, "v")
-    b2 = builder.take(3, LEFT, "b")
-    b3 = builder.take(4, RIGHT, "b")
-    w = builder.take(5, RIGHT, "w")
-    c1 = builder.take(6, LEFT, "c")
-    b4 = builder.take(7, LEFT, "b")
-    c2 = builder.take(8, RIGHT, "c")
-    c3 = builder.take(9, LEFT, "c")
-    c4 = builder.take(10, RIGHT, "c")
-    builder.pair(v, b1, "b")
-    builder.pair(b2, b3, "b")
-    builder.pair(b4, w, "b")
-    builder.pair(c1, c2, "c")
-    builder.pair(c3, c4, "c")
+    # pairs of rows (left & right): top row 1 & 2, 3 & 4, 7 & 5 deviate
+    # -1, -1, +2; column 6 & 8, 9 & 10 deviate -2, -1
+    builder.take(1, LEFT, "b")
+    builder.take(2, RIGHT, "v")
+    builder.take(3, LEFT, "b")
+    builder.take(4, RIGHT, "b")
+    builder.take(5, RIGHT, "w")
+    builder.take(6, LEFT, "c")
+    builder.take(7, LEFT, "b")
+    builder.take(8, RIGHT, "c")
+    builder.take(9, LEFT, "c")
+    builder.take(10, RIGHT, "c")
     _alternating_blocks(builder, 11)
-    return builder.scheme()
+    return builder.plan()
 
 
-def recipe_even_4k_plus_2(k: int) -> PairingScheme:
-    """Border choice for n = 4k+2: a fixed fourteen-row opening, then blocks."""
+def recipe_even_4k_plus_2(k: int) -> BorderPlan:
+    """Border choice for n = 4k+2: a fixed fourteen-row opening, then blocks.
+
+    The opening puts the corners at rows 1 and 4 of the left column and
+    spends rows 1-14.  On the top row, v and w pair with rows 2 and 3
+    (deviations -1, +1) and rows 5-8 pair like a block, so the sum is 0;
+    the column pairs rows 10 & 9, 12 & 11 and 14 & 13 (+1 each), netting
+    +3 against the corner deviation d(v, C-w) = -3.  Every later four-row
+    block nets zero.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     n = 4 * k + 2
     builder = _SchemeBuilder(n)
-    v = builder.take(1, LEFT, "v")
-    b1 = builder.take(2, RIGHT, "b")
-    b2 = builder.take(3, RIGHT, "b")
-    w = builder.take(4, LEFT, "w")
-    b3 = builder.take(5, LEFT, "b")
-    b4 = builder.take(6, RIGHT, "b")
-    b5 = builder.take(7, RIGHT, "b")
-    b6 = builder.take(8, LEFT, "b")
-    c2 = builder.take(9, RIGHT, "c")
-    c1 = builder.take(10, LEFT, "c")
-    c3 = builder.take(11, RIGHT, "c")
-    c4 = builder.take(12, LEFT, "c")
-    c5 = builder.take(13, RIGHT, "c")
-    c6 = builder.take(14, LEFT, "c")
-    builder.pair(v, b1, "b")
-    builder.pair(w, b2, "b")
-    builder.pair(b3, b4, "b")
-    builder.pair(b6, b5, "b")
-    builder.pair(c1, c2, "c")
-    builder.pair(c4, c3, "c")
-    builder.pair(c6, c5, "c")
+    builder.take(1, LEFT, "v")
+    builder.take(2, RIGHT, "b")
+    builder.take(3, RIGHT, "b")
+    builder.take(4, LEFT, "w")
+    builder.take(5, LEFT, "b")
+    builder.take(6, RIGHT, "b")
+    builder.take(7, RIGHT, "b")
+    builder.take(8, LEFT, "b")
+    builder.take(9, RIGHT, "c")
+    builder.take(10, LEFT, "c")
+    builder.take(11, RIGHT, "c")
+    builder.take(12, LEFT, "c")
+    builder.take(13, RIGHT, "c")
+    builder.take(14, LEFT, "c")
     _alternating_blocks(builder, 15)
-    return builder.scheme()
+    return builder.plan()
 
 
-def recipe_odd(n: int) -> PairingScheme:
+def recipe_odd(n: int) -> BorderPlan:
     """Border choice for odd n >= 5.
 
     The corner v = n+7 sits alone with deviation -(n^2+2n-9)/2; the other
@@ -158,78 +133,52 @@ def recipe_odd(n: int) -> PairingScheme:
         raise ValueError(f"recipe_odd needs an odd inner order >= 5, got {n}")
     builder = _SchemeBuilder(n)
 
-    top_b = builder.take(n + 5, LEFT, "b")
-    top_c = builder.take(n + 6, LEFT, "c")
-    head_b = builder.take(1, RIGHT, "b")
-    head_c = builder.take(2, RIGHT, "c")
-    builder.pair(top_b, head_b, "b")
-    builder.pair(top_c, head_c, "c")
+    # pairs of rows (left & right): n+5 & 1 on the top row and n+6 & 2 in
+    # the column deviate n+4 each
+    builder.take(n + 5, LEFT, "b")
+    builder.take(n + 6, LEFT, "c")
+    builder.take(1, RIGHT, "b")
+    builder.take(2, RIGHT, "c")
 
     builder.take(n + 7, LEFT, "v")
+    # n+7+t & 2+t deviate n+5 each, (n-5)/2 pairs per side
     for t in range(1, n - 4):
         label = "b" if t % 2 == 0 else "c"
-        tail = builder.take(n + 7 + t, LEFT, label)
-        head = builder.take(2 + t, RIGHT, label)
-        builder.pair(tail, head, label)
+        builder.take(n + 7 + t, LEFT, label)
+        builder.take(2 + t, RIGHT, label)
 
-    mid_c1 = builder.take(n - 2, RIGHT, "c")
-    mid_b1 = builder.take(n - 1, RIGHT, "b")
-    mid_c2 = builder.take(n, LEFT, "c")
-    w = builder.take(n + 1, LEFT, "w")
-    mid_b2 = builder.take(n + 2, RIGHT, "b")
-    mid_c3 = builder.take(n + 3, LEFT, "c")
-    mid_b3 = builder.take(n + 4, LEFT, "b")
-    builder.pair(w, mid_b1, "b")
-    builder.pair(mid_b3, mid_b2, "b")
-    builder.pair(mid_c2, mid_c1, "c")
-    builder.pair(mid_c3, complement_base(n) - w, "c")
-    return builder.scheme()
-
-
-def scheme_from_plan(plan: BorderPlan) -> PairingScheme:
-    """Pair the values of an already-valid plan.
-
-    The deviation sum over a fixed multiset does not depend on how it is
-    matched, so pairing sorted neighbours is as good as any choice.
-    """
-    n = check_inner_order(plan.n)
-    if n % 2 == 0:
-        beta, gamma = [*plan.b, plan.v, plan.w], list(plan.c)
-    else:
-        beta, gamma = [*plan.b, plan.w], [*plan.c, complement_base(n) - plan.w]
-    pairs = []
-    for values, label in ((beta, "b"), (gamma, "c")):
-        ordered = sorted(values)
-        pairs += [(ordered[i], ordered[i + 1], label) for i in range(0, len(ordered), 2)]
-    return PairingScheme(plan, tuple(pairs))
+    # n+1 & n-1, n+4 & n+2 on the top row and n & n-2, n+3 & C-w (row
+    # n+1) in the column deviate +2 each
+    builder.take(n - 2, RIGHT, "c")
+    builder.take(n - 1, RIGHT, "b")
+    builder.take(n, LEFT, "c")
+    builder.take(n + 1, LEFT, "w")
+    builder.take(n + 2, RIGHT, "b")
+    builder.take(n + 3, LEFT, "c")
+    builder.take(n + 4, LEFT, "b")
+    return builder.plan()
 
 
 # Order 3 falls outside the general odd recipe.  Its border, in diagram-row
 # order, is the first one an exhaustive search over corner pairs finds; the
 # tests keep that search as the oracle for this literal.
-_N3 = scheme_from_plan(BorderPlan(n=3, v=1, w=3, b=(22, 21, 18), c=(2, 20, 19)))
-
-
-def recipe_n3() -> PairingScheme:
-    """The fixed order-3 border and its pairing."""
-    return _N3
-
-
-def build_pairing(n: int) -> PairingScheme:
-    """Dispatch to the recipe serving inner order n (n=4 runs the 4k recipe's fixed part)."""
-    check_inner_order(n)
-    if n == 3:
-        return recipe_n3()
-    if n % 4 == 0:
-        return recipe_even_4k(n // 4)
-    if n % 2 == 0:
-        return recipe_even_4k_plus_2((n - 2) // 4)
-    return recipe_odd(n)
+_N3 = BorderPlan(n=3, v=1, w=3, b=(22, 21, 18), c=(2, 20, 19))
 
 
 def build_border(n: int) -> BorderPlan:
-    """A verified magic border for inner order n; deterministic in n."""
-    plan = build_pairing(n).plan()
+    """A verified magic border for inner order n; deterministic in n.
+
+    n=4 runs the 4k recipe's fixed opening alone.
+    """
+    check_inner_order(n)
+    if n == 3:
+        plan = _N3
+    elif n % 4 == 0:
+        plan = recipe_even_4k(n // 4)
+    elif n % 2 == 0:
+        plan = recipe_even_4k_plus_2((n - 2) // 4)
+    else:
+        plan = recipe_odd(n)
     report = verify_border(plan)
     if not report.valid:
         raise RuntimeError(

@@ -40,10 +40,12 @@ from .core import (
 )
 from .transform import (
     ANTI_TRANSPOSE,
+    IDENTITY,
     REFLECT_VERTICAL,
     ROTATE_180,
     TRANSPOSE,
     apply_symmetry,
+    compose,
 )
 from .verify import BorderPlan, CheckReport, verify_border
 
@@ -420,8 +422,7 @@ def audit_order_m(m: int) -> list[SeedAudit]:
 
 
 def _small_corners(n: int, v: int, w: int) -> BorderPlan:
-    if v > w:
-        return apply_symmetry(_small_corners(n, w, v), REFLECT_VERTICAL)
+    """The border with small corners v < w, grown from a seed without search."""
     # walk down to a seed, noting each step (an extension shift, or None
     # for a block insertion), then replay the steps upward
     steps = []
@@ -445,12 +446,21 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     return plan
 
 
+# keyed by (v is large, w is large)
+_LARGE_CORNER_SYMMETRIES = {
+    (False, False): IDENTITY,
+    (True, True): ROTATE_180,
+    (False, True): TRANSPOSE,
+    (True, False): ANTI_TRANSPOSE,
+}
+
+
 def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     """A verified border of even inner order n with upper corners (v, w).
 
-    Corners may be any pool values; large ones are reduced to the small
-    representative through a symmetry and mapped back.  Small same-parity
-    corners raise :class:`InfeasibleCornersError`.
+    Corners may be any pool values; one symmetry reduces them to small
+    ascending corners, and the border built for those is mapped back.
+    Small same-parity corners raise :class:`InfeasibleCornersError`.
     """
     check_inner_order(n)
     if n % 2:
@@ -468,20 +478,22 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
             f"corners ({v}, {w}) are complementary and would share a diagram row"
         )
 
+    # reduce to small ascending corners: large corners go to their
+    # complements through an involution, then a reflection swaps v > w; the
+    # border built for the reduced pair maps back through both in one step
     small = 2 * n + 2
-    if v > small and w > small:
-        plan = apply_symmetry(construct_with_corners(n, c_base - v, c_base - w), ROTATE_180)
-    elif v <= small < w:
-        plan = apply_symmetry(construct_with_corners(n, v, c_base - w), TRANSPOSE)
-    elif w <= small < v:
-        plan = apply_symmetry(construct_with_corners(n, c_base - v, w), ANTI_TRANSPOSE)
-    else:
-        if not corners_feasible(n, v, w):
-            raise InfeasibleCornersError(
-                f"no magic border of even inner order {n} has same-parity "
-                f"upper corners ({v}, {w}): pick one odd and one even corner"
-            )
-        plan = _small_corners(n, v, w)
+    sv = c_base - v if v > small else v
+    sw = c_base - w if w > small else w
+    if not corners_feasible(n, sv, sw):
+        raise InfeasibleCornersError(
+            f"no magic border of even inner order {n} has same-parity "
+            f"upper corners ({sv}, {sw}): pick one odd and one even corner"
+        )
+    symmetry = _LARGE_CORNER_SYMMETRIES[(v > small, w > small)]
+    if sv > sw:
+        sv, sw = sw, sv
+        symmetry = compose(REFLECT_VERTICAL, symmetry)
+    plan = apply_symmetry(_small_corners(n, sv, sw), symmetry)
 
     if (plan.v, plan.w) != (v, w):
         raise RuntimeError(

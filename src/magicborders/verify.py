@@ -11,19 +11,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     check_inner_order,
     complement_base,
-    d_corner,
-    d_value,
     magic_constant,
     pool_bounds,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .construct import PairingScheme
 
 
 @dataclass(frozen=True)
@@ -151,68 +146,6 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     if col_sum != target:
         violations.append(
             Violation("column-sum", "left column", expected=target, actual=col_sum)
-        )
-    return CheckReport.from_violations(violations)
-
-
-def _required_cover(plan: BorderPlan) -> tuple[Counter, Counter]:
-    """Multisets the beta and gamma pairings must cover, by parity of n."""
-    if plan.n % 2 == 0:
-        beta = Counter(plan.b) + Counter((plan.v, plan.w))
-        gamma = Counter(plan.c)
-    else:
-        beta = Counter(plan.b) + Counter((plan.w,))
-        gamma = Counter(plan.c) + Counter((complement_base(plan.n) - plan.w,))
-    return beta, gamma
-
-
-def verify_balance(plan: BorderPlan, pairing: "PairingScheme") -> CheckReport:
-    """Check the pairing's deviation sums against the two balance targets.
-
-    For even n the top-row pairing must cancel exactly (sum 0) and the
-    column pairing must cancel the corner pair's deviation -d(v, comp(w)).
-    For odd n both sides must cancel the lone-corner deviation -d_corner(v).
-    A pairing that does not cover the plan's values is a usage error and
-    raises ValueError rather than reporting violations.
-    """
-    n = check_inner_order(plan.n)
-    beta_pairs = [(x, y) for x, y, label in pairing.pairs if label == "b"]
-    gamma_pairs = [(x, y) for x, y, label in pairing.pairs if label == "c"]
-
-    got_beta = Counter(x for pair in beta_pairs for x in pair)
-    got_gamma = Counter(x for pair in gamma_pairs for x in pair)
-    want_beta, want_gamma = _required_cover(plan)
-    if got_beta != want_beta:
-        raise ValueError(
-            "beta pairing does not cover the plan's top-row values: "
-            f"missing {sorted((want_beta - got_beta).elements())}, "
-            f"extra {sorted((got_beta - want_beta).elements())}"
-        )
-    if got_gamma != want_gamma:
-        raise ValueError(
-            "gamma pairing does not cover the plan's left-column values: "
-            f"missing {sorted((want_gamma - got_gamma).elements())}, "
-            f"extra {sorted((got_gamma - want_gamma).elements())}"
-        )
-
-    beta_sum = sum(d_value(x, y, n) for x, y in beta_pairs)
-    gamma_sum = sum(d_value(x, y, n) for x, y in gamma_pairs)
-    if n % 2 == 0:
-        beta_target = 0
-        w_bar = complement_base(n) - plan.w
-        gamma_target = -d_value(plan.v, w_bar, n)
-    else:
-        beta_target = -d_corner(plan.v, n)
-        gamma_target = -d_corner(plan.v, n)
-
-    violations = []
-    if beta_sum != beta_target:
-        violations.append(
-            Violation("beta-sum", "top-row pairing", expected=beta_target, actual=beta_sum)
-        )
-    if gamma_sum != gamma_target:
-        violations.append(
-            Violation("gamma-sum", "column pairing", expected=gamma_target, actual=gamma_sum)
         )
     return CheckReport.from_violations(violations)
 

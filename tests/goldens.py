@@ -5,7 +5,7 @@ plans list b and c in the printed left-to-right / top-to-bottom order so
 rendered frames can be compared cell by cell.
 """
 
-from magicborders import BorderPlan
+from magicborders import BorderPlan, complement, d_value
 from magicborders.documents import parse_document
 
 # inner order 8, corners (99, 96)
@@ -127,6 +127,26 @@ LO_SHU = [[2, 7, 6], [9, 5, 1], [4, 3, 8]]
 def frame_cells(text: str):
     doc = parse_document(text)
     return doc.as_frame().cells
+
+
+def balance_sums(plan: BorderPlan) -> tuple[int, int]:
+    """The deviation sums (beta, gamma) of a plan's top row and left column.
+
+    beta covers b with both corners at even n, b with w at odd n; gamma
+    covers c at even n, c with the complement of w at odd n.  Each multiset
+    is matched as sorted neighbours: any perfect matching sums to
+    sum(values) - (pairs) * C, so the choice does not change the result.
+    """
+    n = plan.n
+    if n % 2 == 0:
+        beta, gamma = [*plan.b, plan.v, plan.w], list(plan.c)
+    else:
+        beta, gamma = [*plan.b, plan.w], [*plan.c, complement(plan.w, n)]
+    sums = []
+    for values in (beta, gamma):
+        ordered = sorted(values)
+        sums.append(sum(d_value(x, y, n) for x, y in zip(ordered[::2], ordered[1::2])))
+    return sums[0], sums[1]
 
 
 ALL_GOLDEN_PLANS = (

@@ -72,7 +72,15 @@ def test_corner_requests_at_odd_orders_exit_1(capsys):
     code, _, err = run(
         capsys, "build", "--order", "9", "--border-only", "--corners", "1,2"
     )
-    assert code == 1 and "even" in err
+    assert code == 1
+    # odd-order corner borders exist (enumerate counts them); only the
+    # construction is limited to even orders
+    assert "construction covers even inner orders only, got n=9" in err
+    assert "exist" not in err
+    code, _, err = run(
+        capsys, "build", "--order", "1", "--border-only", "--corners", "1,2"
+    )
+    assert code == 1 and "inner order must be an integer >= 3, got 1" in err
 
 
 def test_corners_without_border_only_exit_1(capsys):

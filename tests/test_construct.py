@@ -7,28 +7,25 @@ from magicborders import (
     OmegaKey,
     border_pool,
     build_border,
-    build_pairing,
     complement,
     complement_base,
     d_corner,
     d_value,
     enumerate_omega,
     magic_constant,
-    verify_balance,
     verify_border,
 )
 from magicborders import enumeration
 from magicborders.construct import (
+    _N3,
     _SchemeBuilder,
     recipe_even_4k,
     recipe_even_4k_plus_2,
-    recipe_n3,
     recipe_odd,
-    scheme_from_plan,
 )
 from magicborders.core import LEFT, RIGHT, row_of
 
-from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN
+from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums
 
 
 def canonical(plan):
@@ -48,32 +45,23 @@ def test_build_border_reproduces_the_order7_reference():
 
 
 def test_build_border_dispatch():
-    assert build_border(3) == recipe_n3().plan()
-    assert build_border(4) == recipe_even_4k(1).plan()  # the fixed opening alone fills n=4
-    assert build_border(6) == recipe_even_4k_plus_2(1).plan()
-    assert build_border(8) == recipe_even_4k(2).plan()
-    assert build_border(9) == recipe_odd(9).plan()
+    assert build_border(3) == _N3
+    assert build_border(4) == recipe_even_4k(1)  # the fixed opening alone fills n=4
+    assert build_border(6) == recipe_even_4k_plus_2(1)
+    assert build_border(8) == recipe_even_4k(2)
+    assert build_border(9) == recipe_odd(9)
 
 
 def test_even_4k_opening_instantiated_at_order4():
-    plan = recipe_even_4k(1).plan()
+    plan = recipe_even_4k(1)
     assert (plan.v, plan.w) == (35, 32)
     assert sorted(plan.b) == [1, 3, 7, 33]
     assert sorted(plan.c) == [6, 9, 27, 29]
     assert plan.v + sum(plan.b) + plan.w == 111 == magic_constant(6)
 
 
-def test_even_4k_block_pairs_have_unit_deviations():
-    scheme = recipe_even_4k(2)
-    block_pairs = [
-        (x, y) for x, y, label in scheme.pairs[5:] if label == "b"
-    ]  # first five pairs belong to the opening
-    deviations = sorted(d_value(x, y, 8) for x, y in block_pairs)
-    assert deviations == [-1, 1]
-
-
 def test_even_4k_plus_2_opening_instantiated_at_order6():
-    plan = recipe_even_4k_plus_2(1).plan()
+    plan = recipe_even_4k_plus_2(1)
     assert (plan.v, plan.w) == (1, 4)
     assert sorted(plan.b) == sorted([63, 62, 5, 59, 58, 8])
     assert sorted(plan.c) == sorted([10, 56, 54, 12, 52, 14])
@@ -82,16 +70,14 @@ def test_even_4k_plus_2_opening_instantiated_at_order6():
 
 
 def test_even_4k_plus_2_column_balance_at_order10():
-    scheme = recipe_even_4k_plus_2(2)
-    plan = scheme.plan()
-    gamma = [(x, y) for x, y, label in scheme.pairs if label == "c"]
+    plan = recipe_even_4k_plus_2(2)
     w_bar = complement(plan.w, 10)
     assert d_value(plan.v, w_bar, 10) == -3
-    assert sum(d_value(x, y, 10) for x, y in gamma) == 3
+    assert balance_sums(plan) == (0, 3)
 
 
 def test_odd_recipe_reproduces_the_order7_reference_selections():
-    plan = recipe_odd(7).plan()
+    plan = recipe_odd(7)
     assert canonical(plan) == canonical(ORDER7_PLAN)
     # middle-part sides, rows 5..11: a small value sits on the left
     by_row = {row_of(x, 7): x for x in plan.values()}
@@ -100,19 +86,17 @@ def test_odd_recipe_reproduces_the_order7_reference_selections():
 
 
 def test_odd_recipe_at_order9():
-    plan = recipe_odd(9).plan()
+    plan = recipe_odd(9)
     assert (plan.v, plan.w) == (16, 10)
     assert verify_border(plan).valid
 
 
 def test_odd_recipe_balance_identity():
     for n in (7, 9, 11, 25):
-        scheme = recipe_odd(n)
-        plan = scheme.plan()
+        plan = recipe_odd(n)
         per_side = (n + 4) + (n - 5) * (n + 5) // 2 + 4
         assert per_side == (n * n + 2 * n - 9) // 2
-        beta = sum(d_value(x, y, n) for x, y, label in scheme.pairs if label == "b")
-        gamma = sum(d_value(x, y, n) for x, y, label in scheme.pairs if label == "c")
+        beta, gamma = balance_sums(plan)
         assert beta == gamma == per_side == -d_corner(plan.v, n)
 
 
@@ -130,12 +114,11 @@ def test_recipe_rejects_out_of_range_parameters():
 
 
 def test_order3_special_case():
-    plan = recipe_n3().plan()
+    plan = build_border(3)
     assert plan.v + sum(plan.b) + plan.w == 65 == magic_constant(5)
     values = set(plan.values()) | {complement(x, 3) for x in plan.values()}
     assert values == border_pool(3)
     assert verify_border(plan).valid
-    assert recipe_n3() is recipe_n3()  # cached constant
 
 
 def first_order3_border_by_search():
@@ -158,7 +141,7 @@ def test_order3_literal_is_the_first_border_the_search_finds():
 
     # the literal lists b and c in diagram-row order, as the old recipe did
     expected = dataclasses.replace(found, b=in_row_order(found.b), c=in_row_order(found.c))
-    assert recipe_n3().plan() == expected
+    assert build_border(3) == expected
 
 
 def test_no_construct_call_runs_a_search(monkeypatch):
@@ -176,10 +159,10 @@ def test_scheme_builder_rejects_undecided_rows_and_corner_miscounts():
     for row in range(1, 8):
         builder.take(row, LEFT, "v" if row == 1 else "w" if row == 2 else "b")
     with pytest.raises(ValueError, match=r"rows \[8\] left undecided"):
-        builder.scheme()
+        builder.plan()
     builder.take(8, RIGHT, "v")
     with pytest.raises(ValueError, match="corner"):
-        builder.scheme()
+        builder.plan()
     with pytest.raises(ValueError, match="already decided"):
         builder.take(8, LEFT, "c")
 
@@ -192,15 +175,12 @@ def test_build_border_is_deterministic():
 @given(st.integers(min_value=3, max_value=40))
 @settings(max_examples=38, deadline=None)
 def test_every_order_yields_a_valid_balanced_border(n):
-    scheme = build_pairing(n)
-    plan = scheme.plan()
-    assert verify_border(plan).valid
-    assert verify_balance(plan, scheme).valid
+    assert verify_border(build_border(n)).valid
 
 
 def test_every_diagram_row_is_consumed_exactly_once():
     for n in range(3, 31):
-        plan = build_pairing(n).plan()
+        plan = build_border(n)
         assert sorted(row_of(x, n) for x in plan.values()) == list(range(1, 2 * n + 3))
 
 
@@ -209,11 +189,3 @@ def test_recipes_never_select_complementary_values():
         plan = build_border(n)
         values = set(plan.values())
         assert not any(complement(x, n) in values for x in values)
-
-
-def test_scheme_from_plan_round_trips_any_valid_plan():
-    for n in (3, 5, 8, 12):
-        plan = build_border(n)
-        rebuilt = scheme_from_plan(plan)
-        assert canonical(rebuilt.plan()) == canonical(plan)
-        assert verify_balance(plan, rebuilt).valid

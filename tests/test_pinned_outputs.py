@@ -1,0 +1,54 @@
+"""Construction outputs pinned to SHA-256 digests of their plan documents.
+
+A change to either digest is a change to the borders the program builds,
+which a refactor of the recipes or of corner construction must not make.
+"""
+
+import hashlib
+
+from magicborders import build_border, complement_base, construct_with_corners
+from magicborders import corners
+from magicborders.documents import serialize_plan
+
+BUILD_DIGEST = "508edffe3f18e73009da1b90d2e135b1a9ca8a8fefd7dde05fcf056c66aa1644"
+CORNERS_DIGEST = "cdaf30ce7454e7e07bce892c2a49f6c0bfed8024434052c870d450bd88c1a118"
+
+
+def test_build_border_matches_its_pinned_digest():
+    text = "".join(serialize_plan(build_border(n)) for n in range(3, 301))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGEST
+
+
+def feasible_pool_pairs(n):
+    """Every ordered pool pair at even n that has a border, in pool order."""
+    c_base = complement_base(n)
+    small = 2 * n + 2
+    pool = [*range(1, small + 1), *range(c_base - small, c_base)]
+
+    def reduced(x):
+        return c_base - x if x > small else x
+
+    for v in pool:
+        for w in pool:
+            if v != w and v + w != c_base and (reduced(v) + reduced(w)) % 2:
+                yield v, w
+
+
+def test_corner_construction_matches_its_pinned_digest_and_verifies_once(monkeypatch):
+    checks = []
+    verify_border = corners.verify_border
+
+    def counted(plan):
+        checks.append(plan.n)
+        return verify_border(plan)
+
+    monkeypatch.setattr(corners, "verify_border", counted)
+    digest = hashlib.sha256()
+    calls = 0
+    for n in range(4, 15, 2):
+        for v, w in feasible_pool_pairs(n):
+            digest.update(serialize_plan(construct_with_corners(n, v, w)).encode())
+            calls += 1
+    assert digest.hexdigest() == CORNERS_DIGEST
+    assert calls == 5360
+    assert len(checks) == calls

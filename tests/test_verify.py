@@ -1,27 +1,31 @@
 import dataclasses
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicborders import (
     BorderPlan,
     build_border,
-    build_pairing,
     build_square,
     complement,
     d_corner,
     d_value,
-    verify_balance,
     verify_border,
     verify_bordered,
     verify_frame,
     verify_square,
 )
 from magicborders.assemble import render_frame
-from magicborders.construct import scheme_from_plan
 
-from goldens import LO_SHU, ORDER7_PLAN, ORDER8_PLAN, ALL_GOLDEN_PLANS, ALL_GOLDEN_FRAMES, frame_cells
+from goldens import (
+    LO_SHU,
+    ORDER7_PLAN,
+    ORDER8_PLAN,
+    ALL_GOLDEN_PLANS,
+    ALL_GOLDEN_FRAMES,
+    balance_sums,
+    frame_cells,
+)
 
 TABLE1_12 = BorderPlan(n=4, v=1, w=2, b=(34, 33, 32, 9), c=(6, 30, 29, 10))
 
@@ -79,47 +83,58 @@ def test_balance_of_reference_odd_border():
     gamma = [(80, 13), (79, 15), (77, 7), (10, 74)]
     assert sum(d_value(x, y, 7) for x, y in gamma) == 27
 
-    scheme = scheme_from_plan(ORDER7_PLAN)
-    tailored = dataclasses.replace(
-        scheme,
-        pairs=tuple((x, y, "b") for x, y in beta) + tuple((x, y, "c") for x, y in gamma),
-    )
-    assert verify_balance(ORDER7_PLAN, tailored).valid
+    # the printed pairs cover exactly the plan's top-row and column multisets
+    assert sorted(x for pair in beta for x in pair) == sorted([*ORDER7_PLAN.b, ORDER7_PLAN.w])
+    assert balance_sums(ORDER7_PLAN) == (27, 27)
 
 
 def test_balance_of_reference_even_border_first_part():
     assert (
         d_value(99, 1, 8) + d_value(3, 97, 8) + d_value(7, 96, 8) == -1 - 1 + 2 == 0
     )
-    scheme = build_pairing(8)
-    assert verify_balance(scheme.plan(), scheme).valid
 
 
 def test_balance_of_all_complementary_pairs_reduces_to_corner_terms():
     # a plan whose beta and gamma pairs are all complementary has zero sums,
     # so only the corner deviation decides the outcome
     plan = build_border(6)
-    scheme = scheme_from_plan(plan)
     n = plan.n
     comp_pairs = tuple((x, complement(x, n), "b") for x in plan.b[:3])
     assert sum(d_value(x, y, n) for x, y, _ in comp_pairs) == 0
 
 
-def test_balance_requires_covering_pairings():
-    plan = build_border(6)
-    scheme = scheme_from_plan(plan)
-    missing = dataclasses.replace(scheme, pairs=scheme.pairs[1:])
-    with pytest.raises(ValueError):
-        verify_balance(plan, missing)
+def balance_targets(plan):
+    """The (beta, gamma) deviation sums of a magic border with the plan's corners."""
+    n = plan.n
+    if n % 2 == 0:
+        return 0, -d_value(plan.v, complement(plan.w, n), n)
+    return -d_corner(plan.v, n), -d_corner(plan.v, n)
 
 
-@given(st.integers(min_value=3, max_value=14))
+def line_gaps(plan):
+    """How far verify_border finds the top row and the left column from the target."""
+    gaps = {"row-sum": 0, "column-sum": 0}
+    for violation in verify_border(plan).violations:
+        if violation.condition in gaps:
+            gaps[violation.condition] = violation.actual - violation.expected
+    return gaps["row-sum"], gaps["column-sum"]
+
+
+@given(st.integers(min_value=3, max_value=14), st.data())
 @settings(max_examples=12, deadline=None)
-def test_balance_agrees_with_border_verification(n):
+def test_balance_agrees_with_border_verification(n, data):
+    # each line sum misses its target by exactly the amount its deviation
+    # sum misses the balance target, valid or not
     plan = build_border(n)
-    scheme = scheme_from_plan(plan)
-    assert verify_balance(plan, scheme).valid
-    assert verify_border(plan).valid
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    b, c = list(plan.b), list(plan.c)
+    b[i], c[j] = c[j], b[i]
+    for candidate in (plan, dataclasses.replace(plan, b=tuple(b), c=tuple(c))):
+        beta, gamma = balance_sums(candidate)
+        beta_target, gamma_target = balance_targets(candidate)
+        assert line_gaps(candidate) == (beta - beta_target, gamma - gamma_target)
+    assert line_gaps(plan) == (0, 0)
 
 
 def test_balance_flags_a_sum_break():
@@ -130,11 +145,11 @@ def test_balance_flags_a_sum_break():
         b=(plan.c[0],) + plan.b[1:],
         c=(plan.b[0],) + plan.c[1:],
     )
-    scheme = scheme_from_plan(bad)
-    report = verify_balance(bad, scheme)
-    assert not report.valid
-    assert {v.condition for v in report.violations} == {"beta-sum", "gamma-sum"}
-    assert not verify_border(bad).valid
+    beta, gamma = balance_sums(bad)
+    beta_target, gamma_target = balance_targets(bad)
+    assert beta != beta_target and gamma != gamma_target
+    report = verify_border(bad)
+    assert {v.condition for v in report.violations} == {"row-sum", "column-sum"}
 
 
 def test_verify_square_accepts_the_classic_order3_square():
