@@ -21,14 +21,12 @@ from .corners import construct_with_corners, extend_border, seed_order4
 from .enumeration import (
     BudgetExhausted,
     CanonicalBorder,
-    NoBorderError,
     OmegaKey,
     SearchBudget,
     count_borders,
     count_omega,
     enumerate_omega,
     format_counts,
-    search_first,
 )
 from .transform import SYMMETRIES, apply_symmetry, orbit, permute_lines
 from .verify import (
@@ -51,7 +49,6 @@ __all__ = [
     "CanonicalBorder",
     "CheckReport",
     "InfeasibleCornersError",
-    "NoBorderError",
     "OmegaKey",
     "SYMMETRIES",
     "SearchBudget",
@@ -75,7 +72,6 @@ __all__ = [
     "permute_lines",
     "plan_from_frame",
     "render_frame",
-    "search_first",
     "seed_order4",
     "verify_border",
     "verify_bordered",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain, islice
 
 from . import __version__
 from .assemble import build_square, plan_from_frame, render_frame
@@ -27,7 +28,6 @@ from .documents import (
 )
 from .enumeration import (
     BudgetExhausted,
-    NoBorderError,
     OmegaKey,
     SearchBudget,
     count_borders,
@@ -35,7 +35,7 @@ from .enumeration import (
     enumerate_omega,
     format_counts,
 )
-from .transform import SYMMETRIES, apply_symmetry
+from .transform import orbit
 from .verify import (
     BorderPlan,
     CheckReport,
@@ -174,30 +174,19 @@ def cmd_enumerate(args) -> int:
             "can take very long; consider --max-nodes or --max-seconds",
             file=sys.stderr,
         )
-    budget = SearchBudget(
-        max_nodes=args.max_nodes,
-        max_solutions=None,
-        max_seconds=args.max_seconds,
-    )
+    budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     if args.count_only:
         if args.corners:
             print(count_borders(OmegaKey(n, *args.corners), budget))
         else:
             print(format_counts(count_omega(n, budget)), end="")
         return EXIT_OK
-    remaining = args.limit
-    for key in _iter_keys(n, args.corners):
-        if remaining is not None and remaining <= 0:
-            break
-        per_key = SearchBudget(
-            max_nodes=args.max_nodes,
-            max_solutions=remaining,
-            max_seconds=args.max_seconds,
-        )
-        for border in enumerate_omega(key, per_key):
-            sys.stdout.write(serialize_plan(border.to_plan()))
-            if remaining is not None:
-                remaining -= 1
+    # islice stops reading at the limit, so no key past it is searched
+    borders = chain.from_iterable(
+        enumerate_omega(key, budget) for key in _iter_keys(n, args.corners)
+    )
+    for border in islice(borders, args.limit):
+        sys.stdout.write(serialize_plan(border.to_plan()))
     return EXIT_OK
 
 
@@ -216,10 +205,9 @@ def cmd_orbit(args) -> int:
     if not report.valid:
         _print_report(report)
         return EXIT_INVALID
-    for symmetry in SYMMETRIES:
-        image = apply_symmetry(plan, symmetry)
+    for image in orbit(plan):
         if not verify_border(image).valid:
-            raise RuntimeError(f"symmetry {symmetry} broke a valid plan")
+            raise RuntimeError("internal error: a symmetry image failed verification")
         sys.stdout.write(serialize_plan(image))
     return EXIT_OK
 
@@ -238,17 +226,15 @@ def cmd_tables(args) -> int:
     if not args.check:
         print("seed tables ship verified; run with --check to (re)validate them")
         return EXIT_OK
-    ok = True
     audits4 = audit_order4()
+    # audit every --m first: a bad one exits 1 before anything is printed
+    audits_m = [(m, audit_order_m(m)) for m in args.m]
     print(f"order-4 seed table: {len(audits4)} entries")
     for audit in audits4:
         print(_audit_line(audit))
     bad4 = [a for a in audits4 if a.status != "valid"]
-    if bad4:
-        ok = False
     print(f"order-4 summary: {len(audits4) - len(bad4)} valid, {len(bad4)} invalid")
-    for m in args.m:
-        audits = audit_order_m(m)
+    for m, audits in audits_m:
         print(f"parameterized table at m={m}: {len(audits)} entries")
         tally: dict[str, int] = {}
         for audit in audits:
@@ -256,7 +242,7 @@ def cmd_tables(args) -> int:
             tally[audit.status] = tally.get(audit.status, 0) + 1
         summary = ", ".join(f"{count} {status}" for status, count in sorted(tally.items()))
         print(f"m={m} summary: {summary} (all entries serve a verified plan)")
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_INVALID if bad4 else EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -328,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         print(f"error: search budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DocumentError, NoBorderError, ValueError, OSError) as exc:
+    except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

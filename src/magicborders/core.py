@@ -64,6 +64,25 @@ def _check_pool(x: int, n: int) -> None:
         )
 
 
+def check_corners(n: int, v: int, w: int) -> None:
+    """Reject upper corners that no border of inner order n could have.
+
+    The corners must be distinct pool values and not complementary: a
+    value and its complement sit in one diagram row.  The parity rule for
+    small corners is left to the callers.
+    """
+    check_inner_order(n)
+    for name, value in (("v", v), ("w", w)):
+        if not in_pool(value, n):
+            raise ValueError(f"corner {name}={value} is outside the pool for n={n}")
+    if v == w:
+        raise ValueError("corners must be distinct")
+    if v + w == complement_base(n):
+        raise ValueError(
+            f"corners ({v}, {w}) are complementary and would share a diagram row"
+        )
+
+
 def complement(x: int, n: int) -> int:
     """The pool value opposite x; an involution on the pool."""
     _check_pool(x, n)

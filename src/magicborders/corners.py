@@ -33,6 +33,7 @@ from importlib import resources
 
 from .core import (
     InfeasibleCornersError,
+    check_corners,
     check_inner_order,
     complement_base,
     in_pool,
@@ -395,11 +396,6 @@ def seed_order_m_audit(m: int, v: int, w: int) -> SeedAudit:
     return SeedAudit(row.row_id, m, v, w, "rebuilt", rebuilt, report)
 
 
-def seed_order_m(m: int, v: int, w: int) -> BorderPlan:
-    """A verified border for one of the 20 extension-gap pairs at order m."""
-    return seed_order_m_audit(m, v, w).plan
-
-
 def audit_order4() -> list[SeedAudit]:
     """Run every literal order-4 seed through the verifier."""
     audits = []
@@ -467,16 +463,8 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
         raise ValueError(
             f"corner-prescribed construction covers even inner orders only, got n={n}"
         )
-    for name, value in (("v", v), ("w", w)):
-        if not in_pool(value, n):
-            raise ValueError(f"corner {name}={value} is outside the pool for n={n}")
-    if v == w:
-        raise ValueError("corners must be distinct")
+    check_corners(n, v, w)
     c_base = complement_base(n)
-    if v + w == c_base:
-        raise ValueError(
-            f"corners ({v}, {w}) are complementary and would share a diagram row"
-        )
 
     # reduce to small ascending corners: large corners go to their
     # complements through an involution, then a reflection swaps v > w; the

@@ -10,10 +10,9 @@ reported at set level (order inside a line is immaterial).
 Two engines share one pruning rule, a window of sums each line can still
 reach from the rows not yet decided (``_Rows.window``):
 
-- the backtracker (``enumerate_omega``, ``search_first``) decides one row
-  at a time, depth first with an explicit stack, and lists borders.  It
-  is the oracle the constructive recipes and the counter are tested
-  against;
+- the backtracker (``enumerate_omega``) decides one row at a time, depth
+  first with an explicit stack, and streams borders.  It is the oracle
+  the constructive recipes and the counter are tested against;
 - the layered counter (``count_borders``, ``count_omega``) sweeps the
   same decision tree one row at a time but keeps only, for each state
   (values and small values each line still needs, and the sums each line
@@ -39,23 +38,25 @@ therefore owes a known number of small values, give or take one at odd
 n, and the window check asks whether some admissible small count can
 still close the line's sum.
 
-Both engines take a :class:`SearchBudget`; a node or time limit raises
-:class:`BudgetExhausted`.  Nothing is cached across calls.
+Both engines take a :class:`SearchBudget` of nodes and seconds; running
+out raises :class:`BudgetExhausted`.  A listing is cut short by the
+caller, who stops reading the stream (``next`` for the first border,
+``itertools.islice`` for the first k): the backtracker is lazy, so it
+visits no node past the last border read.  Nothing is cached across
+calls.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
 from .core import (
-    InfeasibleCornersError,
+    check_corners,
     check_inner_order,
     complement_base,
-    in_pool,
     magic_constant,
     row_of,
 )
@@ -73,30 +74,27 @@ class OmegaKey:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on a search run; None means unlimited.
+    """Limits on one search call, shared by both engines; None means unlimited.
 
-    Hitting the solution limit ends the stream normally (the caller asked
-    for that many); hitting the node or time limit raises
-    :class:`BudgetExhausted` because the search is then incomplete.
+    A backtracker node or a counter state costs one node.  Going past
+    either limit raises :class:`BudgetExhausted`, because the search is
+    then incomplete.  There is no solution limit: a listing ends early
+    when its reader stops, and a count must see every border.
     """
 
     max_nodes: int | None = None
-    max_solutions: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_solutions", "max_seconds"):
+        for name in ("max_nodes", "max_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            # "not > 0" also rejects NaN, which no elapsed time exceeds
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive or None, got {value!r}")
 
 
 class BudgetExhausted(RuntimeError):
     """Search stopped before exploring the whole space."""
-
-
-class NoBorderError(LookupError):
-    """Search completed and proved that no border matches the request."""
 
 
 @dataclass(frozen=True)
@@ -148,24 +146,6 @@ class _BudgetState:
             raise BudgetExhausted(f"node limit {self.max_nodes} reached")
         if self.max_seconds is not None and time.monotonic() - self.start > self.max_seconds:
             raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
-
-
-def _reject_solution_limit(budget: SearchBudget | None) -> None:
-    if budget and budget.max_solutions is not None:
-        raise ValueError(
-            "a solution limit would truncate the counts; use node or time limits"
-        )
-
-
-def _check_key(key: OmegaKey) -> None:
-    check_inner_order(key.n)
-    for name, value in (("v", key.v), ("w", key.w)):
-        if not in_pool(value, key.n):
-            raise ValueError(f"corner {name}={value} is outside the pool for n={key.n}")
-    if key.v == key.w:
-        raise ValueError("corners must be distinct")
-    if key.v + key.w == complement_base(key.n):
-        raise ValueError("corners must not be complementary")
 
 
 def _parity_forbids(key: OmegaKey) -> bool:
@@ -374,45 +354,10 @@ def enumerate_omega(
     search short; a normally finished stream means the listing is complete.
     Keys with same-parity small corners at even order end at once, empty.
     """
-    _check_key(key)
+    check_corners(key.n, key.v, key.w)
     if _parity_forbids(key):
         return
-    state = _BudgetState(budget)
-    max_solutions = budget.max_solutions if budget else None
-    emitted = 0
-    for solution in _solutions(key.n, key.v, key.w, state):
-        yield solution
-        emitted += 1
-        if max_solutions is not None and emitted >= max_solutions:
-            return
-
-
-def search_first(key: OmegaKey) -> CanonicalBorder:
-    """First border for the key in search order.
-
-    Same-parity small corners at even order are rejected up front; an
-    empty but feasible even-order search is a library bug and says so
-    loudly.
-    """
-    _check_key(key)
-    n = key.n
-    if _parity_forbids(key):
-        raise InfeasibleCornersError(
-            f"no magic border of even inner order {n} has same-parity "
-            f"upper corners ({key.v}, {key.w})"
-        )
-    for solution in enumerate_omega(key, SearchBudget(max_solutions=1)):
-        return solution
-    small = 2 * n + 2
-    if n % 2 == 0 and key.v <= small and key.w <= small:
-        raise RuntimeError(
-            f"invariant failure: opposite-parity corners ({key.v}, {key.w}) at even "
-            f"order {n} must admit a border, but exhaustive search found none"
-        )
-    raise NoBorderError(
-        f"search complete: no magic border of inner order {n} "
-        f"with corners ({key.v}, {key.w})"
-    )
+    yield from _solutions(key.n, key.v, key.w, _BudgetState(budget))
 
 
 def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
@@ -420,12 +365,10 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
 
     Equals the length of :func:`enumerate_omega`'s stream.  Every state
     the counter expands is one budget node, so a node or time limit raises
-    :class:`BudgetExhausted`; a solution limit would truncate the count and
-    is rejected.  Memory grows with the states of one layer, which a node
-    limit also bounds.
+    :class:`BudgetExhausted`.  Memory grows with the states of one layer,
+    which a node limit also bounds.
     """
-    _check_key(key)
-    _reject_solution_limit(budget)
+    check_corners(key.n, key.v, key.w)
     return _count(key.n, key.v, key.w, _BudgetState(budget))
 
 
@@ -437,11 +380,9 @@ def count_omega(
     Reflecting a border in the vertical axis keeps its top row, swaps its
     upper corners and complements its left column, so (v, w) and (w, v)
     have equal counts and only v < w is counted.  The node/time budget is
-    shared across the whole table; a solution limit would bias the counts
-    and is rejected.
+    shared across the whole table.
     """
     check_inner_order(n)
-    _reject_solution_limit(budget)
     state = _BudgetState(budget)
     small = 2 * n + 2
     below = {
@@ -462,13 +403,3 @@ def format_counts(counts: dict[tuple[int, int], int]) -> str:
     lines = [f"{v} {w} {count}" for (v, w), count in sorted(counts.items())]
     return "\n".join(lines) + "\n"
 
-
-def ordered_variant_count(set_count: int, n: int) -> int:
-    """Line-ordered borders represented by ``set_count`` set-level ones.
-
-    Reordering within the top row and within the left column keeps a
-    border magic, so each set-level border stands for (n!)^2 ordered
-    arrangements.  This is a derived figure, distinct from the set-level
-    counts everything else reports.
-    """
-    return set_count * math.factorial(n) ** 2

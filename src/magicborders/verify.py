@@ -71,10 +71,6 @@ class BorderPlan:
         """All 2n+2 chosen values (corners first, then b's, then c's)."""
         return (self.v, self.w) + self.b + self.c
 
-    def key(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-        """Order-insensitive identity: line order inside b and c is immaterial."""
-        return (self.n, self.v, self.w, tuple(sorted(self.b)), tuple(sorted(self.c)))
-
 
 @dataclass(frozen=True)
 class BorderFrame:

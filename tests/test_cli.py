@@ -244,6 +244,30 @@ def test_counting_warns_only_beyond_its_own_desk_scale(capsys):
     assert err.startswith("warning: exhaustive search beyond inner order 6")
 
 
+def test_enumerate_limit_spans_keys(capsys):
+    code, full, _ = run(capsys, "enumerate", "--order", "4")
+    assert code == 0
+    code, out, err = run(capsys, "enumerate", "--order", "4", "--limit", "7")
+    assert (code, err) == (0, "")
+    lines = out.splitlines(keepends=True)
+    assert lines == full.splitlines(keepends=True)[:7]
+    assert len({(p.v, p.w) for p in map(parse_document, lines)}) > 1
+    assert run(capsys, "enumerate", "--order", "4", "--limit", "0") == (0, "", "")
+    code, _, err = run(
+        capsys, "enumerate", "--order", "4", "--max-nodes", "3", "--limit", "5"
+    )
+    assert code == 3 and "budget" in err
+
+
+def test_enumerate_rejects_a_nan_time_limit(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--order", "4", "--corners", "1,2", "--max-seconds", "nan",
+        "--count-only",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "max_seconds" in err
+
+
 def test_same_parity_listing_prints_nothing(capsys):
     for n in ("4", "6", "40"):
         code, out, err = run(
@@ -372,6 +396,12 @@ def test_tables_check_reports_and_passes(capsys):
     assert "1&2m+2 (v=1, w=18): repaired" in out
     assert "expected 505, got 504" in out
     assert "parameterized table at m=12: 20 entries" in out
+
+
+def test_tables_check_with_a_bad_m_prints_nothing(capsys):
+    code, out, err = run(capsys, "tables", "--check", "--m", "8", "--m", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_tables_without_check_is_informational(capsys):

@@ -148,8 +148,8 @@ def test_no_construct_call_runs_a_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("construct must not search")
 
-    monkeypatch.setattr(enumeration, "enumerate_omega", forbidden)
-    monkeypatch.setattr(enumeration, "search_first", forbidden)
+    for name in ("enumerate_omega", "_solutions", "_count"):
+        monkeypatch.setattr(enumeration, name, forbidden)
     for n in range(3, 61):
         assert verify_border(build_border(n)).valid
 

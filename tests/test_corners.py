@@ -11,7 +11,6 @@ from magicborders import (
     construct_with_corners,
     enumerate_omega,
     extend_border,
-    search_first,
     seed_order4,
     verify_border,
 )
@@ -28,7 +27,6 @@ from magicborders.corners import (
     missing_pairs,
     order4_table,
     parameterized_table,
-    seed_order_m,
     seed_order_m_audit,
 )
 from magicborders.documents import parse_document
@@ -188,7 +186,7 @@ def test_every_parameterized_entry_serves_a_verified_plan():
 
 def test_seed_order_m_rejects_pairs_outside_the_gap_list():
     with pytest.raises(ValueError):
-        seed_order_m(8, 1, 2)
+        seed_order_m_audit(8, 1, 2)
 
 
 def test_construct_reference_cases():
@@ -255,7 +253,7 @@ def test_every_order6_literal_is_the_first_border_the_search_finds():
         (v, w) for v in range(1, 15) for w in range(v + 1, 15) if (v + w) % 2
     }
     for (v, w), plan in table.items():
-        assert plan == search_first(OmegaKey(6, v, w)).to_plan(), (v, w)
+        assert plan == next(enumerate_omega(OmegaKey(6, v, w))).to_plan(), (v, w)
         assert construct_with_corners(6, v, w) == plan
 
 
@@ -324,7 +322,7 @@ def test_no_corner_construction_runs_a_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("corner construction must not search")
 
-    for name in ("search_first", "enumerate_omega", "count_borders", "_solutions", "_count"):
+    for name in ("enumerate_omega", "count_borders", "_solutions", "_count"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert enumeration not in vars(corners).values()
     assert not any(

@@ -11,15 +11,12 @@ from magicborders import (
 from magicborders import (
     BudgetExhausted,
     CanonicalBorder,
-    InfeasibleCornersError,
-    NoBorderError,
     OmegaKey,
     SearchBudget,
     count_borders,
     count_omega,
     enumerate_omega,
     format_counts,
-    search_first,
     seed_order4,
     verify_border,
 )
@@ -97,27 +94,23 @@ def test_count_omega_covers_every_distinct_small_pair():
     assert all((v % 2 != w % 2) == (k > 0) for (v, w), k in counts.items())
 
 
-def test_search_first_finds_verified_borders():
+def test_first_listed_border_verifies():
     for key in (OmegaKey(6, 1, 2), OmegaKey(4, 5, 6)):
-        border = search_first(key)
+        border = next(enumerate_omega(key))
         assert verify_border(border.to_plan()).valid
         assert (border.v, border.w) == (key.v, key.w)
 
 
-def test_search_first_rejects_infeasible_even_corners():
-    with pytest.raises(InfeasibleCornersError):
-        search_first(OmegaKey(4, 2, 4))
-
-
-def test_search_first_reports_odd_order_empty_searches():
+def test_an_odd_order_key_may_have_no_border():
     # (1, 2) has opposite parity yet no order-3 border exists: the even-order
     # parity rule does not transfer to odd orders
-    with pytest.raises(NoBorderError):
-        search_first(OmegaKey(3, 1, 2))
+    key = OmegaKey(3, 1, 2)
+    assert list(enumerate_omega(key)) == []
+    assert count_borders(key) == 0
 
 
 def test_odd_orders_allow_same_parity_corners():
-    border = search_first(OmegaKey(3, 1, 3))
+    border = next(enumerate_omega(OmegaKey(3, 1, 3)))
     assert verify_border(border.to_plan()).valid
 
 
@@ -130,32 +123,40 @@ def test_budget_exhaustion_is_distinct_from_empty_completion():
 
 
 def test_solution_limit_ends_the_stream_normally():
-    only_two = listing(4, 2, 5, SearchBudget(max_solutions=2))
-    assert len(only_two) == 2
+    # a reader that stops after two borders costs exactly the nodes up to
+    # the second one: a budget of that many suffices for two, not for all
+    state = _BudgetState(None)
+    first_two = list(itertools.islice(_solutions(4, 2, 5, state), 2))
+    budget = SearchBudget(max_nodes=state.nodes)
+    assert list(itertools.islice(enumerate_omega(OmegaKey(4, 2, 5), budget), 2)) == first_two
+    assert len(listing(4, 2, 5)) > 2
+    with pytest.raises(BudgetExhausted):
+        listing(4, 2, 5, budget)
 
 
 def test_key_validation():
     with pytest.raises(ValueError):
         listing(4, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"corners \(1, 36\) are complementary"):
         listing(4, 1, 36)  # complementary corners share a diagram row
     with pytest.raises(ValueError):
         listing(4, 1, 11)  # pool gap
-    with pytest.raises(ValueError):
-        count_omega(4, SearchBudget(max_solutions=5))
+
+
+@pytest.mark.parametrize(
+    "limits", [{"max_nodes": 0}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}]
+)
+def test_budget_rejects_limits_that_are_not_positive(limits):
+    # a NaN time limit compares false with every elapsed time, so it would
+    # never fire
+    with pytest.raises(ValueError, match="must be positive"):
+        SearchBudget(**limits)
 
 
 def test_canonical_border_round_trip():
-    border = search_first(OmegaKey(4, 1, 2))
+    border = next(enumerate_omega(OmegaKey(4, 1, 2)))
     again = CanonicalBorder.from_plan(border.to_plan())
     assert again == border
-
-
-def test_ordered_variant_count_is_a_clearly_derived_figure():
-    from magicborders.enumeration import ordered_variant_count
-
-    assert ordered_variant_count(1, 4) == 24 * 24
-    assert ordered_variant_count(2, 3) == 2 * 36
 
 
 def brute_force_borders(n, v, w):
@@ -241,7 +242,5 @@ def test_count_borders_keeps_the_budget_rules():
     key = OmegaKey(5, 1, 2)
     with pytest.raises(BudgetExhausted):
         count_borders(key, SearchBudget(max_nodes=3))
-    with pytest.raises(ValueError):
-        count_borders(key, SearchBudget(max_solutions=5))
     with pytest.raises(ValueError):
         count_borders(OmegaKey(4, 1, 36))
