@@ -1,62 +1,41 @@
 """Deterministic recipes that build a magic border for every inner order n >= 3.
 
-Each recipe picks one side of every diagram row and returns the border
-as a :class:`~magicborders.verify.BorderPlan`.  Its docstring states why
-the border is magic: the picks fall into pairs whose deviations cancel
-line by line.  :func:`build_border` checks every result with
+Each recipe is a literal two-column diagram: a string with one pick per
+diagram row, row 1 first.  A pick is a side, ``L`` (the row's small
+value) or ``R`` (its complement), then the line the value goes to: ``v``
+or ``w`` for the upper corners, ``b`` for the top row, ``c`` for the left
+column.  One function, :func:`_diagram`, reads every diagram into a
+:class:`~magicborders.verify.BorderPlan`.  A recipe's docstring states
+why its border is magic: the picks fall into pairs whose deviations
+cancel line by line.  :func:`build_border` checks every result with
 :func:`~magicborders.verify.verify_border`.  The same n always yields the
 same border.
 """
 
 from __future__ import annotations
 
-from .core import LEFT, RIGHT, check_inner_order, complement_base
+from .core import check_inner_order, complement_base
 from .verify import BorderPlan, verify_border
 
-
-class _SchemeBuilder:
-    """One slot per diagram row, holding the (tag, value) a recipe takes there."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.c_base = complement_base(n)
-        self.slots: list[tuple[str, int] | None] = [None] * (2 * n + 2)
-
-    def take(self, row: int, side: str, tag: str) -> None:
-        if self.slots[row - 1] is not None:
-            raise ValueError(f"row {row} already decided")
-        value = row if side == LEFT else self.c_base - row
-        self.slots[row - 1] = (tag, value)
-
-    def block(self, start_row: int, label: str) -> None:
-        """Four consecutive rows L, R, R, L: two pairs with deviations -1, +1."""
-        a = start_row
-        self.take(a, LEFT, label)
-        self.take(a + 1, RIGHT, label)
-        self.take(a + 2, RIGHT, label)
-        self.take(a + 3, LEFT, label)
-
-    def plan(self) -> BorderPlan:
-        """The border read off the slots in diagram-row order."""
-        missing = [row for row, slot in enumerate(self.slots, start=1) if slot is None]
-        if missing:
-            raise ValueError(f"rows {missing} left undecided")
-        taken: dict[str, list[int]] = {"v": [], "w": [], "b": [], "c": []}
-        for tag, value in self.slots:  # type: ignore[misc]
-            taken[tag].append(value)
-        if len(taken["v"]) != 1 or len(taken["w"]) != 1:
-            raise ValueError("scheme must tag each corner exactly once")
-        return BorderPlan(
-            n=self.n, v=taken["v"][0], w=taken["w"][0],
-            b=tuple(taken["b"]), c=tuple(taken["c"]),
-        )
+# four rows L, R, R, L: two pairs with deviations -1, +1 on the top row,
+# then the same on the left column
+_BLOCKS = "LbRbRbLbLcRcRcLc"
 
 
-def _alternating_blocks(builder: _SchemeBuilder, first_row: int) -> None:
-    """Fill the remaining rows with four-row blocks labeled b, c, b, c, ..."""
-    last_row = 2 * builder.n + 2
-    for index, a in enumerate(range(first_row, last_row, 4)):
-        builder.block(a, "b" if index % 2 == 0 else "c")
+def _diagram(n: int, picks: str) -> BorderPlan:
+    """The border of inner order n that a diagram's picks describe."""
+    rows = 2 * n + 2
+    if len(picks) != 2 * rows:
+        raise ValueError(f"a diagram of inner order {n} has {rows} rows, got {len(picks) // 2}")
+    c_base = complement_base(n)
+    lines: dict[str, list[int]] = {"v": [], "w": [], "b": [], "c": []}
+    for row, (side, line) in enumerate(zip(picks[::2], picks[1::2]), start=1):
+        lines[line].append(row if side == "L" else c_base - row)
+    if len(lines["v"]) != 1 or len(lines["w"]) != 1:
+        raise ValueError("a diagram must name each corner exactly once")
+    return BorderPlan(
+        n=n, v=lines["v"][0], w=lines["w"][0], b=tuple(lines["b"]), c=tuple(lines["c"])
+    )
 
 
 def recipe_even_4k(k: int) -> BorderPlan:
@@ -69,22 +48,9 @@ def recipe_even_4k(k: int) -> BorderPlan:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    n = 4 * k
-    builder = _SchemeBuilder(n)
     # pairs of rows (left & right): top row 1 & 2, 3 & 4, 7 & 5 deviate
     # -1, -1, +2; column 6 & 8, 9 & 10 deviate -2, -1
-    builder.take(1, LEFT, "b")
-    builder.take(2, RIGHT, "v")
-    builder.take(3, LEFT, "b")
-    builder.take(4, RIGHT, "b")
-    builder.take(5, RIGHT, "w")
-    builder.take(6, LEFT, "c")
-    builder.take(7, LEFT, "b")
-    builder.take(8, RIGHT, "c")
-    builder.take(9, LEFT, "c")
-    builder.take(10, RIGHT, "c")
-    _alternating_blocks(builder, 11)
-    return builder.plan()
+    return _diagram(4 * k, "LbRvLbRbRwLcLbRcLcRc" + _BLOCKS * (k - 1))
 
 
 def recipe_even_4k_plus_2(k: int) -> BorderPlan:
@@ -99,24 +65,7 @@ def recipe_even_4k_plus_2(k: int) -> BorderPlan:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    n = 4 * k + 2
-    builder = _SchemeBuilder(n)
-    builder.take(1, LEFT, "v")
-    builder.take(2, RIGHT, "b")
-    builder.take(3, RIGHT, "b")
-    builder.take(4, LEFT, "w")
-    builder.take(5, LEFT, "b")
-    builder.take(6, RIGHT, "b")
-    builder.take(7, RIGHT, "b")
-    builder.take(8, LEFT, "b")
-    builder.take(9, RIGHT, "c")
-    builder.take(10, LEFT, "c")
-    builder.take(11, RIGHT, "c")
-    builder.take(12, LEFT, "c")
-    builder.take(13, RIGHT, "c")
-    builder.take(14, LEFT, "c")
-    _alternating_blocks(builder, 15)
-    return builder.plan()
+    return _diagram(4 * k + 2, "LvRbRbLwLbRbRbLbRcLcRcLcRcLc" + _BLOCKS * (k - 1))
 
 
 def recipe_odd(n: int) -> BorderPlan:
@@ -131,38 +80,21 @@ def recipe_odd(n: int) -> BorderPlan:
     check_inner_order(n)
     if n % 2 == 0 or n < 5:
         raise ValueError(f"recipe_odd needs an odd inner order >= 5, got {n}")
-    builder = _SchemeBuilder(n)
-
     # pairs of rows (left & right): n+5 & 1 on the top row and n+6 & 2 in
-    # the column deviate n+4 each
-    builder.take(n + 5, LEFT, "b")
-    builder.take(n + 6, LEFT, "c")
-    builder.take(1, RIGHT, "b")
-    builder.take(2, RIGHT, "c")
-
-    builder.take(n + 7, LEFT, "v")
-    # n+7+t & 2+t deviate n+5 each, (n-5)/2 pairs per side
-    for t in range(1, n - 4):
-        label = "b" if t % 2 == 0 else "c"
-        builder.take(n + 7 + t, LEFT, label)
-        builder.take(2 + t, RIGHT, label)
-
+    # the column deviate n+4 each; n+7+t & 2+t (t = 1..n-5) deviate n+5
+    # each, (n-5)/2 pairs per side
+    head = "RbRc" + "RcRb" * ((n - 5) // 2)
     # n+1 & n-1, n+4 & n+2 on the top row and n & n-2, n+3 & C-w (row
     # n+1) in the column deviate +2 each
-    builder.take(n - 2, RIGHT, "c")
-    builder.take(n - 1, RIGHT, "b")
-    builder.take(n, LEFT, "c")
-    builder.take(n + 1, LEFT, "w")
-    builder.take(n + 2, RIGHT, "b")
-    builder.take(n + 3, LEFT, "c")
-    builder.take(n + 4, LEFT, "b")
-    return builder.plan()
+    middle = "RcRbLcLwRbLcLb"
+    tail = "LbLcLv" + "LcLb" * ((n - 5) // 2)
+    return _diagram(n, head + middle + tail)
 
 
-# Order 3 falls outside the general odd recipe.  Its border, in diagram-row
-# order, is the first one an exhaustive search over corner pairs finds; the
-# tests keep that search as the oracle for this literal.
-_N3 = BorderPlan(n=3, v=1, w=3, b=(22, 21, 18), c=(2, 20, 19))
+# Order 3 falls outside the general odd recipe.  Its border is the first
+# one an exhaustive search over corner pairs finds; the tests keep that
+# search as the oracle for this literal.
+_N3 = _diagram(3, "LvLcLwRbRbRcRcRb")
 
 
 def build_border(n: int) -> BorderPlan:

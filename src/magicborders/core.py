@@ -10,9 +10,6 @@ turns border construction into picking one side per row.
 
 from __future__ import annotations
 
-LEFT = "L"
-RIGHT = "R"
-
 
 class InfeasibleCornersError(ValueError):
     """The requested corner pair provably admits no magic border."""
@@ -69,7 +66,8 @@ def check_corners(n: int, v: int, w: int) -> None:
 
     The corners must be distinct pool values and not complementary: a
     value and its complement sit in one diagram row.  The parity rule for
-    small corners is left to the callers.
+    small corners is :func:`forbidden_by_parity`, which callers that need
+    it apply after this check.
     """
     check_inner_order(n)
     for name, value in (("v", v), ("w", w)):
@@ -81,6 +79,16 @@ def check_corners(n: int, v: int, w: int) -> None:
         raise ValueError(
             f"corners ({v}, {w}) are complementary and would share a diagram row"
         )
+
+
+def forbidden_by_parity(n: int, v: int, w: int) -> bool:
+    """Whether the even-order parity rule proves that no border has corners (v, w).
+
+    At even inner order n, small corners v, w <= 2n+2 admit a border
+    exactly when they have opposite parity.
+    """
+    small = 2 * n + 2
+    return n % 2 == 0 and v <= small and w <= small and v % 2 == w % 2
 
 
 def complement(x: int, n: int) -> int:

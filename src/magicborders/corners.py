@@ -36,6 +36,7 @@ from .core import (
     check_corners,
     check_inner_order,
     complement_base,
+    forbidden_by_parity,
     in_pool,
     magic_constant,
 )
@@ -63,7 +64,7 @@ def corners_feasible(n: int, v: int, w: int) -> bool:
         raise ValueError("corners must be distinct")
     if not (1 <= v <= small and 1 <= w <= small):
         raise ValueError(f"corners must lie in 1..{small}, got ({v}, {w})")
-    return v % 2 != w % 2
+    return not forbidden_by_parity(n, v, w)
 
 
 # --- seed table data -------------------------------------------------------

@@ -57,6 +57,7 @@ from .core import (
     check_corners,
     check_inner_order,
     complement_base,
+    forbidden_by_parity,
     magic_constant,
     row_of,
 )
@@ -146,14 +147,6 @@ class _BudgetState:
             raise BudgetExhausted(f"node limit {self.max_nodes} reached")
         if self.max_seconds is not None and time.monotonic() - self.start > self.max_seconds:
             raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
-
-
-def _parity_forbids(key: OmegaKey) -> bool:
-    """Whether the key has same-parity small corners at even order, which no border has."""
-    small = 2 * key.n + 2
-    return (
-        key.n % 2 == 0 and key.v <= small and key.w <= small and key.v % 2 == key.w % 2
-    )
 
 
 _EMPTY = (1, 0)
@@ -355,7 +348,7 @@ def enumerate_omega(
     Keys with same-parity small corners at even order end at once, empty.
     """
     check_corners(key.n, key.v, key.w)
-    if _parity_forbids(key):
+    if forbidden_by_parity(key.n, key.v, key.w):
         return
     yield from _solutions(key.n, key.v, key.w, _BudgetState(budget))
 
@@ -366,9 +359,12 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     Equals the length of :func:`enumerate_omega`'s stream.  Every state
     the counter expands is one budget node, so a node or time limit raises
     :class:`BudgetExhausted`.  Memory grows with the states of one layer,
-    which a node limit also bounds.
+    which a node limit also bounds.  Keys with same-parity small corners
+    at even order count 0 at once.
     """
     check_corners(key.n, key.v, key.w)
+    if forbidden_by_parity(key.n, key.v, key.w):
+        return 0
     return _count(key.n, key.v, key.w, _BudgetState(budget))
 
 
@@ -379,8 +375,9 @@ def count_omega(
 
     Reflecting a border in the vertical axis keeps its top row, swaps its
     upper corners and complements its left column, so (v, w) and (w, v)
-    have equal counts and only v < w is counted.  The node/time budget is
-    shared across the whole table.
+    have equal counts and only v < w is counted.  Same-parity keys are
+    counted too, so the table also checks the parity rule.  The node/time
+    budget is shared across the whole table.
     """
     check_inner_order(n)
     state = _BudgetState(budget)

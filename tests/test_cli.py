@@ -179,6 +179,12 @@ def test_enumerate_count_only_same_parity_is_zero(capsys):
         capsys, "enumerate", "--order", "4", "--corners", "1,3", "--count-only"
     )
     assert code == 0 and out.strip() == "0"
+    # the parity rule answers without counting, so one node of budget is enough
+    code, out, _ = run(
+        capsys, "enumerate", "--order", "20", "--corners", "1,3", "--count-only",
+        "--max-nodes", "1",
+    )
+    assert code == 0 and out.strip() == "0"
 
 
 def test_enumerate_limit_one_yields_one_valid_plan(capsys):

@@ -18,12 +18,12 @@ from magicborders import (
 from magicborders import enumeration
 from magicborders.construct import (
     _N3,
-    _SchemeBuilder,
+    _diagram,
     recipe_even_4k,
     recipe_even_4k_plus_2,
     recipe_odd,
 )
-from magicborders.core import LEFT, RIGHT, row_of
+from magicborders.core import row_of
 
 from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums
 
@@ -154,17 +154,17 @@ def test_no_construct_call_runs_a_search(monkeypatch):
         assert verify_border(build_border(n)).valid
 
 
-def test_scheme_builder_rejects_undecided_rows_and_corner_miscounts():
-    builder = _SchemeBuilder(3)
-    for row in range(1, 8):
-        builder.take(row, LEFT, "v" if row == 1 else "w" if row == 2 else "b")
-    with pytest.raises(ValueError, match=r"rows \[8\] left undecided"):
-        builder.plan()
-    builder.take(8, RIGHT, "v")
+def test_diagram_rejects_a_wrong_row_count_and_corner_miscounts():
+    with pytest.raises(ValueError, match="has 8 rows, got 7"):
+        _diagram(3, "LvLcLwRbRbRcRc")
+    with pytest.raises(ValueError, match="has 8 rows, got 9"):
+        _diagram(3, "LvLcLwRbRbRcRcRbLb")
     with pytest.raises(ValueError, match="corner"):
-        builder.plan()
-    with pytest.raises(ValueError, match="already decided"):
-        builder.take(8, LEFT, "c")
+        _diagram(3, "LvLcLvRbRbRcRcRb")  # v twice, w never
+    with pytest.raises(ValueError, match="corner"):
+        _diagram(3, "LvLcLwRwRbRcRcRb")  # w twice
+    with pytest.raises(ValueError, match="corner"):
+        _diagram(3, "LbLcLwRbRbRcRcRb")  # v never
 
 
 def test_build_border_is_deterministic():

@@ -21,7 +21,7 @@ from magicborders import (
     verify_border,
 )
 
-from magicborders.enumeration import _BudgetState, _solutions
+from magicborders.enumeration import _BudgetState, _count, _solutions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REGEN_SCRIPT = Path(__file__).parent.parent / "scripts" / "regen_count_fixture.py"
@@ -45,6 +45,18 @@ def test_same_parity_listings_end_at_once_and_agree_with_the_backtracker(n):
             # one node of budget: a listing that walked the tree would run out
             assert listing(n, v, w, SearchBudget(max_nodes=1)) == []
             assert list(_solutions(n, v, w, _BudgetState(None))) == [], (n, v, w)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_same_parity_counts_end_at_once_and_agree_with_the_counter(n):
+    small = 2 * n + 2
+    for v in range(1, small + 1):
+        for w in range(1, small + 1):
+            if v == w or (v + w) % 2:
+                continue
+            # one node of budget: a count that swept the layers would run out
+            assert count_borders(OmegaKey(n, v, w), SearchBudget(max_nodes=1)) == 0
+            assert _count(n, v, w, _BudgetState(None)) == 0, (n, v, w)
 
 
 def test_listing_contains_the_seed_borders():

@@ -1,22 +1,31 @@
-"""Construction outputs pinned to SHA-256 digests of their plan documents.
+"""Construction outputs pinned to SHA-256 digests of their documents.
 
-A change to either digest is a change to the borders the program builds,
-which a refactor of the recipes or of corner construction must not make.
+A change to any digest is a change to the borders or squares the program
+builds, which a refactor of the recipes, of corner construction or of
+square assembly must not make.
 """
 
 import hashlib
 
-from magicborders import build_border, complement_base, construct_with_corners
+from magicborders import build_border, build_square, complement_base, construct_with_corners
 from magicborders import corners
-from magicborders.documents import serialize_plan
+from magicborders.documents import FORMATS, serialize_grid, serialize_plan
 
 BUILD_DIGEST = "508edffe3f18e73009da1b90d2e135b1a9ca8a8fefd7dde05fcf056c66aa1644"
 CORNERS_DIGEST = "cdaf30ce7454e7e07bce892c2a49f6c0bfed8024434052c870d450bd88c1a118"
+SQUARE_DIGEST = "f07db268819075e96cdda71c028f65b7ff92c8a26c5fdac01607948006044b5a"
 
 
 def test_build_border_matches_its_pinned_digest():
     text = "".join(serialize_plan(build_border(n)) for n in range(3, 301))
     assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGEST
+
+
+def test_build_square_matches_its_pinned_digest_in_every_format():
+    text = "".join(
+        serialize_grid(build_square(order), fmt) for order in range(3, 61) for fmt in FORMATS
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SQUARE_DIGEST
 
 
 def feasible_pool_pairs(n):
