@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Timing and size report across orders: construction, assembly, enumeration.
+"""Timing and size report across orders: construction, assembly, documents,
+enumeration.
 
 Everything here is deterministic; rerun after engine changes to spot
 regressions in the growth curves.
@@ -8,14 +9,14 @@ regressions in the growth curves.
 import time
 
 from magicborders import (
-    OmegaKey,
     build_border,
     build_square,
     count_omega,
-    enumerate_omega,
+    enumerate_order,
     verify_border,
     verify_bordered,
 )
+from magicborders.documents import FORMATS, parse_document, serialize_grid
 
 
 def timed(fn, *args):
@@ -25,13 +26,7 @@ def timed(fn, *args):
 
 
 def listed_total(n):
-    small = 2 * n + 2
-    return sum(
-        sum(1 for _ in enumerate_omega(OmegaKey(n, v, w)))
-        for v in range(1, small + 1)
-        for w in range(1, small + 1)
-        if v != w
-    )
+    return sum(1 for _ in enumerate_order(n))
 
 
 def main() -> None:
@@ -48,6 +43,17 @@ def main() -> None:
         report, t_check = timed(verify_bordered, square)
         assert report.valid
         print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
+
+    print("square documents: serialize, then parse")
+    for order in (200, 1000, 2003):
+        square = build_square(order)
+        timings = []
+        for fmt in FORMATS:
+            text, t_write = timed(serialize_grid, square, fmt)
+            doc, t_read = timed(parse_document, text)
+            assert doc.as_square() == square
+            timings.append(f"{fmt} {t_write * 1e3:7.1f} + {t_read * 1e3:7.1f} ms")
+        print(f"  N={order:>4}: " + "   ".join(timings))
 
     print("exact set-level counts per inner order: layered counter vs backtracker")
     for n in (3, 4, 5, 6, 7):

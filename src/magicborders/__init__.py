@@ -26,6 +26,7 @@ from .enumeration import (
     count_borders,
     count_omega,
     enumerate_omega,
+    enumerate_order,
     format_counts,
 )
 from .transform import SYMMETRIES, apply_symmetry, orbit, permute_lines
@@ -65,6 +66,7 @@ __all__ = [
     "d_corner",
     "d_value",
     "enumerate_omega",
+    "enumerate_order",
     "extend_border",
     "format_counts",
     "magic_constant",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from . import __version__
 from .assemble import build_square, plan_from_frame, render_frame
@@ -33,6 +33,7 @@ from .enumeration import (
     count_borders,
     count_omega,
     enumerate_omega,
+    enumerate_order,
     format_counts,
 )
 from .transform import orbit
@@ -147,17 +148,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def _iter_keys(n: int, corners: tuple[int, int] | None):
-    if corners is not None:
-        yield OmegaKey(n, *corners)
-        return
-    small = 2 * n + 2
-    for v in range(1, small + 1):
-        for w in range(1, small + 1):
-            if v != w:
-                yield OmegaKey(n, v, w)
-
-
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise DocumentError(f"--limit must be >= 0, got {args.limit}")
@@ -181,10 +171,12 @@ def cmd_enumerate(args) -> int:
         else:
             print(format_counts(count_omega(n, budget)), end="")
         return EXIT_OK
-    # islice stops reading at the limit, so no key past it is searched
-    borders = chain.from_iterable(
-        enumerate_omega(key, budget) for key in _iter_keys(n, args.corners)
-    )
+    # one budget spans the whole listing; islice stops reading at the
+    # limit, so no key past it is searched
+    if args.corners:
+        borders = enumerate_omega(OmegaKey(n, *args.corners), budget)
+    else:
+        borders = enumerate_order(n, budget)
     for border in islice(borders, args.limit):
         sys.stdout.write(serialize_plan(border.to_plan()))
     return EXIT_OK

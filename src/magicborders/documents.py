@@ -39,7 +39,7 @@ class GridDocument:
         return len(self.cells)
 
     def is_complete(self) -> bool:
-        return all(x is not None for row in self.cells for x in row)
+        return not any(None in row for row in self.cells)
 
     def as_square(self) -> list[list[int]]:
         if not self.is_complete():
@@ -61,6 +61,15 @@ def _grid_rows(cells) -> tuple[tuple[int | None, ...], ...]:
     return tuple(tuple(row) for row in cells)
 
 
+def _int_row(row) -> bool:
+    """Whether every cell of a row is a plain int: no hole, bool or other type.
+
+    Such rows take the whole-row codecs; any other row is written or read
+    cell by cell.
+    """
+    return set(map(type, row)) <= {int}
+
+
 def serialize_grid(cells, fmt: str = GRID) -> str:
     """Write a square grid (ints and None) in the requested format."""
     rows = _grid_rows(cells)
@@ -68,6 +77,11 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
     if any(len(row) != order for row in rows):
         raise DocumentError("grid must be square")
     if fmt == GRID:
+        if rows and all(map(_int_row, rows)):
+            # the widest int is the largest or, written with its sign, the smallest
+            width = max(len(str(max(map(max, rows)))), len(str(min(map(min, rows)))))
+            line = " ".join([f"%{width}d"] * order)
+            return "\n".join([line % row for row in rows]) + "\n"
         width = max(
             (len(str(x)) for row in rows for x in row if x is not None), default=1
         )
@@ -80,7 +94,10 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         for row in rows:
-            writer.writerow(["" if x is None else x for x in row])
+            if _int_row(row):
+                out.write(",".join(map(str, row)) + "\n")
+            else:
+                writer.writerow(["" if x is None else x for x in row])
         return out.getvalue()
     if fmt == JSON:
         payload = {"order": order, "cells": [list(row) for row in rows]}
@@ -116,8 +133,15 @@ def _is_int(x) -> bool:
 
 
 def _grid_from_lists(raw, where: str) -> GridDocument:
+    if not isinstance(raw, list):
+        raise DocumentError(f"{where} must be a list of rows, got {raw!r}")
     cells = []
     for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise DocumentError(f"{where} row {i} is {row!r}, not a list of cells")
+        if _int_row(row):
+            cells.append(tuple(row))
+            continue
         parsed = []
         for j, x in enumerate(row):
             if x is None or _is_int(x):
@@ -174,10 +198,14 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
     lines = [line for line in stripped.splitlines() if line.strip()]
     cells = []
     for i, line in enumerate(lines, start=1):
-        tokens = next(csv.reader([line])) if "," in line else line.split()
-        cells.append(
-            tuple(_cell_from_token(tok, f"line {i}") for tok in tokens)
-        )
+        sep = "," if "," in line else None
+        try:
+            row = tuple(map(int, line.split(sep)))
+        except ValueError:
+            # holes, quoted CSV fields and unreadable tokens, cell by cell
+            tokens = next(csv.reader([line])) if sep else line.split()
+            row = tuple(_cell_from_token(tok, f"line {i}") for tok in tokens)
+        cells.append(row)
     order = len(cells)
     if any(len(row) != order for row in cells):
         widths = sorted({len(row) for row in cells})

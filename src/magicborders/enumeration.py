@@ -39,7 +39,9 @@ n, and the window check asks whether some admissible small count can
 still close the line's sum.
 
 Both engines take a :class:`SearchBudget` of nodes and seconds; running
-out raises :class:`BudgetExhausted`.  A listing is cut short by the
+out raises :class:`BudgetExhausted`.  A call over a whole order
+(``enumerate_order``, ``count_omega``) spends one budget across all of
+its keys.  A listing is cut short by the
 caller, who stops reading the stream (``next`` for the first border,
 ``itertools.islice`` for the first k): the backtracker is lazy, so it
 visits no node past the last border read.  Nothing is cached across
@@ -351,6 +353,25 @@ def enumerate_omega(
     if forbidden_by_parity(key.n, key.v, key.w):
         return
     yield from _solutions(key.n, key.v, key.w, _BudgetState(budget))
+
+
+def enumerate_order(
+    n: int, budget: SearchBudget | None = None
+) -> Iterator[CanonicalBorder]:
+    """Stream every magic border of inner order n, key by key.
+
+    Keys run over every ordered pair of distinct small corners, v first,
+    as :func:`enumerate_omega` would list them one at a time.  The
+    node/time budget is shared across the whole listing, as
+    :func:`count_omega` shares it across the table.
+    """
+    check_inner_order(n)
+    state = _BudgetState(budget)
+    small = 2 * n + 2
+    for v in range(1, small + 1):
+        for w in range(1, small + 1):
+            if v != w and not forbidden_by_parity(n, v, w):
+                yield from _solutions(n, v, w, state)
 
 
 def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:

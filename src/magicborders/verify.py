@@ -7,10 +7,11 @@ exhaustively so callers can print a complete diagnosis.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import eq
+from operator import add, eq, itemgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -91,6 +92,9 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     pool, the 2n+2 values are distinct and complement-free, and both the
     top row (v + sum(b) + w) and the left column (v + sum(c) + comp(w))
     sum to the magic constant of the full frame.
+
+    A valid plan is accepted by whole-line checks; any other plan is
+    walked value by value, which names every violation.
     """
     violations: list[Violation] = []
     n = plan.n
@@ -102,14 +106,30 @@ def verify_border(plan: BorderPlan) -> CheckReport:
         )
     c_base = complement_base(n)
     target = magic_constant(n + 2)
+    s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
+    values = plan.values()
+
+    if len(plan.b) == n == len(plan.c) and set(map(type, values)) == {int}:
+        ordered = sorted(values)
+        distinct = set(values)
+        # no value outside both pools, none in the gap between them; the
+        # pools hold no value equal to its own complement
+        if (
+            s_lo <= ordered[0]
+            and ordered[-1] <= l_hi
+            and bisect_right(ordered, s_hi) == bisect_left(ordered, l_lo)
+            and len(distinct) == len(values)
+            and distinct.isdisjoint(map(c_base.__sub__, values))
+            and plan.v + sum(plan.b) + plan.w == target
+            and plan.v + sum(plan.c) + (c_base - plan.w) == target
+        ):
+            return CheckReport(valid=True)
 
     if len(plan.b) != n:
         violations.append(Violation("shape", "b", expected=n, actual=len(plan.b)))
     if len(plan.c) != n:
         violations.append(Violation("shape", "c", expected=n, actual=len(plan.c)))
 
-    values = plan.values()
-    s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
     for value in values:
         if not isinstance(value, int) or not (
             s_lo <= value <= s_hi or l_lo <= value <= l_hi
@@ -238,9 +258,22 @@ def _square_shape_violations(cells: Sequence[Sequence[int]]) -> list[Violation]:
 def _is_permutation(cells: Sequence[Sequence[int]], order: int) -> bool:
     """Whether the cells hold 1..order^2 once each.
 
-    Sorted cells are compared with a lazy range, so no second list of
-    order^2 fresh integers is built next to them.
+    Cells that all lie in 1..order^2 are marked in a byte table, and a
+    table with every slot marked accepts them.  Any other grid is decided
+    by sorting its cells and comparing them with a lazy range, so no second
+    list of order^2 fresh integers is built next to them.
     """
+    size = order * order
+    seen = bytearray(size + 1)
+    try:
+        if all(1 <= min(row) and max(row) <= size for row in cells):
+            for row in cells:
+                for x in row:
+                    seen[x] = 1
+            if seen.count(0) == 1:
+                return True
+    except TypeError:  # a cell that cannot index the table, such as a float
+        pass
     values = sorted(chain.from_iterable(cells))
     return len(values) == order * order and all(map(eq, values, range(1, len(values) + 1)))
 
@@ -297,6 +330,8 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
         line_target = m * pair_sum // 2
         prefix = f"order {m} " if bordered else ""
         for lines, kind in ((row_sums, "row"), (col_sums, "column")):
+            if lines[lo : hi + 1].count(line_target) == m:
+                continue
             for i in range(lo, hi + 1):
                 if lines[i] != line_target:
                     violations.append(
@@ -316,13 +351,22 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
                 )
         if not bordered or m < base + 2:
             break
-        violations.extend(_facing_violations(cells, lo, hi, pair_sum, "ring-complement"))
-        # peel the ring off the running sums of the order m-2 subsquare
+        # the ring's facing pairs as whole sides; a ring that fails is
+        # walked pair by pair to name each broken pair
         top, bottom = cells[lo], cells[hi]
-        for i in range(lo + 1, hi):
-            row = cells[i]
-            row_sums[i] -= row[lo] + row[hi]
-            col_sums[i] -= top[i] + bottom[i]
+        inner = cells[lo + 1 : hi]
+        across = list(map(add, top[lo + 1 : hi], bottom[lo + 1 : hi]))
+        along = list(map(add, map(itemgetter(lo), inner), map(itemgetter(hi), inner)))
+        if not (
+            top[lo] + bottom[hi] == pair_sum == top[hi] + bottom[lo]
+            and set(across) == set(along) == {pair_sum}
+        ):
+            violations.extend(
+                _facing_violations(cells, lo, hi, pair_sum, "ring-complement")
+            )
+        # peel the ring off the running sums of the order m-2 subsquare
+        row_sums[lo + 1 : hi] = map(sub, row_sums[lo + 1 : hi], along)
+        col_sums[lo + 1 : hi] = map(sub, col_sums[lo + 1 : hi], across)
         diag -= top[lo] + bottom[hi]
         anti -= top[hi] + bottom[lo]
         m -= 2

@@ -5,8 +5,20 @@ plans list b and c in the printed left-to-right / top-to-bottom order so
 rendered frames can be compared cell by cell.
 """
 
-from magicborders import BorderPlan, complement, d_value
-from magicborders.documents import parse_document
+import csv
+import io
+import json
+from collections import Counter
+
+from magicborders import BorderPlan, complement, complement_base, d_value, magic_constant
+from magicborders.core import check_inner_order, pool_bounds
+from magicborders.documents import DocumentError, GridDocument, parse_document
+from magicborders.verify import (
+    CheckReport,
+    Violation,
+    _facing_violations,
+    _square_shape_violations,
+)
 
 # inner order 8, corners (99, 96)
 ORDER8_PLAN = BorderPlan(
@@ -165,3 +177,196 @@ ALL_GOLDEN_FRAMES = (
     (8, ORDER8_ALT_FRAME_TEXT),
     (8, ORDER8_PERMUTED_FRAME_TEXT),
 )
+
+
+# --- per-cell references ---------------------------------------------------
+#
+# The library accepts well-formed documents and valid candidates through
+# whole-row fast paths and walks everything else cell by cell.  These are
+# the cell-by-cell readers, writers and checks alone, kept as oracles: the
+# fast paths must give equal results, reports and error messages.
+
+
+def reference_serialize_grid(cells, fmt):
+    """Every cell written on its own, as the per-cell writers do."""
+    rows = tuple(tuple(row) for row in cells)
+    if fmt == "grid":
+        width = max(
+            (len(str(x)) for row in rows for x in row if x is not None), default=1
+        )
+        lines = [
+            " ".join(("." if x is None else str(x)).rjust(width) for x in row)
+            for row in rows
+        ]
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        for row in rows:
+            writer.writerow(["" if x is None else x for x in row])
+        return out.getvalue()
+    payload = {"order": len(rows), "cells": [list(row) for row in rows]}
+    return json.dumps(payload, indent=None) + "\n"
+
+
+def _reference_cell(token, where):
+    token = token.strip()
+    if token in ("", "."):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        raise DocumentError(f"unreadable cell {token!r} at {where}") from None
+
+
+def _reference_json_rows(raw, where):
+    if not isinstance(raw, list):
+        raise DocumentError(f"{where} must be a list of rows, got {raw!r}")
+    cells = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise DocumentError(f"{where} row {i} is {row!r}, not a list of cells")
+        parsed = []
+        for j, x in enumerate(row):
+            if x is None or (isinstance(x, int) and not isinstance(x, bool)):
+                parsed.append(x)
+            else:
+                raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
+        cells.append(tuple(parsed))
+    order = len(cells)
+    if order == 0 or any(len(row) != order for row in cells):
+        raise DocumentError(f"{where}: cells do not form a square grid")
+    return GridDocument(cells=tuple(cells))
+
+
+def reference_parse_grid(text):
+    """A grid document read token by token, or its DocumentError.
+
+    Plan documents are out of scope: they have no per-cell fast path.
+    """
+    stripped = text.strip()
+    if not stripped:
+        raise DocumentError("empty document")
+    if stripped.startswith("{"):
+        try:
+            payload = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"unreadable JSON document: {exc}") from None
+        doc = _reference_json_rows(payload["cells"], "JSON cells")
+        if doc.order != payload["order"]:
+            raise DocumentError(
+                f"JSON order {payload['order']} does not match a "
+                f"{doc.order}x{doc.order} cell grid"
+            )
+        return doc
+    lines = [line for line in stripped.splitlines() if line.strip()]
+    cells = []
+    for i, line in enumerate(lines, start=1):
+        tokens = next(csv.reader([line])) if "," in line else line.split()
+        cells.append(tuple(_reference_cell(tok, f"line {i}") for tok in tokens))
+    order = len(cells)
+    if any(len(row) != order for row in cells):
+        widths = sorted({len(row) for row in cells})
+        raise DocumentError(
+            f"grid is not square: {order} lines with row widths {widths}"
+        )
+    return GridDocument(cells=tuple(cells))
+
+
+def reference_verify_border(plan):
+    """Every condition of ``verify_border`` checked value by value."""
+    violations = []
+    n = plan.n
+    try:
+        check_inner_order(n)
+    except ValueError:
+        return CheckReport.from_violations([Violation("inner-order", f"n={n!r}")])
+    c_base = complement_base(n)
+    target = magic_constant(n + 2)
+    if len(plan.b) != n:
+        violations.append(Violation("shape", "b", expected=n, actual=len(plan.b)))
+    if len(plan.c) != n:
+        violations.append(Violation("shape", "c", expected=n, actual=len(plan.c)))
+    values = plan.values()
+    s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
+    for value in values:
+        if not isinstance(value, int) or not (
+            s_lo <= value <= s_hi or l_lo <= value <= l_hi
+        ):
+            violations.append(Violation("pool-membership", f"value {value}"))
+    counts = Counter(values)
+    duplicates = [(value, count) for value, count in counts.items() if count > 1]
+    for value, count in sorted(duplicates, key=lambda kv: str(kv[0])):
+        violations.append(
+            Violation("duplicate-value", f"value {value}", expected=1, actual=count)
+        )
+    clashes = [
+        value
+        for value in counts
+        if isinstance(value, int) and value < c_base - value and c_base - value in counts
+    ]
+    for value in sorted(clashes, key=str):
+        violations.append(
+            Violation("complement-clash", f"values {value} and {c_base - value}")
+        )
+    row_sum = plan.v + sum(plan.b) + plan.w
+    if row_sum != target:
+        violations.append(Violation("row-sum", "top row", expected=target, actual=row_sum))
+    col_sum = plan.v + sum(plan.c) + (c_base - plan.w)
+    if col_sum != target:
+        violations.append(
+            Violation("column-sum", "left column", expected=target, actual=col_sum)
+        )
+    return CheckReport.from_violations(violations)
+
+
+def reference_verify_bordered(cells):
+    """``verify_bordered`` with every line and every ring pair checked one by one."""
+    violations = _square_shape_violations(cells)
+    if violations:
+        return CheckReport.from_violations(violations)
+    order = len(cells)
+    values = sorted(x for row in cells for x in row)
+    if values != list(range(1, order * order + 1)):
+        violations.append(Violation("not-permutation", f"cells are not 1..{order * order}"))
+    base = 3 if order % 2 else 4
+    pair_sum = order * order + 1
+    m = order
+    while True:
+        lo, hi = (order - m) // 2, (order + m) // 2 - 1
+        line_target = m * pair_sum // 2
+        block = [row[lo : hi + 1] for row in cells[lo : hi + 1]]
+        lines = (
+            ("row", [sum(row) for row in block]),
+            ("column", [sum(col) for col in zip(*block)]),
+        )
+        for kind, sums in lines:
+            for i, total in enumerate(sums, start=lo):
+                if total != line_target:
+                    violations.append(
+                        Violation(
+                            "subsquare-line-sum",
+                            f"order {m} {kind} {i}",
+                            expected=line_target,
+                            actual=total,
+                        )
+                    )
+        diagonals = (
+            ("main diagonal", sum(block[t][t] for t in range(m))),
+            ("anti diagonal", sum(block[t][m - 1 - t] for t in range(m))),
+        )
+        for name, total in diagonals:
+            if total != line_target:
+                violations.append(
+                    Violation(
+                        "subsquare-line-sum",
+                        f"order {m} {name}",
+                        expected=line_target,
+                        actual=total,
+                    )
+                )
+        if m < base + 2:
+            break
+        violations.extend(_facing_violations(cells, lo, hi, pair_sum, "ring-complement"))
+        m -= 2
+    return CheckReport.from_violations(violations)

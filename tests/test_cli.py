@@ -265,6 +265,32 @@ def test_enumerate_limit_spans_keys(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_enumerate_listing_spends_one_time_budget_across_keys(capsys):
+    # each of the 240 keys ends well inside 0.2 s; all of them do not
+    code, out, err = run(capsys, "enumerate", "--order", "7", "--max-seconds", "0.2")
+    assert code == 3
+    assert err.endswith("error: search budget exhausted: time limit 0.2s reached\n")
+    assert len(out.splitlines()) < 7136
+
+
+def test_enumerate_listing_spends_one_node_budget_across_keys(capsys):
+    # 317 nodes list any one key of n=4, not all of them
+    code, out, _ = run(capsys, "enumerate", "--order", "4", "--corners", "1,2",
+                       "--max-nodes", "317")
+    assert code == 0 and out
+    code, _, err = run(capsys, "enumerate", "--order", "4", "--max-nodes", "317")
+    assert code == 3 and "node limit 317 reached" in err
+    code, full, _ = run(capsys, "enumerate", "--order", "4", "--max-nodes", "7878")
+    assert code == 0
+    assert run(capsys, "enumerate", "--order", "4") == (0, full, "")
+
+
+def test_enumerate_listing_rejects_a_negative_order(capsys):
+    code, out, err = run(capsys, "enumerate", "--order=-1")
+    assert (code, out) == (1, "")
+    assert err == "error: inner order must be an integer >= 3, got -1\n"
+
+
 def test_enumerate_rejects_a_nan_time_limit(capsys):
     code, out, err = run(
         capsys, "enumerate", "--order", "4", "--corners", "1,2", "--max-seconds", "nan",
@@ -453,6 +479,21 @@ def test_enumerate_handles_odd_orders(capsys):
         capsys, "enumerate", "--order", "3", "--corners", "1,2", "--count-only"
     )
     assert code == 0 and out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("5", "error: JSON cells must be a list of rows, got 5\n"),
+        ("[5, 6, 7]", "error: JSON cells row 0 is 5, not a list of cells\n"),
+        ('["abc", "def", "ghi"]', "error: JSON cells row 0 is 'abc', not a list of cells\n"),
+    ],
+)
+def test_verify_names_json_cells_that_are_not_rows(capsys, monkeypatch, cells, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"order": 3, "cells": {cells}}}'))
+    assert run(capsys, "verify", "-") == (1, "", message)
 
 
 def test_bad_usage_exits_1(capsys):

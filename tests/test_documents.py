@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,12 @@ from magicborders.documents import (
 )
 from magicborders.verify import BorderPlan
 
-from goldens import ORDER7_FRAME_TEXT, ORDER7_PLAN
+from goldens import (
+    ORDER7_FRAME_TEXT,
+    ORDER7_PLAN,
+    reference_parse_grid,
+    reference_serialize_grid,
+)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -129,3 +136,135 @@ def test_any_plan_round_trips(n, values):
         n=n, v=values[0], w=values[-1], b=tuple(values), c=tuple(reversed(values))
     )
     assert parse_document(serialize_plan(plan)) == plan
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("5", "JSON cells must be a list of rows, got 5"),
+        ('{"a": [1]}', "JSON cells must be a list of rows, got {'a': [1]}"),
+        ('"abc"', "JSON cells must be a list of rows, got 'abc'"),
+        ("[5, 6, 7]", "JSON cells row 0 is 5, not a list of cells"),
+        ('["abc", "def", "ghi"]', "JSON cells row 0 is 'abc', not a list of cells"),
+        ("[[1, 2], {}]", "JSON cells row 1 is {}, not a list of cells"),
+    ],
+)
+def test_json_cells_that_are_not_a_list_of_lists_are_named(cells, message):
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(f'{{"order": 3, "cells": {cells}}}')
+    assert str(excinfo.value) == message
+
+
+def _outcome(parse, text):
+    """A parser's result, or the message of the DocumentError it raised."""
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+# tokens the whole-row readers take, and tokens only the per-cell reader
+# can explain: holes, quotes, booleans, floats and unreadable text
+_TOKENS = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    st.integers(min_value=0, max_value=99).map(lambda x: f"+{x}"),
+    st.sampled_from(
+        [".", "", " ", "7 ", "\t8", "\u0663\u0662", "\uff17", "1_0", "True",
+         "false", "2.5", "x", '"5"', '"1,2"', '"."', "0x1f", "--3"]
+    ),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.lists(
+            st.lists(_TOKENS, min_size=max(1, k - 1), max_size=k + 1),
+            min_size=k,
+            max_size=k,
+        )
+    ),
+    st.sampled_from([" ", "  ", "\t", ",", ", "]),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_grid_and_csv_readers_agree_with_the_per_token_reader(rows, sep, newline, blank):
+    lines = [sep.join(row) for row in rows]
+    if blank:
+        lines.insert(len(lines) // 2, " \t")
+    text = newline.join(lines) + newline
+    assert _outcome(parse_document, text) == _outcome(reference_parse_grid, text)
+
+
+_JSON_CELLS = st.one_of(
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2),
+    st.lists(st.integers(), max_size=1),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.one_of(
+                    st.lists(st.integers(min_value=-99, max_value=99), min_size=k, max_size=k),
+                    st.lists(_JSON_CELLS, min_size=k - 1, max_size=k + 1),
+                    _JSON_CELLS,
+                ),
+                min_size=k,
+                max_size=k,
+            ),
+        )
+    ),
+    st.integers(min_value=-1, max_value=1),
+)
+@settings(max_examples=300)
+def test_json_reader_agrees_with_the_per_cell_reader(order_and_rows, order_shift):
+    order, rows = order_and_rows
+    text = json.dumps({"order": order + order_shift, "cells": rows})
+    assert _outcome(parse_document, text) == _outcome(reference_parse_grid, text)
+
+
+def _square_grids(cell):
+    return st.integers(min_value=0, max_value=6).flatmap(
+        lambda k: st.lists(
+            st.lists(cell, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+
+@given(
+    st.one_of(
+        # all ints, of every width and sign: the row writers alone
+        _square_grids(
+            st.one_of(
+                st.integers(min_value=-(10**12), max_value=10**12),
+                st.integers(min_value=-9, max_value=99),
+            )
+        ),
+        # holes and booleans send their rows to the per-cell writers
+        _square_grids(
+            st.one_of(
+                st.integers(min_value=-(10**6), max_value=10**6), st.none(), st.booleans()
+            )
+        ),
+    ),
+    st.sampled_from(FORMATS),
+)
+@settings(max_examples=200)
+def test_row_writers_agree_with_the_per_cell_writers(cells, fmt):
+    assert serialize_grid(cells, fmt) == reference_serialize_grid(cells, fmt)
+
+
+@pytest.mark.parametrize("order", [3, 4, 11, 30])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_square_documents_agree_with_the_per_cell_codecs(order, fmt):
+    square = build_square(order)
+    text = serialize_grid(square, fmt)
+    assert text == reference_serialize_grid(square, fmt)
+    assert parse_document(text) == reference_parse_grid(text)

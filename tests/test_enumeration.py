@@ -16,6 +16,7 @@ from magicborders import (
     count_borders,
     count_omega,
     enumerate_omega,
+    enumerate_order,
     format_counts,
     seed_order4,
     verify_border,
@@ -144,6 +145,40 @@ def test_solution_limit_ends_the_stream_normally():
     assert len(listing(4, 2, 5)) > 2
     with pytest.raises(BudgetExhausted):
         listing(4, 2, 5, budget)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_order_listing_chains_the_key_listings(n):
+    small = 2 * n + 2
+    per_key = [
+        border
+        for v in range(1, small + 1)
+        for w in range(1, small + 1)
+        if v != w
+        for border in listing(n, v, w)
+    ]
+    assert list(enumerate_order(n)) == per_key
+
+
+def test_an_order_listing_spends_one_budget_across_its_keys():
+    # the most nodes any one key of n=4 needs, but far fewer than all keys need
+    widest = 0
+    small = 10
+    for v, w in itertools.permutations(range(1, small + 1), 2):
+        state = _BudgetState(None)
+        list(_solutions(4, v, w, state))
+        widest = max(widest, state.nodes)
+    budget = SearchBudget(max_nodes=widest)
+    for v, w in itertools.permutations(range(1, small + 1), 2):
+        listing(4, v, w, budget)
+    with pytest.raises(BudgetExhausted, match=f"node limit {widest} reached"):
+        list(enumerate_order(4, budget))
+
+
+def test_an_order_listing_checks_its_order():
+    for n in (2, 0, -1):
+        with pytest.raises(ValueError, match="inner order must be an integer >= 3"):
+            next(enumerate_order(n))
 
 
 def test_key_validation():

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from magicborders import (
     BorderPlan,
+    CheckReport,
     build_border,
     build_square,
     complement,
+    complement_base,
     d_corner,
     d_value,
     verify_border,
@@ -25,6 +27,8 @@ from goldens import (
     ALL_GOLDEN_FRAMES,
     balance_sums,
     frame_cells,
+    reference_verify_border,
+    reference_verify_bordered,
 )
 
 TABLE1_12 = BorderPlan(n=4, v=1, w=2, b=(34, 33, 32, 9), c=(6, 30, 29, 10))
@@ -228,3 +232,87 @@ def test_frame_with_broken_opposite_cell_is_rejected():
     report = verify_frame(BorderFrame(n=8, cells=tuple(tuple(r) for r in cells)))
     assert not report.valid
     assert any(x.condition == "opposite-complement" for x in report.violations)
+
+
+def _mutated(plan, index, value):
+    values = list(plan.values())
+    values[index] = value
+    n = plan.n
+    return BorderPlan(n=n, v=values[0], w=values[1], b=values[2 : n + 2], c=values[n + 2 :])
+
+
+@given(st.integers(min_value=3, max_value=40), st.data())
+@settings(max_examples=300)
+def test_verify_border_agrees_with_the_per_value_reference(n, data):
+    plan = build_border(n)
+    assert verify_border(plan) == reference_verify_border(plan) == CheckReport(valid=True)
+    values = plan.values()
+    index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+    c_base = complement_base(n)
+    value = data.draw(
+        st.one_of(
+            st.integers(min_value=-3, max_value=c_base + 3),  # in, between and beyond the pools
+            st.sampled_from(values),  # a duplicate
+            st.sampled_from([c_base - x for x in values]),  # a complement clash
+            st.booleans(),
+        )
+    )
+    mutant = _mutated(plan, index, value)
+    assert verify_border(mutant) == reference_verify_border(mutant)
+
+
+@given(st.integers(min_value=3, max_value=40), st.data())
+@settings(max_examples=300)
+def test_verify_border_agrees_with_the_reference_on_sum_preserving_edits(n, data):
+    # one value of a line moves to a drawn value and another value of the
+    # same line absorbs the difference, so both sums still hold and only
+    # the pool, duplicate and complement checks can tell
+    plan = build_border(n)
+    line = data.draw(st.sampled_from(["b", "c"]))
+    values = list(getattr(plan, line))
+    i, k = data.draw(st.permutations(range(n)))[:2]
+    c_base = complement_base(n)
+    target = data.draw(
+        st.one_of(
+            st.integers(min_value=-3, max_value=c_base + 3),
+            st.sampled_from(plan.values()),
+            st.sampled_from([c_base - x for x in plan.values()]),
+        )
+    )
+    values[k] -= target - values[i]
+    values[i] = target
+    mutant = dataclasses.replace(plan, **{line: values})
+    assert verify_border(mutant) == reference_verify_border(mutant)
+
+
+@given(st.integers(min_value=3, max_value=30), st.data())
+@settings(max_examples=100)
+def test_verify_border_agrees_with_the_reference_on_misshapen_plans(n, data):
+    plan = build_border(n)
+    b = data.draw(st.lists(st.sampled_from(plan.b), max_size=n + 1))
+    mutant = dataclasses.replace(plan, b=b)
+    assert verify_border(mutant) == reference_verify_border(mutant)
+
+
+@given(st.integers(min_value=1, max_value=24), st.data())
+@settings(max_examples=200)
+def test_verify_bordered_agrees_with_the_per_cell_reference_on_swaps(order, data):
+    cells = build_square(order) if order >= 3 else [[1]] if order == 1 else [[1, 2], [3, 4]]
+    assert verify_bordered(cells) == reference_verify_bordered(cells)
+    cell = st.tuples(
+        st.integers(min_value=0, max_value=order - 1), st.integers(min_value=0, max_value=order - 1)
+    )
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        (i1, j1), (i2, j2) = data.draw(cell), data.draw(cell)
+        cells[i1][j1], cells[i2][j2] = cells[i2][j2], cells[i1][j1]
+    if data.draw(st.booleans()):
+        i, j = data.draw(cell)
+        x = cells[i][j]
+        cells[i][j] = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=order * order + 1),
+                # equal to the cell, or not, without being an int
+                st.sampled_from([float(x), x + 0.5, x == 1]),
+            )
+        )
+    assert verify_bordered(cells).violations == reference_verify_bordered(cells).violations
