@@ -16,7 +16,6 @@ from magicborders.documents import DocumentError, GridDocument, parse_document
 from magicborders.verify import (
     CheckReport,
     Violation,
-    _facing_violations,
     _square_shape_violations,
 )
 
@@ -320,53 +319,87 @@ def reference_verify_border(plan):
     return CheckReport.from_violations(violations)
 
 
-def reference_verify_bordered(cells):
-    """``verify_bordered`` with every line and every ring pair checked one by one."""
+def reference_verify_bordered(cells) -> CheckReport:
+    """``verify_bordered`` with every subsquare re-summed and every ring pair
+    checked one by one, at orders 3 and up."""
     violations = _square_shape_violations(cells)
     if violations:
         return CheckReport.from_violations(violations)
     order = len(cells)
-    values = sorted(x for row in cells for x in row)
-    if values != list(range(1, order * order + 1)):
-        violations.append(Violation("not-permutation", f"cells are not 1..{order * order}"))
+
+    flat = [x for row in cells for x in row]
+    if sorted(flat) != list(range(1, order * order + 1)):
+        violations.append(
+            Violation("not-permutation", f"cells are not 1..{order * order}")
+        )
+
     base = 3 if order % 2 else 4
     pair_sum = order * order + 1
     m = order
-    while True:
-        lo, hi = (order - m) // 2, (order + m) // 2 - 1
+    while m >= base:
+        k = (order - m) // 2
         line_target = m * pair_sum // 2
-        block = [row[lo : hi + 1] for row in cells[lo : hi + 1]]
-        lines = (
-            ("row", [sum(row) for row in block]),
-            ("column", [sum(col) for col in zip(*block)]),
-        )
-        for kind, sums in lines:
-            for i, total in enumerate(sums, start=lo):
-                if total != line_target:
-                    violations.append(
-                        Violation(
-                            "subsquare-line-sum",
-                            f"order {m} {kind} {i}",
-                            expected=line_target,
-                            actual=total,
-                        )
-                    )
-        diagonals = (
-            ("main diagonal", sum(block[t][t] for t in range(m))),
-            ("anti diagonal", sum(block[t][m - 1 - t] for t in range(m))),
-        )
-        for name, total in diagonals:
-            if total != line_target:
+        rows = range(k, k + m)
+        for i in rows:
+            s = sum(cells[i][j] for j in rows)
+            if s != line_target:
                 violations.append(
                     Violation(
                         "subsquare-line-sum",
-                        f"order {m} {name}",
+                        f"order {m} row {i}",
                         expected=line_target,
-                        actual=total,
+                        actual=s,
                     )
                 )
-        if m < base + 2:
-            break
-        violations.extend(_facing_violations(cells, lo, hi, pair_sum, "ring-complement"))
+        for j in rows:
+            s = sum(cells[i][j] for i in rows)
+            if s != line_target:
+                violations.append(
+                    Violation(
+                        "subsquare-line-sum",
+                        f"order {m} column {j}",
+                        expected=line_target,
+                        actual=s,
+                    )
+                )
+        diag = sum(cells[k + t][k + t] for t in range(m))
+        if diag != line_target:
+            violations.append(
+                Violation(
+                    "subsquare-line-sum",
+                    f"order {m} main diagonal",
+                    expected=line_target,
+                    actual=diag,
+                )
+            )
+        anti = sum(cells[k + t][k + m - 1 - t] for t in range(m))
+        if anti != line_target:
+            violations.append(
+                Violation(
+                    "subsquare-line-sum",
+                    f"order {m} anti diagonal",
+                    expected=line_target,
+                    actual=anti,
+                )
+            )
+        if m >= base + 2:
+            # each ring cell faces one partner: the far end of its column for
+            # top/bottom cells, of its row for left/right cells, and the
+            # diagonally opposite corner for corners
+            lo, hi = k, k + m - 1
+            facing = [((lo, lo), (hi, hi)), ((lo, hi), (hi, lo))]
+            facing += [((lo, j), (hi, j)) for j in range(lo + 1, hi)]
+            facing += [((i, lo), (i, hi)) for i in range(lo + 1, hi)]
+            for (i1, j1), (i2, j2) in facing:
+                total = cells[i1][j1] + cells[i2][j2]
+                if total != pair_sum:
+                    violations.append(
+                        Violation(
+                            "ring-complement",
+                            f"cells ({i1},{j1}) and ({i2},{j2})",
+                            expected=pair_sum,
+                            actual=total,
+                        )
+                    )
         m -= 2
     return CheckReport.from_violations(violations)

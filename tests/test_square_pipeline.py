@@ -1,8 +1,8 @@
 """The ring-by-ring square pipeline against the references it replaced.
 
 ``reference_build_square`` wraps the order N-2 square recursively and
-``reference_verify_bordered`` re-sums every concentric subsquare from
-scratch.  Both are O(N^3) and kept here only as oracles: the library's
+``goldens.reference_verify_bordered`` re-sums every concentric subsquare
+from scratch.  Both are O(N^3) and kept only as oracles: the library's
 ``build_square`` must return the same grid and ``verify_bordered`` the same
 report, violation for violation.
 
@@ -38,6 +38,8 @@ from magicborders import (
 from magicborders.assemble import base_square, layer_plans
 from magicborders.verify import _square_shape_violations
 
+from goldens import reference_verify_bordered
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -53,90 +55,6 @@ def reference_build_square(order: int) -> list[list[int]]:
         for j, value in enumerate(row, start=1):
             cells[i][j] = value + shift
     return cells
-
-
-def reference_verify_bordered(cells) -> CheckReport:
-    violations = _square_shape_violations(cells)
-    if violations:
-        return CheckReport.from_violations(violations)
-    order = len(cells)
-
-    flat = [x for row in cells for x in row]
-    if sorted(flat) != list(range(1, order * order + 1)):
-        violations.append(
-            Violation("not-permutation", f"cells are not 1..{order * order}")
-        )
-
-    base = 3 if order % 2 else 4
-    pair_sum = order * order + 1
-    m = order
-    while m >= base:
-        k = (order - m) // 2
-        line_target = m * pair_sum // 2
-        rows = range(k, k + m)
-        for i in rows:
-            s = sum(cells[i][j] for j in rows)
-            if s != line_target:
-                violations.append(
-                    Violation(
-                        "subsquare-line-sum",
-                        f"order {m} row {i}",
-                        expected=line_target,
-                        actual=s,
-                    )
-                )
-        for j in rows:
-            s = sum(cells[i][j] for i in rows)
-            if s != line_target:
-                violations.append(
-                    Violation(
-                        "subsquare-line-sum",
-                        f"order {m} column {j}",
-                        expected=line_target,
-                        actual=s,
-                    )
-                )
-        diag = sum(cells[k + t][k + t] for t in range(m))
-        if diag != line_target:
-            violations.append(
-                Violation(
-                    "subsquare-line-sum",
-                    f"order {m} main diagonal",
-                    expected=line_target,
-                    actual=diag,
-                )
-            )
-        anti = sum(cells[k + t][k + m - 1 - t] for t in range(m))
-        if anti != line_target:
-            violations.append(
-                Violation(
-                    "subsquare-line-sum",
-                    f"order {m} anti diagonal",
-                    expected=line_target,
-                    actual=anti,
-                )
-            )
-        if m >= base + 2:
-            # each ring cell faces one partner: the far end of its column for
-            # top/bottom cells, of its row for left/right cells, and the
-            # diagonally opposite corner for corners
-            lo, hi = k, k + m - 1
-            facing = [((lo, lo), (hi, hi)), ((lo, hi), (hi, lo))]
-            facing += [((lo, j), (hi, j)) for j in range(lo + 1, hi)]
-            facing += [((i, lo), (i, hi)) for i in range(lo + 1, hi)]
-            for (i1, j1), (i2, j2) in facing:
-                total = cells[i1][j1] + cells[i2][j2]
-                if total != pair_sum:
-                    violations.append(
-                        Violation(
-                            "ring-complement",
-                            f"cells ({i1},{j1}) and ({i2},{j2})",
-                            expected=pair_sum,
-                            actual=total,
-                        )
-                    )
-        m -= 2
-    return CheckReport.from_violations(violations)
 
 
 def reference_render_frame(plan: BorderPlan) -> BorderFrame:

@@ -294,10 +294,10 @@ def test_verify_border_agrees_with_the_reference_on_misshapen_plans(n, data):
     assert verify_border(mutant) == reference_verify_border(mutant)
 
 
-@given(st.integers(min_value=1, max_value=24), st.data())
+@given(st.integers(min_value=3, max_value=24), st.data())
 @settings(max_examples=200)
 def test_verify_bordered_agrees_with_the_per_cell_reference_on_swaps(order, data):
-    cells = build_square(order) if order >= 3 else [[1]] if order == 1 else [[1, 2], [3, 4]]
+    cells = build_square(order)
     assert verify_bordered(cells) == reference_verify_bordered(cells)
     cell = st.tuples(
         st.integers(min_value=0, max_value=order - 1), st.integers(min_value=0, max_value=order - 1)
