@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Timing and size report across orders: construction, assembly, documents,
-enumeration.
+"""Timing and size report across orders: construction, corner construction,
+assembly, documents, enumeration.
 
 Everything here is deterministic; rerun after engine changes to spot
 regressions in the growth curves.
@@ -11,6 +11,7 @@ import time
 from magicborders import (
     build_border,
     build_square,
+    construct_with_corners,
     count_omega,
     enumerate_order,
     verify_border,
@@ -36,6 +37,14 @@ def main() -> None:
         report, t_check = timed(verify_border, plan)
         assert report.valid
         print(f"  n={n:>5}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
+
+    print("corner-prescribed borders, best of 3: (n; 1, 2) and the gap pair (n; 1, 2n+2)")
+    for n in (400, 4000, 40000):
+        times = []
+        for corners in ((1, 2), (1, 2 * n + 2)):
+            best = min(timed(construct_with_corners, n, *corners)[1] for _ in range(3))
+            times.append(f"{corners[0]},{corners[1]} {best * 1e3:8.2f} ms")
+        print(f"  n={n:>5}: " + "   ".join(times))
 
     print("full bordered squares")
     for order in (10, 20, 40, 80, 200, 400, 2003):

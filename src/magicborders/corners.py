@@ -3,19 +3,24 @@
 For even n, small corners (both in 1..2n+2) admit a magic border exactly
 when they have opposite parity.  Construction never searches.  It starts
 from a literal seed, an order-4 border from the paper's table or an
-order-6 border from a table of first search results, and grows it four
-orders at a time with one of two steps:
+order-6 border from a table of first search results, takes the seed's
+two-column diagram (see :mod:`magicborders.construct`) and grows it four
+orders at a time with one of two edits to the diagram's picks:
 
-- the +4 extension (:func:`extend_border`) adds eight diagram rows above
-  and below the existing ones, shifting both corners by 0..8;
-- block insertion (:func:`insert_block`) adds eight rows between the
+- the +4 extension (:func:`extend_border`) adds eight fixed rows, the
+  first ``shift`` of them above the existing rows and the rest below, so
+  both corners rise by the shift (0..8);
+- block insertion splices one of nine eight-row blocks in between the
   corners' rows, so v stays and w rises by 8.  It covers the 20 "gap"
   pairs per order that no extension reaches, and a gap pair (v, w) at
   order n comes from the gap pair (v, w-8) at order n-4.
 
-Both steps keep the invariant behind validity at even order: every line
+Both edits keep the invariant behind validity at even order: every line
 holds as many small as large values, and the rows of its small values
-sum to the rows of its large ones.
+sum to the rows of its large ones.  A build replays its whole chain of
+edits on the seed's picks and reads the one resulting diagram, so it
+costs O(n), and a border with small ascending corners lists each line in
+diagram row order; other corners get its symmetry image.
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
 is kept as an artifact for ``tables --check``: its entries are data, not
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .construct import _BLOCKS, _diagram, _picks
 from .core import (
     InfeasibleCornersError,
     check_corners,
@@ -191,9 +197,32 @@ def missing_pairs(m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-# --- extension -------------------------------------------------------------
+# --- the two steps, as diagram edits -----------------------------------------
 
-_EXTENSION_UNITS = (("b", True), ("b", False), ("c", False), ("c", True))
+# two top-row pairs (rows 1 & 2, 4 & 3), then two column pairs (6 & 5,
+# 7 & 8), deviating -1, +1 on each line
+_EXTENSION = "LbRbRbLbRcLcLcRc"
+
+# The eight rows a block insertion splices in at row t, keyed by what
+# moving rows t onward 8 rows later did to each line: e counts the line's
+# moved small values minus its moved large ones, so the move shifted the
+# line's signed row sum by 8e.  Each block puts two small and two large
+# values on each line, at offsets 0..7 whose signed sum there is -8e.
+_BLOCK = {
+    (0, 0): _BLOCKS,
+    (1, 1): "LbLcLcLbRbRcRcRb",
+    (-1, -1): "RbRcRcRbLbLcLcLb",
+    (1, -1): "LbLbRcRcRbRbLcLc",
+    (-1, 1): "LcLcRbRbRcRcLbLb",
+    (1, 0): "LbLbRbLcRcRcLcRb",
+    (-1, 0): "RbLcRcRcLcRbLbLb",
+    (0, 1): "LcLcRcLbRbRbLbRc",
+    (0, -1): "RcLbRbRbLbRcLcLc",
+}
+
+# (top row, left column) count of one pick after row v; the corner w is
+# small in the top row and its complement closes the left column
+_COUNTS = {"Lb": (1, 0), "Rb": (-1, 0), "Lc": (0, 1), "Rc": (0, -1), "Lw": (1, -1)}
 
 
 def _extension_shift(n: int, v: int, w: int) -> int | None:
@@ -222,116 +251,11 @@ def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
         raise ValueError(
             f"corners must be small (left-column) values to shift, got ({plan.v}, {plan.w})"
         )
-
-    new_n = n + 4
-    delta = complement_base(new_n) - complement_base(n)
-    c_new = complement_base(new_n)
-
-    def moved(x: int) -> int:
-        return x + shift if x <= small else x + delta - shift
-
-    new_b = [moved(x) for x in plan.b]
-    new_c = [moved(x) for x in plan.c]
-
-    deviations = {"b": 0, "c": 0}
-    prepended = shift // 2
-    for unit, (label, left_first) in enumerate(_EXTENSION_UNITS):
-        if unit < prepended:
-            a = 2 * unit + 1
-        else:
-            a = (2 * n + 2 + shift) + 2 * (unit - prepended) + 1
-        if left_first:
-            x, y = a, c_new - (a + 1)
-        else:
-            x, y = a + 1, c_new - a
-        deviations[label] += x + y - c_new
-        (new_b if label == "b" else new_c).extend((x, y))
-    if deviations != {"b": 0, "c": 0}:
-        raise RuntimeError(f"extension rows failed to balance: {deviations}")
-
-    return BorderPlan(
-        n=new_n, v=plan.v + shift, w=plan.w + shift, b=tuple(new_b), c=tuple(new_c)
-    )
-
-
-# Offsets of the eight inserted rows, given what the shift of the rows at
-# and above the insertion point did to each line: e counts that line's
-# shifted small values minus its shifted large ones, so the shift moved
-# the line's signed row sum by 8e.  Each entry hands 0..7 out as (top
-# small, top large, left small, left large) pairs whose signed offset sums
-# are -8*e_top and -8*e_left.
-_BLOCK_SPLITS = {
-    (0, 0): ((0, 3), (1, 2), (4, 7), (5, 6)),
-    (1, 1): ((0, 3), (4, 7), (1, 2), (5, 6)),
-    (-1, -1): ((4, 7), (0, 3), (5, 6), (1, 2)),
-    (1, -1): ((0, 1), (4, 5), (6, 7), (2, 3)),
-    (-1, 1): ((6, 7), (2, 3), (0, 1), (4, 5)),
-    (1, 0): ((0, 1), (2, 7), (3, 6), (4, 5)),
-    (-1, 0): ((6, 7), (0, 5), (1, 4), (2, 3)),
-    (0, 1): ((3, 6), (4, 5), (0, 1), (2, 7)),
-    (0, -1): ((1, 4), (2, 3), (6, 7), (0, 5)),
-}
-
-
-def insert_block(plan: BorderPlan) -> BorderPlan:
-    """Grow a valid even border with small corners v < w by +4, to corners (v, w+8).
-
-    Eight new diagram rows go in at the lowest row t with v < t <= w that
-    balances: every row from t up (the corner w's included) moves up by
-    8, and the new rows t..t+7 go four to the top row and four to the
-    left column, two on each side.  A valid even line holds as many small
-    as large values, with equal row sums on both sides; the move shifts
-    that row difference by 8e for the line's count e of moved small
-    minus moved large values, and the new rows cancel it for |e| <= 1.
-    """
-    n = check_inner_order(plan.n)
-    if n % 2:
-        raise ValueError("only even borders take a block: odd ones cannot split evenly")
-    small = 2 * n + 2
-    v, w = plan.v, plan.w
-    if not 1 <= v < w <= small:
-        raise ValueError(f"block insertion needs small corners v < w, got ({v}, {w})")
-    c_old = complement_base(n)
-
-    # per diagram row: +1 for a small value, -1 for a large one, per line;
-    # the corner w is small in the top row and its complement closes the
-    # left column
-    top = [0] * (small + 1)
-    left = [0] * (small + 1)
-    for counts, values in ((top, plan.b), (left, plan.c)):
-        for x in values:
-            if x <= small:
-                counts[x] += 1
-            else:
-                counts[c_old - x] -= 1
-    top[w] += 1
-    left[w] -= 1
-
-    e_top, e_left = sum(top[v + 1 :]), sum(left[v + 1 :])
-    for t in range(v + 1, w + 1):
-        split = _BLOCK_SPLITS.get((e_top, e_left))
-        if split is not None:
-            break
-        e_top -= top[t]
-        e_left -= left[t]
-    else:
-        raise RuntimeError(f"no insertion row balances the border with corners ({v}, {w})")
-
-    new_n = n + 4
-    c_new = complement_base(new_n)
-
-    def moved(x: int) -> int:
-        if x <= small:
-            return x + 8 if x >= t else x
-        row = c_old - x
-        return c_new - (row + 8 if row >= t else row)
-
-    top_small, top_large, left_small, left_large = split
-    new_b = [moved(x) for x in plan.b]
-    new_b += [t + a for a in top_small] + [c_new - t - a for a in top_large]
-    new_c = [moved(x) for x in plan.c]
-    new_c += [t + a for a in left_small] + [c_new - t - a for a in left_large]
-    return BorderPlan(n=new_n, v=v, w=w + 8, b=tuple(new_b), c=tuple(new_c))
+    report = verify_border(plan)
+    if not report.valid:
+        raise ValueError(f"only a valid border extends: {report.violations[0]}")
+    picks = "".join(_picks(plan))
+    return _diagram(n + 4, _EXTENSION[: 2 * shift] + picks + _EXTENSION[2 * shift :])
 
 
 # --- parameterized seeds with classification -------------------------------
@@ -421,8 +345,8 @@ def audit_order_m(m: int) -> list[SeedAudit]:
 def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     """The border with small corners v < w, grown from a seed without search."""
     # walk down to a seed, noting each step (an extension shift, or None
-    # for a block insertion), then replay the steps upward
-    steps = []
+    # for a block insertion)
+    order, steps = n, []
     while n > 6:
         shift = _extension_shift(n, v, w)
         steps.append(shift)
@@ -433,14 +357,38 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
             w -= shift
         n -= 4
     if n == 6:
-        plan = _seed_data()[0][6][(v, w)]
+        seed = _picks(_seed_data()[0][6][(v, w)])
     elif v % 2:
-        plan = seed_order4(v, w)
+        seed = _picks(seed_order4(v, w))
     else:
-        plan = apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL)
+        seed = _picks(apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL))
+
+    # replay the steps upward on the picks.  Extensions add rows before and
+    # after everything, and a block goes in just after row v of the seed,
+    # which nothing after it moves; so the picks are head chunks, the seed's
+    # rows up to v, the rows after v (a stack, next row last) and tail
+    # chunks.  Blocks and extension rows add as many small as large values
+    # to each line, so the counts over all rows after v stay the seed's.
+    head, tail = [], []
+    after = seed[v:][::-1]
+    e_top = sum(_COUNTS[pick][0] for pick in after)
+    e_left = sum(_COUNTS[pick][1] for pick in after)
     for shift in reversed(steps):
-        plan = insert_block(plan) if shift is None else extend_border(plan, shift)
-    return plan
+        if shift is not None:
+            head.append(_EXTENSION[: 2 * shift])
+            tail.append(_EXTENSION[2 * shift :])
+            continue
+        # the block goes in at the first row t > v that balances
+        passed, e = [], (e_top, e_left)
+        while e not in _BLOCK:
+            pick = after.pop()
+            if pick == "Lw":
+                raise RuntimeError(f"no insertion row balances the border with corners ({v}, {w})")
+            passed.append(pick)
+            e = (e[0] - _COUNTS[pick][0], e[1] - _COUNTS[pick][1])
+        block = _BLOCK[e]
+        after += [block[i : i + 2] for i in range(14, -1, -2)] + passed[::-1]
+    return _diagram(order, "".join([*head[::-1], *seed[:v], *after[::-1], *tail]))
 
 
 # keyed by (v is large, w is large)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,22 +16,23 @@ from magicborders import (
     verify_border,
 )
 from magicborders import corners, enumeration
-from magicborders.core import complement_base, row_of
+from magicborders.construct import _diagram, _picks
+from magicborders.core import complement_base
 from magicborders.corners import (
-    _BLOCK_SPLITS,
+    _BLOCK,
+    _extension_shift,
     audit_order4,
     audit_order_m,
     block_sets,
     corners_feasible,
     eval_poly,
-    insert_block,
     missing_pairs,
     order4_table,
     parameterized_table,
     seed_order_m_audit,
 )
 from magicborders.documents import parse_document
-from magicborders.transform import REFLECT_VERTICAL, apply_symmetry
+from magicborders.verify import BorderPlan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -113,6 +115,15 @@ def test_extension_rejects_bad_inputs():
         extend_border(build_border(7), 2)
 
 
+def test_extension_rejects_a_malformed_plan_naming_its_first_violation():
+    doubled = BorderPlan(4, 1, 2, (34, 34, 32, 9), (6, 30, 29, 10))
+    short = BorderPlan(4, 1, 2, (34, 33, 32), (6, 30, 29, 10))
+    for plan in (doubled, short):
+        first = str(verify_border(plan).violations[0])
+        with pytest.raises(ValueError, match=re.escape(first)):
+            extend_border(plan, 0)
+
+
 def test_block_sets_sizes_and_membership():
     b, c = block_sets(8)
     assert b == () and c == ()
@@ -190,7 +201,8 @@ def test_seed_order_m_rejects_pairs_outside_the_gap_list():
 
 
 def test_construct_reference_cases():
-    assert construct_with_corners(4, 1, 4) == seed_order4(1, 4)
+    built = construct_with_corners(4, 1, 4)
+    assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(seed_order4(1, 4))
     plan = construct_with_corners(8, 3, 4)
     assert (plan.v, plan.w) == (3, 4) and verify_border(plan).valid
     plan = construct_with_corners(6, 1, 2)
@@ -254,63 +266,54 @@ def test_every_order6_literal_is_the_first_border_the_search_finds():
     }
     for (v, w), plan in table.items():
         assert plan == next(enumerate_omega(OmegaKey(6, v, w))).to_plan(), (v, w)
-        assert construct_with_corners(6, v, w) == plan
+        built = construct_with_corners(6, v, w)
+        assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(plan)
 
 
-def test_block_splits_hand_out_the_eight_rows_and_cancel_each_shift():
-    assert set(_BLOCK_SPLITS) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
-    for (e_top, e_left), split in _BLOCK_SPLITS.items():
-        top_small, top_large, left_small, left_large = split
-        assert sorted(top_small + top_large + left_small + left_large) == list(range(8))
-        assert sum(top_small) - sum(top_large) == -8 * e_top
-        assert sum(left_small) - sum(left_large) == -8 * e_left
+def _ascending_pairs(n):
+    small = 2 * n + 2
+    return [(v, w) for v in range(1, small + 1) for w in range(v + 1, small + 1) if (v + w) % 2]
 
 
-def _insertion_inputs():
-    """The borders a block goes into: (v, w - 8) at order m - 4 for each gap pair (v, w) at m."""
-    return [
-        construct_with_corners(m - 4, v, w - 8)
-        for m in (8, 10, 12, 14, 20, 26)
-        for v, w in missing_pairs(m)
-    ]
+def test_small_corner_builds_list_their_lines_in_diagram_row_order():
+    for n in range(4, 17, 2):
+        for v, w in _ascending_pairs(n):
+            plan = construct_with_corners(n, v, w)
+            assert _diagram(n, "".join(_picks(plan))) == plan, (n, v, w)
 
 
-def test_insert_block_keeps_v_raises_w_by_eight_and_adds_one_run_of_rows():
-    for plan in _insertion_inputs():
-        n = plan.n
-        grown = insert_block(plan)
-        assert verify_border(grown).valid, plan
-        assert (grown.n, grown.v, grown.w) == (n + 4, plan.v, plan.w + 8)
-
-        # the new values are appended to both lines and fill one run of rows
-        added = grown.b[len(plan.b) :] + grown.c[len(plan.c) :]
-        assert len(grown.b) - len(plan.b) == len(grown.c) - len(plan.c) == 4
-        t = min(row_of(x, n + 4) for x in added)
-        assert sorted(row_of(x, n + 4) for x in added) == list(range(t, t + 8))
-        assert plan.v < t <= plan.w
-        # below t nothing moves, and every old value from row t up moves
-        # up 8 rows, keeping its side and its place in its line
-        delta = complement_base(n + 4) - complement_base(n)
-        small = 2 * n + 2
-
-        def moved(x):
-            shift = 8 if row_of(x, n) >= t else 0
-            return x + shift if x <= small else x + delta - shift
-
-        assert grown.b[: len(plan.b)] == tuple(map(moved, plan.b))
-        assert grown.c[: len(plan.c)] == tuple(map(moved, plan.c))
+def test_blocks_hand_out_the_eight_rows_and_cancel_each_shift():
+    assert set(_BLOCK) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    for (e_top, e_left), block in _BLOCK.items():
+        picks = [block[i : i + 2] for i in range(0, len(block), 2)]
+        assert sorted(picks) == sorted(["Lb", "Rb", "Lc", "Rc"] * 2)
+        for line, e in (("b", e_top), ("c", e_left)):
+            signed = [a if side == "L" else -a for a, (side, x) in enumerate(picks) if x == line]
+            assert sum(signed) == -8 * e, block
 
 
-def test_insert_block_rejects_what_it_cannot_grow():
-    plan = seed_order4(1, 2)
-    with pytest.raises(ValueError):
-        insert_block(apply_symmetry(plan, REFLECT_VERTICAL))  # v > w
-    with pytest.raises(ValueError):
-        insert_block(construct_with_corners(4, 1, 27))  # large w
-    from magicborders import build_border
+def test_extension_builds_extend_the_build_four_orders_down():
+    for n in range(8, 31, 2):
+        for v, w in _ascending_pairs(n):
+            j = _extension_shift(n, v, w)
+            if j is None:
+                continue
+            assert construct_with_corners(n, v, w) == extend_border(
+                construct_with_corners(n - 4, v - j, w - j), j
+            ), (n, v, w)
 
-    with pytest.raises(ValueError):
-        insert_block(build_border(7))
+
+def test_gap_builds_splice_one_block_into_the_build_four_orders_down():
+    blocks = [[block[i : i + 2] for i in range(0, 16, 2)] for block in _BLOCK.values()]
+    for n in range(8, 31, 2):
+        for v, w in missing_pairs(n):
+            grown = _picks(construct_with_corners(n, v, w))
+            base = _picks(construct_with_corners(n - 4, v, w - 8))
+            assert any(
+                grown == base[: t - 1] + block + base[t - 1 :]
+                for t in range(v + 1, w - 8 + 1)
+                for block in blocks
+            ), (n, v, w)
 
 
 def _four_images(n, v, w):
@@ -358,21 +361,22 @@ def test_gap_pairs_chain_down_to_gap_pairs():
 
 
 def test_long_corner_chains_do_not_recurse():
-    script = (
-        "import sys\n"
-        "from magicborders.cli import main\n"
-        "sys.setrecursionlimit(60)\n"
-        "sys.exit(main(['build', '--order', '4000', '--border-only', "
-        "'--corners', '1,2', '--format', 'json']))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    plan = parse_document(result.stdout)
-    assert (plan.n, plan.v, plan.w) == (4000, 1, 2)
-    assert verify_border(plan).valid
+    for order, v, w in ((4000, 1, 2), (40000, 1, 2), (40002, 1, 80006)):
+        script = (
+            "import sys\n"
+            "from magicborders.cli import main\n"
+            "sys.setrecursionlimit(60)\n"
+            f"sys.exit(main(['build', '--order', '{order}', '--border-only', "
+            f"'--corners', '{v},{w}', '--format', 'json']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        plan = parse_document(result.stdout)
+        assert (plan.n, plan.v, plan.w) == (order, v, w)
+        assert verify_border(plan).valid
