@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Timing and size report across orders: construction, corner construction,
-assembly, documents, enumeration.
+"""Timing and size report across orders: cold start, construction, corner
+construction, assembly, documents, enumeration.
 
 Everything here is deterministic; rerun after engine changes to spot
-regressions in the growth curves.
+regressions in the growth curves.  The cold-start section launches fresh
+interpreters on the ``src`` tree next to this script.
 """
 
+import os
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from magicborders import (
     build_border,
@@ -19,6 +25,20 @@ from magicborders import (
 )
 from magicborders.documents import FORMATS, parse_document, serialize_grid
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+COLD_LAUNCHES = 11
+# the import and the lazy set-up every command pays, timed inside the process
+SET_UP = """
+import sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import magicborders.cli
+from magicborders import build_border, construct_with_corners
+build_border(3)
+construct_with_corners(4, 1, 2)
+print(time.perf_counter() - start)
+"""
+
 
 def timed(fn, *args):
     start = time.perf_counter()
@@ -30,7 +50,35 @@ def listed_total(n):
     return sum(1 for _ in enumerate_order(n))
 
 
+def launch_ms(argv, env) -> float:
+    start = time.perf_counter()
+    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, env=env)
+    return (time.perf_counter() - start) * 1e3
+
+
+def cold_start() -> None:
+    print(f"cold start, median of {COLD_LAUNCHES} fresh launches")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    set_up, build, bare = [], [], []
+    # one launch of each kind per round, so a slow phase of the host hits all three
+    for _ in range(COLD_LAUNCHES):
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", SET_UP, str(SRC)],
+            check=True, capture_output=True, text=True,
+        )
+        set_up.append(float(run.stdout) * 1e3)
+        build.append(
+            launch_ms([sys.executable, "-m", "magicborders", "build", "--order", "9"], env)
+        )
+        bare.append(launch_ms([sys.executable, "-c", "pass"], env))
+    print(f"  import + set-up (python -I, in-process): {statistics.median(set_up):7.2f} ms")
+    print(f"  python -m magicborders build --order 9:  {statistics.median(build):7.2f} ms")
+    print(f"  bare interpreter (python -c pass):        {statistics.median(bare):7.2f} ms")
+
+
 def main() -> None:
+    cold_start()
+
     print("border construction + verification")
     for n in (10, 50, 100, 500, 1000, 5000):
         plan, t_build = timed(build_border, n)
@@ -60,7 +108,7 @@ def main() -> None:
         for fmt in FORMATS:
             text, t_write = timed(serialize_grid, square, fmt)
             doc, t_read = timed(parse_document, text)
-            assert doc.as_square() == square
+            assert list(map(list, doc.cells)) == square
             timings.append(f"{fmt} {t_write * 1e3:7.1f} + {t_read * 1e3:7.1f} ms")
         print(f"  N={order:>4}: " + "   ".join(timings))
 

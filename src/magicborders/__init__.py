@@ -13,8 +13,6 @@ from .core import (
     border_pool,
     complement,
     complement_base,
-    d_corner,
-    d_value,
     magic_constant,
 )
 from .corners import construct_with_corners, extend_border, seed_order4
@@ -63,8 +61,6 @@ __all__ = [
     "construct_with_corners",
     "count_borders",
     "count_omega",
-    "d_corner",
-    "d_value",
     "enumerate_omega",
     "enumerate_order",
     "extend_border",

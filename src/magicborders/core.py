@@ -102,23 +102,3 @@ def row_of(x: int, n: int) -> int:
     _check_pool(x, n)
     return x if x <= 2 * n + 2 else complement_base(n) - x
 
-
-def d_value(x: int, y: int, n: int) -> int:
-    """Deviation of the pair (x, y) from a complementary pair's sum.
-
-    Equals row(x) - row(y) when x is a left value and y a right value.
-    """
-    _check_pool(x, n)
-    _check_pool(y, n)
-    return x + y - complement_base(n)
-
-
-def d_corner(v: int, n: int) -> int:
-    """Half-pair deviation of a lone corner value; defined for odd n only.
-
-    Total on integers: callers enforce pool membership where it matters.
-    """
-    check_inner_order(n)
-    if n % 2 == 0:
-        raise ValueError(f"corner deviation requires an odd inner order, got {n}")
-    return v - complement_base(n) // 2

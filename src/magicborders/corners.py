@@ -32,7 +32,7 @@ construction above.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
@@ -55,7 +55,7 @@ from .transform import (
     apply_symmetry,
     compose,
 )
-from .verify import BorderPlan, CheckReport, verify_border
+from .verify import BorderPlan, verify_border
 
 
 def corners_feasible(n: int, v: int, w: int) -> bool:
@@ -101,14 +101,10 @@ def eval_poly(expr: str, m: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(namedtuple("Table2Row", "v w_expr b_exprs c_exprs")):
     """One parameterized seed entry: corner v, and w/b/c as polynomials in m."""
 
-    v: int
-    w_expr: str
-    b_exprs: tuple[str, ...]
-    c_exprs: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def row_id(self) -> str:
@@ -261,17 +257,15 @@ def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
 # --- parameterized seeds with classification -------------------------------
 
 
-@dataclass(frozen=True)
-class SeedAudit:
-    """Outcome of instantiating one seed entry and pushing it through the verifier."""
+class SeedAudit(namedtuple("SeedAudit", "row_id m v w status plan raw_report")):
+    """Outcome of instantiating one seed entry and pushing it through the verifier.
 
-    row_id: str
-    m: int
-    v: int
-    w: int
-    status: str  # "valid" | "invalid" | "repaired" | "rebuilt"
-    plan: BorderPlan
-    raw_report: CheckReport
+    ``status`` is "valid", "invalid", "repaired" or "rebuilt"; ``plan`` is
+    the plan after any repair, ``raw_report`` the verdict on the entry as
+    printed.
+    """
+
+    __slots__ = ()
 
 
 def _repair_single_substitution(plan: BorderPlan) -> BorderPlan | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .verify import BorderFrame, BorderPlan, misplaced_cells
 
@@ -28,11 +28,10 @@ class DocumentError(ValueError):
     """Input text is not a readable grid or plan document."""
 
 
-@dataclass(frozen=True)
-class GridDocument:
+class GridDocument(namedtuple("GridDocument", "cells")):
     """A parsed square grid, possibly with empty interior cells."""
 
-    cells: tuple[tuple[int | None, ...], ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -40,11 +39,6 @@ class GridDocument:
 
     def is_complete(self) -> bool:
         return not any(None in row for row in self.cells)
-
-    def as_square(self) -> list[list[int]]:
-        if not self.is_complete():
-            raise DocumentError("grid has empty cells; expected a full square")
-        return [list(row) for row in self.cells]
 
     def as_frame(self) -> BorderFrame:
         order = self.order

@@ -51,7 +51,7 @@ calls.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Iterator
 
@@ -66,17 +66,13 @@ from .core import (
 from .verify import BorderPlan
 
 
-@dataclass(frozen=True)
-class OmegaKey:
+class OmegaKey(namedtuple("OmegaKey", "n v w")):
     """Corner assignment naming one set of magic borders: inner order n, upper corners v and w."""
 
-    n: int
-    v: int
-    w: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_nodes max_seconds")):
     """Limits on one search call, shared by both engines; None means unlimited.
 
     A backtracker node or a counter state costs one node.  Going past
@@ -85,38 +81,41 @@ class SearchBudget:
     when its reader stops, and a count must see every border.
     """
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_seconds"):
-            value = getattr(self, name)
+    def __new__(
+        cls, max_nodes: int | None = None, max_seconds: float | None = None
+    ) -> "SearchBudget":
+        for name, value in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
             # "not > 0" also rejects NaN, which no elapsed time exceeds
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive or None, got {value!r}")
+        return tuple.__new__(cls, (max_nodes, max_seconds))
+
+    @classmethod
+    def _make(cls, iterable) -> "SearchBudget":  # so that _replace checks too
+        return cls(*iterable)
 
 
 class BudgetExhausted(RuntimeError):
     """Search stopped before exploring the whole space."""
 
 
-@dataclass(frozen=True)
-class CanonicalBorder:
-    """A magic border up to reordering within its lines."""
+class CanonicalBorder(namedtuple("CanonicalBorder", "n v w b_set c_set")):
+    """A magic border up to reordering within its lines; both sets are stored sorted."""
 
-    n: int
-    v: int
-    w: int
-    b_set: tuple[int, ...]
-    c_set: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b_set", tuple(sorted(self.b_set)))
-        object.__setattr__(self, "c_set", tuple(sorted(self.c_set)))
+    def __new__(cls, n: int, v: int, w: int, b_set, c_set) -> "CanonicalBorder":
+        return tuple.__new__(cls, (n, v, w, tuple(sorted(b_set)), tuple(sorted(c_set))))
+
+    @classmethod
+    def _make(cls, iterable) -> "CanonicalBorder":  # so that _replace sorts too
+        return cls(*iterable)
 
     @classmethod
     def from_plan(cls, plan: BorderPlan) -> "CanonicalBorder":
-        return cls(plan.n, plan.v, plan.w, tuple(sorted(plan.b)), tuple(sorted(plan.c)))
+        return cls(plan.n, plan.v, plan.w, plan.b, plan.c)
 
     def to_plan(self) -> BorderPlan:
         return BorderPlan(n=self.n, v=self.v, w=self.w, b=self.b_set, c=self.c_set)

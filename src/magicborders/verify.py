@@ -8,8 +8,7 @@ exhaustively so callers can print a complete diagnosis.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain
 from operator import add, eq, itemgetter, sub
 from typing import Iterable, Iterator, Sequence
@@ -22,12 +21,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    location: str
-    expected: int | None = None
-    actual: int | None = None
+class Violation(
+    namedtuple("Violation", "condition location expected actual", defaults=(None, None))
+):
+    """One failed condition: what was checked, where, and the numbers if any."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         msg = f"{self.condition} at {self.location}"
@@ -36,10 +35,10 @@ class Violation:
         return msg
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    valid: bool
-    violations: tuple[Violation, ...] = ()
+class CheckReport(namedtuple("CheckReport", "valid violations", defaults=((),))):
+    """A verifier's answer: ``valid``, and every :class:`Violation` found."""
+
+    __slots__ = ()
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "CheckReport":
@@ -47,38 +46,41 @@ class CheckReport:
         return cls(valid=not vs, violations=vs)
 
 
-@dataclass(frozen=True)
-class BorderPlan:
+class BorderPlan(namedtuple("BorderPlan", "n v w b c")):
     """One magic border candidate: corners plus top-row and left-column values.
 
     ``v`` and ``w`` are the upper-left and upper-right corners, ``b`` the
     top-row interior (left to right) and ``c`` the left-column interior
     (top to bottom).  The opposite half of the frame is implied by
     complementation.  Any shape of candidate may be stored; validity is
-    the business of :func:`verify_border`.
+    the business of :func:`verify_border`.  ``b`` and ``c`` are stored as
+    tuples, whatever iterables they are given as.
     """
 
-    n: int
-    v: int
-    w: int
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "c", tuple(self.c))
+    def __new__(cls, n: int, v: int, w: int, b: Iterable[int], c: Iterable[int]) -> "BorderPlan":
+        return tuple.__new__(cls, (n, v, w, tuple(b), tuple(c)))
+
+    @classmethod
+    def _make(cls, iterable) -> "BorderPlan":  # so that _replace converts too
+        return cls(*iterable)
 
     def values(self) -> tuple[int, ...]:
         """All 2n+2 chosen values (corners first, then b's, then c's)."""
         return (self.v, self.w) + self.b + self.c
 
 
-@dataclass(frozen=True)
-class BorderFrame:
-    """An (n+2) x (n+2) grid holding only the border; inner cells are None."""
+class BorderFrame(namedtuple("BorderFrame", "n cells")):
+    """An (n+2) x (n+2) grid holding only the border; inner cells are None.
 
-    n: int
-    cells: tuple[tuple[int | None, ...], ...] = field(repr=False)
+    The repr names only ``n``: the cells are too many to print.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r})"
 
     @property
     def order(self) -> int:

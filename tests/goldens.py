@@ -10,8 +10,8 @@ import io
 import json
 from collections import Counter
 
-from magicborders import BorderPlan, complement, complement_base, d_value, magic_constant
-from magicborders.core import check_inner_order, pool_bounds
+from magicborders import BorderPlan, complement, complement_base, magic_constant
+from magicborders.core import check_inner_order, in_pool, pool_bounds
 from magicborders.documents import DocumentError, GridDocument, parse_document
 from magicborders.verify import (
     CheckReport,
@@ -138,6 +138,28 @@ LO_SHU = [[2, 7, 6], [9, 5, 1], [4, 3, 8]]
 def frame_cells(text: str):
     doc = parse_document(text)
     return doc.as_frame().cells
+
+
+def d_value(x: int, y: int, n: int) -> int:
+    """Deviation of the pair (x, y) from a complementary pair's sum.
+
+    Equals row(x) - row(y) when x is a left value and y a right value.
+    """
+    for value in (x, y):
+        if not in_pool(value, n):
+            raise ValueError(f"{value} is outside the border pool for inner order {n}")
+    return x + y - complement_base(n)
+
+
+def d_corner(v: int, n: int) -> int:
+    """Half-pair deviation of a lone corner value; defined for odd n only.
+
+    Total on integers: callers enforce pool membership where it matters.
+    """
+    check_inner_order(n)
+    if n % 2 == 0:
+        raise ValueError(f"corner deviation requires an odd inner order, got {n}")
+    return v - complement_base(n) // 2
 
 
 def balance_sums(plan: BorderPlan) -> tuple[int, int]:

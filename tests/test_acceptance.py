@@ -16,8 +16,6 @@ from magicborders import (
     complement,
     construct_with_corners,
     count_omega,
-    d_corner,
-    d_value,
     enumerate_omega,
     permute_lines,
     seed_order4,
@@ -34,7 +32,7 @@ from magicborders.corners import (
 )
 from magicborders.transform import SYMMETRIES, compose
 
-from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums
+from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums, d_corner, d_value
 
 
 def criterion(number, name):

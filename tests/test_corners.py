@@ -104,9 +104,7 @@ def test_extension_rejects_bad_inputs():
         extend_border(plan, 3)
     with pytest.raises(ValueError):
         extend_border(plan, 10)
-    import dataclasses
-
-    large_corner = dataclasses.replace(plan, v=36, b=(1,) + plan.b[1:])
+    large_corner = plan._replace(v=36, b=(1,) + plan.b[1:])
     with pytest.raises(ValueError):
         extend_border(large_corner, 2)
     from magicborders import build_border

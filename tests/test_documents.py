@@ -30,7 +30,7 @@ def test_square_round_trip(fmt):
     text = serialize_grid(square, fmt)
     doc = parse_document(text)
     assert isinstance(doc, GridDocument)
-    assert doc.as_square() == square
+    assert list(map(list, doc.cells)) == square
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -57,11 +57,11 @@ def test_reference_frame_text_parses():
 
 def test_small_literal_grids():
     doc = parse_document("1 2\n3 4\n")
-    assert doc.as_square() == [[1, 2], [3, 4]]
+    assert doc.cells == ((1, 2), (3, 4))
     doc = parse_document("1,2\n3,4\n")
-    assert doc.as_square() == [[1, 2], [3, 4]]
+    assert doc.cells == ((1, 2), (3, 4))
     doc = parse_document('{"order": 2, "cells": [[1, 2], [3, 4]]}')
-    assert doc.as_square() == [[1, 2], [3, 4]]
+    assert doc.cells == ((1, 2), (3, 4))
 
 
 def test_parse_rejects_bad_documents():
@@ -82,8 +82,6 @@ def test_parse_rejects_bad_documents():
 def test_grid_document_guards():
     doc = parse_document("1 .\n3 4\n")
     assert not doc.is_complete()
-    with pytest.raises(DocumentError):
-        doc.as_square()
     with pytest.raises(DocumentError):
         doc.as_frame()  # too small to be a frame
     full = parse_document("1 2\n3 4\n")

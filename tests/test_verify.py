@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -10,8 +9,6 @@ from magicborders import (
     build_square,
     complement,
     complement_base,
-    d_corner,
-    d_value,
     verify_border,
     verify_bordered,
     verify_frame,
@@ -26,6 +23,8 @@ from goldens import (
     ALL_GOLDEN_PLANS,
     ALL_GOLDEN_FRAMES,
     balance_sums,
+    d_corner,
+    d_value,
     frame_cells,
     reference_verify_border,
     reference_verify_bordered,
@@ -41,7 +40,7 @@ def test_reference_plans_verify():
 
 
 def test_single_value_perturbation_breaks_the_row_sum():
-    bad = dataclasses.replace(TABLE1_12, b=(34, 33, 32, 8))
+    bad = TABLE1_12._replace(b=(34, 33, 32, 8))
     report = verify_border(bad)
     assert not report.valid
     row_violations = [x for x in report.violations if x.condition == "row-sum"]
@@ -50,13 +49,13 @@ def test_single_value_perturbation_breaks_the_row_sum():
 
 
 def test_duplicate_and_complement_clash_and_pool_violations_are_named():
-    dup = dataclasses.replace(TABLE1_12, b=(34, 34, 32, 9))
+    dup = TABLE1_12._replace(b=(34, 34, 32, 9))
     assert any(x.condition == "duplicate-value" for x in verify_border(dup).violations)
-    clash = dataclasses.replace(TABLE1_12, b=(34, 33, 31, 9))  # 31 = comp(6), 6 in c
+    clash = TABLE1_12._replace(b=(34, 33, 31, 9))  # 31 = comp(6), 6 in c
     assert any(
         x.condition == "complement-clash" for x in verify_border(clash).violations
     )
-    outside = dataclasses.replace(TABLE1_12, b=(34, 33, 32, 11))  # 11 in the pool gap
+    outside = TABLE1_12._replace(b=(34, 33, 32, 11))  # 11 in the pool gap
     assert any(
         x.condition == "pool-membership" for x in verify_border(outside).violations
     )
@@ -76,7 +75,7 @@ def test_verify_border_ignores_line_order(data):
     plan = build_border(n)
     b = data.draw(st.permutations(plan.b))
     c = data.draw(st.permutations(plan.c))
-    shuffled = dataclasses.replace(plan, b=tuple(b), c=tuple(c))
+    shuffled = plan._replace(b=tuple(b), c=tuple(c))
     assert verify_border(shuffled).valid
 
 
@@ -134,7 +133,7 @@ def test_balance_agrees_with_border_verification(n, data):
     j = data.draw(st.integers(0, n - 1))
     b, c = list(plan.b), list(plan.c)
     b[i], c[j] = c[j], b[i]
-    for candidate in (plan, dataclasses.replace(plan, b=tuple(b), c=tuple(c))):
+    for candidate in (plan, plan._replace(b=tuple(b), c=tuple(c))):
         beta, gamma = balance_sums(candidate)
         beta_target, gamma_target = balance_targets(candidate)
         assert line_gaps(candidate) == (beta - beta_target, gamma - gamma_target)
@@ -144,8 +143,7 @@ def test_balance_agrees_with_border_verification(n, data):
 def test_balance_flags_a_sum_break():
     plan = build_border(8)
     # trading a b value for a c value breaks both line sums at once
-    bad = dataclasses.replace(
-        plan,
+    bad = plan._replace(
         b=(plan.c[0],) + plan.b[1:],
         c=(plan.b[0],) + plan.c[1:],
     )
@@ -281,7 +279,7 @@ def test_verify_border_agrees_with_the_reference_on_sum_preserving_edits(n, data
     )
     values[k] -= target - values[i]
     values[i] = target
-    mutant = dataclasses.replace(plan, **{line: values})
+    mutant = plan._replace(**{line: values})
     assert verify_border(mutant) == reference_verify_border(mutant)
 
 
@@ -290,7 +288,7 @@ def test_verify_border_agrees_with_the_reference_on_sum_preserving_edits(n, data
 def test_verify_border_agrees_with_the_reference_on_misshapen_plans(n, data):
     plan = build_border(n)
     b = data.draw(st.lists(st.sampled_from(plan.b), max_size=n + 1))
-    mutant = dataclasses.replace(plan, b=b)
+    mutant = plan._replace(b=b)
     assert verify_border(mutant) == reference_verify_border(mutant)
 
 
