@@ -23,7 +23,9 @@ from magicborders import (
     verify_border,
     verify_bordered,
 )
+from magicborders.assemble import ring_shift
 from magicborders.documents import FORMATS, parse_document, serialize_grid
+from magicborders.verify import write_ring
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COLD_LAUNCHES = 11
@@ -76,6 +78,24 @@ def cold_start() -> None:
     print(f"  bare interpreter (python -c pass):        {statistics.median(bare):7.2f} ms")
 
 
+def square_stages(order: int) -> tuple[float, float]:
+    """``build_square``'s two ring stages timed apart, in seconds: the
+    recipes with one ``verify_border`` per ring (``build_border``), then
+    the ring writes."""
+    core = 3 if order % 2 else 4
+    # inner orders of the rings, innermost first, as build_square takes them
+    plans, t_plans = timed(lambda: [build_border(n) for n in range(core, order - 1, 2)])
+    cells = [[0] * order for _ in range(order)]
+
+    def write_rings():
+        for plan in plans:
+            k = (order - plan.n - 2) // 2
+            write_ring(cells, k, plan, ring_shift(order, k))
+
+    _, t_write = timed(write_rings)
+    return t_plans, t_write
+
+
 def main() -> None:
     cold_start()
 
@@ -100,6 +120,13 @@ def main() -> None:
         report, t_check = timed(verify_bordered, square)
         assert report.valid
         print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
+
+    print("build_square by stage, best of 3: recipes + verify_border per ring, ring writes")
+    for order in (200, 2003):
+        stages = [square_stages(order) for _ in range(3)]
+        t_plans, t_write = min(t for t, _ in stages), min(t for _, t in stages)
+        print(f"  N={order:>4}: recipes + verify_border {t_plans * 1e3:8.2f} ms   "
+              f"ring writes {t_write * 1e3:8.2f} ms")
 
     print("square documents: serialize, then parse")
     for order in (200, 1000, 2003):

@@ -8,6 +8,7 @@ budget exhausted.  Everything is deterministic; there is no seeded mode.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
@@ -88,13 +89,33 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _print_report(report: CheckReport) -> None:
-    if report.valid:
-        print("valid")
-    else:
-        print(f"invalid: {len(report.violations)} violation(s)")
-        for violation in report.violations:
-            print(f"  {violation}")
+def _silence_stdout() -> None:
+    """Point stdout at the null device once nobody reads it.
+
+    What stdout still buffers then cannot fail the interpreter's last flush.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _print_report(report: CheckReport) -> int:
+    """Print a verdict and return its exit code.
+
+    The code stands when nobody reads stdout: a closed pipe loses the
+    report, not the verdict.
+    """
+    try:
+        if report.valid:
+            print("valid")
+        else:
+            print(f"invalid: {len(report.violations)} violation(s)")
+            for violation in report.violations:
+                print(f"  {violation}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+    return EXIT_OK if report.valid else EXIT_INVALID
 
 
 def cmd_build(args) -> int:
@@ -144,8 +165,7 @@ def cmd_verify(args) -> int:
         if args.bordered:
             raise DocumentError("--bordered applies to full squares only")
         report = verify_border(doc) if isinstance(doc, BorderPlan) else verify_frame(doc.as_frame())
-    _print_report(report)
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return _print_report(report)
 
 
 def cmd_enumerate(args) -> int:
@@ -195,8 +215,7 @@ def cmd_orbit(args) -> int:
     else:
         raise DocumentError("orbit expects a border plan or frame, not a full square")
     if not report.valid:
-        _print_report(report)
-        return EXIT_INVALID
+        return _print_report(report)
     for image in orbit(plan):
         if not verify_border(image).valid:
             raise RuntimeError("internal error: a symmetry image failed verification")
@@ -295,10 +314,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     except BrokenPipeError:
+        _silence_stdout()
         return EXIT_OK
     except InfeasibleCornersError as exc:
         print(f"error: {exc}", file=sys.stderr)

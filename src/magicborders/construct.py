@@ -12,9 +12,18 @@ the picks fall into pairs whose deviations cancel line by line.
 :func:`build_border` checks every result with
 :func:`~magicborders.verify.verify_border`.  The same n always yields the
 same border.
+
+A diagram is given to :func:`_diagram` in parts, read one after another:
+a literal pick string, or a ``(block, copies)`` pair that stands for the
+block's picks repeated ``copies`` times.  The recipes are a fixed opening
+followed by repeated blocks, so each line's values from a block are
+interleaved arithmetic progressions, one per pick of the block on that
+line; they are written as one ``range`` slice each, not row by row.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .core import check_inner_order, complement_base
 from .verify import BorderPlan, verify_border
@@ -24,15 +33,51 @@ from .verify import BorderPlan, verify_border
 _BLOCKS = "LbRbRbLbLcRcRcLc"
 
 
-def _diagram(n: int, picks: str) -> BorderPlan:
-    """The border of inner order n that a diagram's picks describe."""
-    rows = 2 * n + 2
-    if len(picks) != 2 * rows:
-        raise ValueError(f"a diagram of inner order {n} has {rows} rows, got {len(picks) // 2}")
+@lru_cache(maxsize=None)
+def _block_lines(block: str) -> tuple[tuple[str, tuple[tuple[int, bool], ...]], ...]:
+    """Per line a block names, its picks there: (block row from 0, small side)."""
+    at: dict[str, list[tuple[int, bool]]] = {}
+    for i, (side, line) in enumerate(zip(block[::2], block[1::2])):
+        at.setdefault(line, []).append((i, side == "L"))
+    return tuple((line, tuple(picks)) for line, picks in at.items())
+
+
+def _diagram(n: int, *parts: str | tuple[str, int]) -> BorderPlan:
+    """The border of inner order n that a diagram's parts describe, in order.
+
+    A part is a pick string, read row by row, or a ``(block, copies)``
+    pair, read as one ``range`` per pick of the block: the pick at block
+    row i of a block starting at row r gives rows r + i + period*t for
+    copies t = 0, 1, ..., which land at every q-th place of its line, q
+    being the block's number of picks on that line.
+    """
     c_base = complement_base(n)
     lines: dict[str, list[int]] = {"v": [], "w": [], "b": [], "c": []}
-    for row, (side, line) in enumerate(zip(picks[::2], picks[1::2]), start=1):
-        lines[line].append(row if side == "L" else c_base - row)
+    row = 1
+    for part in parts:
+        if isinstance(part, str):
+            for r, (side, line) in enumerate(zip(part[::2], part[1::2]), row):
+                lines[line].append(r if side == "L" else c_base - r)
+            row += len(part) // 2
+            continue
+        block, copies = part
+        period = len(block) // 2
+        span = period * copies
+        for line, picks in _block_lines(block):
+            out = lines[line]
+            q = len(picks)
+            start = len(out)
+            out += [0] * (q * copies)
+            for j, (i, small) in enumerate(picks, start):
+                first = row + i
+                out[j::q] = (
+                    range(first, first + span, period)
+                    if small
+                    else range(c_base - first, c_base - first - span, -period)
+                )
+        row += span
+    if row != 2 * n + 3:
+        raise ValueError(f"a diagram of inner order {n} has {2 * n + 2} rows, got {row - 1}")
     if len(lines["v"]) != 1 or len(lines["w"]) != 1:
         raise ValueError("a diagram must name each corner exactly once")
     return BorderPlan(
@@ -66,7 +111,7 @@ def recipe_even_4k(k: int) -> BorderPlan:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     # pairs of rows (left & right): top row 1 & 2, 3 & 4, 7 & 5 deviate
     # -1, -1, +2; column 6 & 8, 9 & 10 deviate -2, -1
-    return _diagram(4 * k, "LbRvLbRbRwLcLbRcLcRc" + _BLOCKS * (k - 1))
+    return _diagram(4 * k, "LbRvLbRbRwLcLbRcLcRc", (_BLOCKS, k - 1))
 
 
 def recipe_even_4k_plus_2(k: int) -> BorderPlan:
@@ -81,7 +126,7 @@ def recipe_even_4k_plus_2(k: int) -> BorderPlan:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    return _diagram(4 * k + 2, "LvRbRbLwLbRbRbLbRcLcRcLcRcLc" + _BLOCKS * (k - 1))
+    return _diagram(4 * k + 2, "LvRbRbLwLbRbRbLbRcLcRcLcRcLc", (_BLOCKS, k - 1))
 
 
 def recipe_odd(n: int) -> BorderPlan:
@@ -99,12 +144,13 @@ def recipe_odd(n: int) -> BorderPlan:
     # pairs of rows (left & right): n+5 & 1 on the top row and n+6 & 2 in
     # the column deviate n+4 each; n+7+t & 2+t (t = 1..n-5) deviate n+5
     # each, (n-5)/2 pairs per side
-    head = "RbRc" + "RcRb" * ((n - 5) // 2)
+    pairs = (n - 5) // 2
+    head = ("RbRc", ("RcRb", pairs))
     # n+1 & n-1, n+4 & n+2 on the top row and n & n-2, n+3 & C-w (row
     # n+1) in the column deviate +2 each
     middle = "RcRbLcLwRbLcLb"
-    tail = "LbLcLv" + "LcLb" * ((n - 5) // 2)
-    return _diagram(n, head + middle + tail)
+    tail = ("LbLcLv", ("LcLb", pairs))
+    return _diagram(n, *head, middle, *tail)
 
 
 # Order 3 falls outside the general odd recipe.  Its border is the first

@@ -5,13 +5,15 @@ and "cells"; border plans travel as JSON with keys "n", "v", "w", "b",
 "c".  Empty cells (the interior of a frame) are "." in text, an empty
 field in CSV and null in JSON.  Parsing auto-detects the format and
 round-trips every emitted document.
+
+``json`` and ``csv`` are imported where a JSON or CSV document, or a
+grid row that needs the CSV reader, is handled, so a grid-format build
+or check loads neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from collections import namedtuple
 
 from .verify import BorderFrame, BorderPlan, misplaced_cells
@@ -85,6 +87,8 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
         ]
         return "\n".join(lines) + "\n"
     if fmt == CSV:
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         for row in rows:
@@ -94,6 +98,8 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
                 writer.writerow(["" if x is None else x for x in row])
         return out.getvalue()
     if fmt == JSON:
+        import json
+
         payload = {"order": order, "cells": [list(row) for row in rows]}
         return json.dumps(payload, indent=None) + "\n"
     raise DocumentError(f"unknown format {fmt!r}; pick one of {FORMATS}")
@@ -101,6 +107,8 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
 
 def serialize_plan(plan: BorderPlan) -> str:
     """Write a border plan as a one-line JSON document."""
+    import json
+
     payload = {
         "n": plan.n,
         "v": plan.v,
@@ -150,6 +158,8 @@ def _grid_from_lists(raw, where: str) -> GridDocument:
 
 
 def _parse_json(text: str) -> BorderPlan | GridDocument:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -197,7 +207,12 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
             row = tuple(map(int, line.split(sep)))
         except ValueError:
             # holes, quoted CSV fields and unreadable tokens, cell by cell
-            tokens = next(csv.reader([line])) if sep else line.split()
+            if sep:
+                import csv
+
+                tokens = next(csv.reader([line]))
+            else:
+                tokens = line.split()
             row = tuple(_cell_from_token(tok, f"line {i}") for tok in tokens)
         cells.append(row)
     order = len(cells)

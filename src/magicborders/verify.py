@@ -114,14 +114,17 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     if len(plan.b) == n == len(plan.c) and set(map(type, values)) == {int}:
         ordered = sorted(values)
         distinct = set(values)
+        small = bisect_right(ordered, s_hi)
         # no value outside both pools, none in the gap between them; the
-        # pools hold no value equal to its own complement
+        # pools hold no value equal to its own complement.  Complements
+        # swap the two pools, so a complementary pair of pool values has
+        # exactly one member in the small pool: checking those suffices
         if (
             s_lo <= ordered[0]
             and ordered[-1] <= l_hi
-            and bisect_right(ordered, s_hi) == bisect_left(ordered, l_lo)
+            and small == bisect_left(ordered, l_lo)
             and len(distinct) == len(values)
-            and distinct.isdisjoint(map(c_base.__sub__, values))
+            and distinct.isdisjoint(map(c_base.__sub__, ordered[:small]))
             and plan.v + sum(plan.b) + plan.w == target
             and plan.v + sum(plan.c) + (c_base - plan.w) == target
         ):
@@ -297,11 +300,67 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
     The full square's own lines are always checked, so below order 3,
     where there is no ring, this is the plain magic check.
 
-    The line sums of the full square are taken once; stepping from order m
-    to m-2 subtracts the peeled ring's two cells from each running sum, so
-    the whole check costs O(N^2).
+    A permutation is accepted in one whole-grid pass when:
+
+    (a) in every proper ring, each cell and the cell facing it sum to
+        P = N^2+1: the far end of its column for top and bottom cells, of
+        its row for left and right cells, the diagonally opposite corner
+        for corners;
+    (b) every proper ring's top row and left column sum to mP/2, m being
+        the ring's order;
+    (c) the core (order 3 or 4, or the whole square below order 3) has
+        all its lines summing to its own target.
+
+    These imply every condition above, by induction from the core
+    outwards.  Say the subsquare of order m-2 inside ring k has all its
+    lines at (m-2)P/2.  The ring's bottom row faces its top row cell by
+    cell, with the corners swapped, so by (a) and (b) it sums to
+    mP - mP/2 = mP/2; likewise its right column faces its left column.
+    Each other row of the order-m subsquare is a row of the order m-2 one
+    plus a facing pair of the ring, so it sums to (m-2)P/2 + P = mP/2, and
+    so does each other column.  Each diagonal adds one pair of opposite
+    corners, P, to the inner diagonal.  (a) is the ring-complement
+    condition itself, so with (c) as the base every subsquare passes;
+    conversely every valid square satisfies (a)-(c).  So the whole-grid
+    pass accepts exactly the valid squares, and any grid it does not
+    accept takes the walk below, which names every violation.
+
+    The walk takes the line sums of the full square once; stepping from
+    order m to m-2 subtracts the peeled ring's two cells from each running
+    sum, so the whole check costs O(N^2).
     """
     return _verify_lines(cells, bordered=True)
+
+
+def _accepts_bordered(cells: Sequence[Sequence[int]], order: int) -> bool:
+    """Whether a permutation square is bordered, by the whole-grid pass that
+    :func:`verify_bordered` proves exact: facing pairs, ring top rows and
+    left columns, then the core's lines."""
+    pair_sum = order * order + 1
+    rings = max(0, (order - (3 if order % 2 else 4)) // 2)
+    cols = list(zip(*cells))
+    for k in range(rings):
+        hi = order - 1 - k
+        top, bottom, left, right = cells[k], cells[hi], cols[k], cols[hi]
+        line_target = (hi - k + 1) * pair_sum // 2
+        if not (
+            top[k] + bottom[hi] == pair_sum == top[hi] + bottom[k]
+            and sum(top[k : hi + 1]) == line_target == sum(left[k : hi + 1])
+            and {
+                *map(add, top[k + 1 : hi], bottom[k + 1 : hi]),
+                *map(add, left[k + 1 : hi], right[k + 1 : hi]),
+            }
+            == {pair_sum}
+        ):
+            return False
+    core = [row[rings : order - rings] for row in cells[rings : order - rings]]
+    m = len(core)
+    line_target = m * pair_sum // 2
+    diagonals = (
+        [row[t] for t, row in enumerate(core)],
+        [row[m - 1 - t] for t, row in enumerate(core)],
+    )
+    return all(sum(line) == line_target for line in chain(core, zip(*core), diagonals))
 
 
 def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport:
@@ -313,7 +372,10 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
         return CheckReport.from_violations(violations)
     order = len(cells)
 
-    if not _is_permutation(cells, order):
+    is_permutation = _is_permutation(cells, order)
+    if bordered and is_permutation and _accepts_bordered(cells, order):
+        return CheckReport(valid=True)
+    if not is_permutation:
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,9 @@ from goldens import (
     ORDER8_ALT_FRAME_TEXT,
     ORDER8_FRAME_TEXT,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -514,3 +521,67 @@ def test_enumerate_rejects_a_negative_limit(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and "magicborder" in out
+
+
+def test_verify_keeps_its_verdict_when_nobody_reads_the_report(capsys, monkeypatch, tmp_path):
+    code, square, _ = run(capsys, "build", "--order", "7")
+    rows = square.splitlines()
+    first = rows[0].split()
+    first[0], first[1] = first[1], first[0]
+    rows[0] = " ".join(first)
+    invalid, valid = tmp_path / "invalid.txt", tmp_path / "valid.txt"
+    invalid.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    valid.write_text(square, encoding="utf-8")
+    for path, verdict in ((invalid, 1), (valid, 0)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1, encoding="utf-8") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["verify", str(path)]) == verdict
+            monkeypatch.undo()
+        # a whole process too: the report is lost without a traceback
+        assert run_unread("verify", str(path)) == (verdict, b"")
+
+
+def run_unread(*argv):
+    """Exit code and stderr of a magicborder process whose stdout nobody reads."""
+    # stdout block-buffered, as it is by default for a pipe
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "magicborders", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return result.returncode, result.stderr
+
+
+def test_short_outputs_nobody_reads_exit_cleanly():
+    # each output fits the stdout buffer, so only the last flush meets the closed pipe
+    assert run_unread("build", "--order", "5") == (0, b"")
+    assert run_unread("enumerate", "--order", "4", "--limit", "3") == (0, b"")
+
+
+def test_a_grid_build_and_check_load_neither_json_nor_csv():
+    script = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from magicborders.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert main(['build', '--order', '9']) == 0\n"
+        "sys.stdin = io.StringIO(sys.stdout.getvalue())\n"
+        "assert main(['verify', '--bordered', '-']) == 0\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(sorted({'json', 'csv'} & sys.modules.keys()))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

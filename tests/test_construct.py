@@ -11,8 +11,9 @@ from magicborders import (
     magic_constant,
     verify_border,
 )
-from magicborders import enumeration
+from magicborders import construct, enumeration
 from magicborders.construct import (
+    _BLOCKS,
     _N3,
     _diagram,
     recipe_even_4k,
@@ -161,6 +162,54 @@ def test_diagram_rejects_a_wrong_row_count_and_corner_miscounts():
         _diagram(3, "LvLcLwRwRbRcRcRb")  # w twice
     with pytest.raises(ValueError, match="corner"):
         _diagram(3, "LbLcLwRbRbRcRcRb")  # v never
+
+
+def flattened(parts):
+    """A diagram's parts as the one pick string they stand for."""
+    return "".join(part if isinstance(part, str) else part[0] * part[1] for part in parts)
+
+
+def test_recipes_read_from_parts_equal_their_flattened_pick_strings(monkeypatch):
+    read = []
+
+    def recorded(n, *parts):
+        read.append((n, parts))
+        return _diagram(n, *parts)
+
+    monkeypatch.setattr(construct, "_diagram", recorded)
+    for n in range(4, 401):
+        plan = build_border(n)
+        (order, parts), = read
+        read.clear()
+        assert order == n
+        assert plan == _diagram(n, flattened(parts)), n
+        # every recipe passes its repeated blocks as (block, copies) pairs
+        assert any(not isinstance(part, str) for part in parts), n
+
+
+def test_blocks_read_the_same_at_any_number_of_copies():
+    opening = "LbRvLbRbRwLcLbRcLcRc"
+    for copies in (0, 1, 2, 7, 50):
+        n = 4 + 4 * copies
+        assert _diagram(n, opening, (_BLOCKS, copies)) == _diagram(n, opening + _BLOCKS * copies)
+    # zero copies anywhere read as nothing, and a block may come first
+    assert _diagram(4, ("LcRb", 0), opening, (_BLOCKS, 0)) == _diagram(4, opening)
+    tail = "LcLb" * 40
+    assert _diagram(40, ("RcRb", 40), "LvLw") == _diagram(40, "RcRb" * 40 + "LvLw")
+    assert _diagram(40, "LvLw", ("LcLb", 40)) == _diagram(40, "LvLw" + tail)
+
+
+def test_diagram_parts_must_cover_every_row_once():
+    opening = "LbRvLbRbRwLcLbRcLcRc"
+    with pytest.raises(ValueError, match="has 18 rows, got 26"):
+        _diagram(8, opening, (_BLOCKS, 2))
+    with pytest.raises(ValueError, match="has 18 rows, got 10"):
+        _diagram(8, opening, (_BLOCKS, 0))
+    # a long run of blocks is checked the same way
+    with pytest.raises(ValueError, match="has 402 rows, got 410"):
+        _diagram(200, opening, (_BLOCKS, 50))
+    with pytest.raises(ValueError, match="corner"):
+        _diagram(200, opening.replace("Rw", "Rb"), (_BLOCKS, 49))
 
 
 def test_build_border_is_deterministic():

@@ -14,6 +14,7 @@ squares and frames.
 
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from magicborders import (
     verify_square,
 )
 from magicborders.assemble import base_square, layer_plans
-from magicborders.verify import _square_shape_violations
+from magicborders.verify import _accepts_bordered, _square_shape_violations
 
 from goldens import reference_verify_bordered
 
@@ -238,6 +239,102 @@ def test_verify_bordered_matches_the_reference_on_tampered_squares(cells):
 def test_verify_square_and_layer_plans_match_the_references_on_tampered_squares(cells):
     assert verify_square(cells) == reference_verify_square(cells)
     assert layer_plans(cells) == reference_layer_plans(cells)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=41, max_value=200), st.data())
+def test_verify_bordered_matches_the_reference_at_large_orders(order, data):
+    cells = build_square(order)
+    assert verify_bordered(cells) == reference_verify_bordered(cells) == CheckReport(True)
+    cell = st.tuples(
+        st.integers(min_value=0, max_value=order - 1), st.integers(min_value=0, max_value=order - 1)
+    )
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        (i1, j1), (i2, j2) = data.draw(cell), data.draw(cell)
+        cells[i1][j1], cells[i2][j2] = cells[i2][j2], cells[i1][j1]
+    assert verify_bordered(cells) == reference_verify_bordered(cells)
+
+
+def test_the_whole_grid_pass_accepts_every_built_square():
+    # so valid squares never pay for the ring-by-ring walk
+    for order in range(3, 61):
+        assert _accepts_bordered(build_square(order), order), order
+    assert _accepts_bordered([[1]], 1)
+
+
+def ring_spans(order):
+    """(k, hi) of every proper ring of a bordered square, outermost first."""
+    base = 3 if order % 2 else 4
+    return [(k, order - 1 - k) for k in range((order - base) // 2)]
+
+
+def test_swapping_facing_pairs_along_one_ring_side_keeps_a_square_bordered():
+    for order in (7, 8, 13, 24, 51):
+        for k, hi in ring_spans(order):
+            cells = build_square(order)
+            j1, j2 = k + 1, hi - 1
+            # two top/bottom pairs trade columns, then two left/right pairs trade rows
+            for i in (k, hi):
+                cells[i][j1], cells[i][j2] = cells[i][j2], cells[i][j1]
+            for j in (k, hi):
+                cells[j1][j], cells[j2][j] = cells[j2][j], cells[j1][j]
+            assert cells != build_square(order)
+            assert verify_bordered(cells) == reference_verify_bordered(cells) == CheckReport(True)
+
+
+def test_trading_a_top_pair_for_a_left_pair_breaks_only_the_ring_sums():
+    for order in (7, 8, 13, 24, 51):
+        for k, hi in ring_spans(order):
+            cells = build_square(order)
+            j = i = k + 1
+            # the top/bottom pair of column j and the left/right pair of row i
+            # trade places: still a permutation with every facing pair whole
+            cells[k][j], cells[i][k] = cells[i][k], cells[k][j]
+            cells[hi][j], cells[i][hi] = cells[i][hi], cells[hi][j]
+            report = verify_bordered(cells)
+            assert report == reference_verify_bordered(cells)
+            assert not report.valid
+            assert {v.condition for v in report.violations} == {"subsquare-line-sum"}
+
+
+def test_swaps_that_break_one_kind_of_ring_condition_are_rejected():
+    # each swap keeps a permutation and breaks one kind of condition of the
+    # whole-grid pass: facing pairs of one kind, or one ring line sum
+    for order in (7, 8, 13, 24):
+        rings = ring_spans(order)
+        for k, hi in rings:
+            inner = rings[-1] if rings[-1][0] != k else (k + 1, hi - 1)
+            swaps = [
+                ((k + 1, hi), (hi - 1, hi)),  # right column: left/right pairs
+                ((k + 1, k), (hi - 1, k)),  # left column, sum kept: left/right pairs
+                ((hi, k + 1), (hi, hi - 1)),  # bottom row: top/bottom pairs
+                ((hi, hi), (inner[1], inner[1])),  # two bottom-right corners
+                ((k, k + 1), (hi, k + 1)),  # a top/bottom pair flipped: top row sum
+                ((k + 1, k), (k + 1, hi)),  # a left/right pair flipped: left column sum
+            ]
+            for (i1, j1), (i2, j2) in swaps:
+                cells = build_square(order)
+                cells[i1][j1], cells[i2][j2] = cells[i2][j2], cells[i1][j1]
+                report = verify_bordered(cells)
+                assert report == reference_verify_bordered(cells), (order, k, (i1, j1), (i2, j2))
+                assert not report.valid
+
+
+def test_verify_bordered_matches_the_references_on_squares_without_a_ring():
+    for order in (1, 2):
+        for values in permutations(range(1, order * order + 1)):
+            cells = [list(values[i * order : (i + 1) * order]) for i in range(order)]
+            # below order 3 the bordered check is the plain magic one
+            assert verify_bordered(cells).valid == reference_verify_square(cells).valid
+    for order in (3, 4):
+        base = base_square(order)
+        assert verify_bordered(base) == reference_verify_bordered(base) == CheckReport(True)
+        swaps = [((0, 0), (0, 1)), ((0, 0), (order - 1, order - 1)), ((1, 1), (2, 1))]
+        for (i1, j1), (i2, j2) in swaps:
+            cells = [list(row) for row in base]
+            cells[i1][j1], cells[i2][j2] = cells[i2][j2], cells[i1][j1]
+            assert verify_bordered(cells) == reference_verify_bordered(cells)
+            assert not verify_bordered(cells).valid
 
 
 def test_frames_match_the_reference_layout():
