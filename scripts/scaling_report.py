@@ -147,6 +147,13 @@ def main() -> None:
         assert listed == total
         print(f"  n={n}: {total:>6} borders over {len(counts)} corner pairs: "
               f"count_omega {t_count:6.2f} s   listing {t_list:6.2f} s")
+    # too many borders to list: the counter alone, against its known totals
+    for n, known in ((8, 8_234_012), (9, 136_332)):
+        counts, t_count = timed(count_omega, n)
+        total = sum(counts.values())
+        assert total == known, (n, total)
+        print(f"  n={n}: {total:>7} borders over {len(counts)} corner pairs: "
+              f"count_omega {t_count:6.2f} s")
 
 
 if __name__ == "__main__":

@@ -180,6 +180,8 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
             n=payload["n"], v=payload["v"], w=payload["w"], b=payload["b"], c=payload["c"]
         )
     if {"order", "cells"} <= payload.keys():
+        if not _is_int(payload["order"]):
+            raise DocumentError(f"unreadable grid document: order is {payload['order']!r}")
         doc = _grid_from_lists(payload["cells"], "JSON cells")
         if doc.order != payload["order"]:
             raise DocumentError(

@@ -17,7 +17,13 @@ reach from the rows not yet decided (``_Rows.window``):
   same decision tree one row at a time but keeps only, for each state
   (values and small values each line still needs, and the sums each line
   still lacks), the number of ways to reach it.  Its time grows with the
-  number of distinct states, not with the number of borders.
+  number of distinct states, not with the number of borders.  A state is
+  one int, its fields as digits: the two sums in base M, where M exceeds
+  both starting sums, and the value and small-value counts above them in
+  base n + 3.  Taking a row into a line, small or large, subtracts one
+  constant of the layer from that int, and a line may take a value while
+  its sum digit is at least the value.  The windows are found once per
+  group of states with equal counts.
 
 **Small-count lemma.**  Every line of a magic border holds exactly
 (n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from itertools import islice
 from typing import Iterator
 
 from .core import (
@@ -288,54 +293,106 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
 def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     """Number of borders ``_solutions`` would list, one layer of rows at a time.
 
-    The state after the first idx rows is (need_b, rem_b, rem_c, owed_b,
-    owed_c); need_c is the rows left minus need_b.  Each layer maps states
-    to the number of ways of reaching them, and a state is dropped by the
-    same window check the backtracker prunes on.
+    The state after the first idx rows is (need_b, owed_b, owed_c, rem_b,
+    rem_c); need_c is the rows left minus need_b.  It is packed into one
+    int, the key
+
+        ((need_b*A + owed_b + 1)*A + owed_c + 1)*M^2 + rem_b*M + rem_c,
+
+    with A = n + 3 and M one more than the larger starting sum.  Every
+    field stays inside its digit: a sum only falls, and never below 0; an
+    owed count stays in -1..(n+2)//2.  The key's *group* ``key // M^2`` is
+    (need_b, owed_b, owed_c).  Taking the layer's row r (large value
+    C - r) subtracts a constant from the key:
+
+    - b small: (A^2 + A)*M^2 + r*M;
+    - b large: A^2*M^2 + (C - r)*M;
+    - c small: M^2 + r;
+    - c large: C - r.
+
+    Each layer maps keys to the number of ways of reaching them, and a
+    state is dropped by the same window check the backtracker prunes on.
+    The layer is walked in key order, so each group's states come
+    together.  Both windows, and the guards on which of the four moves a
+    line may make, are found once per group.  They are cached per layer
+    by ``need*A + owed + 1``, which is the same for either line.  The
+    count is the sum over the keys with ``key % M^2 == 0``.
     """
     rows = _Rows(n, v, w)
     c_base = rows.c_base
     total = rows.total
+    window = rows.window
     owed_floor = -rows.slack
-    layer = {(n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c): 1}
+    scale = max(rows.rem_b, rows.rem_c) + 1
+    group_size = scale * scale
+    a = n + 3
+    layer = {
+        ((n * a + rows.owed_b + 1) * a + rows.owed_c + 1) * group_size
+        + rows.rem_b * scale + rows.rem_c: 1
+    }
+
+    def line(code: int) -> tuple[int, int, int, int, int, int]:
+        """``window`` of a line, then the least sums at which it may take
+        the small and the large value (``scale``: never)."""
+        need, owed = divmod(code, a)
+        owed -= 1
+        value = lines[code] = window(idx, need, owed) + (
+            row if need and owed > owed_floor else scale,
+            large if need > owed and need else scale,
+        )
+        return value
+
     for idx, row in enumerate(rows.free):
         large = c_base - row
         rows_left = total - idx
-        windows = _Windows(rows, idx)
-        following: dict[tuple[int, int, int, int, int], int] = {}
+        b_small = (a * a + a) * group_size + row * scale
+        b_large = a * a * group_size + large * scale
+        c_small = group_size + row
+        lines: dict[int, tuple[int, int, int, int, int, int]] = {}
+        following: dict[int, int] = {}
         get = following.get
-        states = iter(layer.items())
+        keys = sorted(layer)
+        end = -1
         # the budget is charged per chunk, so a time limit also holds
         # inside one large layer
-        while chunk := list(islice(states, 4096)):
+        for start in range(0, len(keys), 4096):
+            chunk = keys[start:start + 4096]
             state.on_nodes(len(chunk))
-            for (need_b, rem_b, rem_c, owed_b, owed_c), ways in chunk:
-                need_c = rows_left - need_b
-                lo, hi, lo2, hi2 = windows[need_b, owed_b]
-                if not (lo <= rem_b <= hi or lo2 <= rem_b <= hi2):
+            for key in chunk:
+                if key >= end:
+                    group = key // group_size
+                    base = group * group_size
+                    end = base + group_size
+                    code_b = group // a
+                    need_c = rows_left - code_b // a
+                    code_c = need_c * a + group - code_b * a
+                    lo_b, hi_b, lo2_b, hi2_b, min_small_b, min_large_b = (
+                        lines.get(code_b) or line(code_b)
+                    )
+                    lo_c, hi_c, lo2_c, hi2_c, min_small_c, min_large_c = (
+                        lines.get(code_c) or line(code_c)
+                    )
+                rem_b, rem_c = divmod(key - base, scale)
+                if not (lo_b <= rem_b <= hi_b or lo2_b <= rem_b <= hi2_b):
                     continue
-                lo, hi, lo2, hi2 = windows[need_c, owed_c]
-                if not (lo <= rem_c <= hi or lo2 <= rem_c <= hi2):
+                if not (lo_c <= rem_c <= hi_c or lo2_c <= rem_c <= hi2_c):
                     continue
-                if need_b:
-                    if row <= rem_b and owed_b > owed_floor:
-                        key = (need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c)
-                        following[key] = get(key, 0) + ways
-                    if large <= rem_b and need_b > owed_b:
-                        key = (need_b - 1, rem_b - large, rem_c, owed_b, owed_c)
-                        following[key] = get(key, 0) + ways
-                if need_c:
-                    if row <= rem_c and owed_c > owed_floor:
-                        key = (need_b, rem_b, rem_c - row, owed_b, owed_c - 1)
-                        following[key] = get(key, 0) + ways
-                    if large <= rem_c and need_c > owed_c:
-                        key = (need_b, rem_b, rem_c - large, owed_b, owed_c)
-                        following[key] = get(key, 0) + ways
+                ways = layer[key]
+                if rem_b >= min_small_b:
+                    k = key - b_small
+                    following[k] = get(k, 0) + ways
+                if rem_b >= min_large_b:
+                    k = key - b_large
+                    following[k] = get(k, 0) + ways
+                if rem_c >= min_small_c:
+                    k = key - c_small
+                    following[k] = get(k, 0) + ways
+                if rem_c >= min_large_c:
+                    k = key - large
+                    following[k] = get(k, 0) + ways
         layer = following
     state.on_nodes(len(layer))
-    return sum(
-        ways for (_, rem_b, rem_c, _, _), ways in layer.items() if rem_b == 0 and rem_c == 0
-    )
+    return sum(ways for key, ways in layer.items() if not key % group_size)
 
 
 def enumerate_omega(
@@ -379,8 +436,10 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     Equals the length of :func:`enumerate_omega`'s stream.  Every state
     the counter expands is one budget node, so a node or time limit raises
     :class:`BudgetExhausted`.  Memory grows with the states of one layer,
-    which a node limit also bounds.  Keys with same-parity small corners
-    at even order count 0 at once.
+    which a node limit also bounds: at the peak, about 160 bytes per state
+    of the largest layer (the layer, its sorted keys and the layer being
+    built; measured with ``tracemalloc`` at (10; 1, 2), Python 3.11).  Keys
+    with same-parity small corners at even order count 0 at once.
     """
     check_corners(key.n, key.v, key.w)
     if forbidden_by_parity(key.n, key.v, key.w):

@@ -174,6 +174,21 @@ def test_verify_reports_the_hole_of_a_square_with_a_filled_interior(capsys, tmp_
     assert err == "error: grid has an empty cell at (0,1)\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order": 3.0, "cells": [[2, 7, 6], [9, 5, 1], [4, 3, 8]]}',
+        '{"order": true, "cells": [[1]]}',
+    ],
+)
+def test_verify_rejects_a_json_grid_whose_order_is_not_an_integer(capsys, tmp_path, text):
+    path = tmp_path / "grid.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable grid document: order is ")
+
+
 def test_verify_parse_failure_names_the_spot(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 x\n4 5 6\n7 8 9\n", encoding="utf-8")

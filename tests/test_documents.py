@@ -79,6 +79,22 @@ def test_parse_rejects_bad_documents():
         parse_document('{"foo": 1}')
 
 
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ('{"order": 3.0, "cells": [[2, 7, 6], [9, 5, 1], [4, 3, 8]]}', "3.0"),
+        ('{"order": true, "cells": [[1]]}', "True"),
+        ('{"order": "1", "cells": [[1]]}', "'1'"),
+        ('{"order": null, "cells": [[1]]}', "None"),
+    ],
+)
+def test_json_grid_order_must_be_an_integer(text, shown):
+    # the same rule and wording as a plan's "n"
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == f"unreadable grid document: order is {shown}"
+
+
 def test_grid_document_guards():
     doc = parse_document("1 .\n3 4\n")
     assert not doc.is_complete()

@@ -285,6 +285,25 @@ def test_count_fixtures_match_a_fresh_count(capsys):
     assert "omega7_counts.txt: matches (240 pairs, 7136 borders)" in out
 
 
+# (key, borders, counter states), measured before the counter packed its
+# states into ints: the packing must expand exactly the same states
+COUNTER_NODE_TOTALS = [
+    (OmegaKey(6, 10, 11), 663, 3_795),
+    (OmegaKey(7, 1, 3), 58, 1_901),
+    (OmegaKey(5, 1, 2), 0, 183),
+]
+
+
+@pytest.mark.parametrize("key, borders, nodes", COUNTER_NODE_TOTALS)
+def test_count_borders_spends_the_same_nodes(key, borders, nodes):
+    state = _BudgetState(None)
+    assert _count(*key, state) == borders
+    assert state.nodes == nodes
+    assert count_borders(key, SearchBudget(max_nodes=nodes)) == borders
+    with pytest.raises(BudgetExhausted, match=f"node limit {nodes - 1} reached"):
+        count_borders(key, SearchBudget(max_nodes=nodes - 1))
+
+
 def test_count_borders_keeps_the_budget_rules():
     key = OmegaKey(5, 1, 2)
     with pytest.raises(BudgetExhausted):
