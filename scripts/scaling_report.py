@@ -41,11 +41,40 @@ construct_with_corners(4, 1, 2)
 print(time.perf_counter() - start)
 """
 
+# the layered counter over the keys given as "n,v,w" arguments; the peak
+# RSS is the process's VmHWM, since ru_maxrss keeps the high-water mark of
+# the large process that forked it
+COUNTER_RUN = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from magicborders.enumeration import _BudgetState, _count
+keys = [tuple(map(int, key.split(","))) for key in sys.argv[2:]]
+state = _BudgetState(None)
+start = time.perf_counter()
+total = sum(_count(*key, state) for key in keys)
+elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(total, state.nodes, elapsed, peak_kib)
+"""
+
 
 def timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
+
+
+def counter_run(keys):
+    """The layered counter over ``keys`` in a fresh process, with one budget
+    state as ``count_omega`` spends it: borders, nodes, seconds, and the
+    process's peak RSS in MiB."""
+    run = subprocess.run(
+        [sys.executable, "-c", COUNTER_RUN, str(SRC), *(",".join(map(str, k)) for k in keys)],
+        check=True, capture_output=True, text=True,
+    )
+    total, nodes, elapsed, peak_kib = run.stdout.split()
+    return int(total), int(nodes), float(elapsed), int(peak_kib) / 1024
 
 
 def listed_total(n):
@@ -148,12 +177,20 @@ def main() -> None:
         print(f"  n={n}: {total:>6} borders over {len(counts)} corner pairs: "
               f"count_omega {t_count:6.2f} s   listing {t_list:6.2f} s")
     # too many borders to list: the counter alone, against its known totals
+    print("  the counter alone, each row in a fresh process: time, nodes "
+          "(live states stored), peak RSS")
     for n, known in ((8, 8_234_012), (9, 136_332)):
-        counts, t_count = timed(count_omega, n)
-        total = sum(counts.values())
-        assert total == known, (n, total)
-        print(f"  n={n}: {total:>7} borders over {len(counts)} corner pairs: "
-              f"count_omega {t_count:6.2f} s")
+        # count_omega's keys: v < w, each count standing for (v, w) and (w, v)
+        small = 2 * n + 2
+        keys = [(n, v, w) for v in range(1, small + 1) for w in range(v + 1, small + 1)]
+        total, nodes, t_count, peak = counter_run(keys)
+        assert 2 * total == known, (n, 2 * total)
+        print(f"  n={n}: {2 * total:>11} borders over {2 * len(keys)} corner pairs: "
+              f"{t_count:6.2f} s  {nodes:>9,} nodes  {peak:6.1f} MiB")
+    total, nodes, t_count, peak = counter_run([(12, 1, 2)])
+    assert total == 593_867_307, total
+    print(f"  (12; 1, 2): {total:>11} borders: {t_count:6.2f} s  {nodes:>9,} nodes  "
+          f"{peak:6.1f} MiB")
 
 
 if __name__ == "__main__":

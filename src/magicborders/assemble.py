@@ -9,7 +9,7 @@ so building an order-N square costs O(N^2) with no recursion.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .construct import build_border
 from .verify import BorderFrame, BorderPlan, read_ring, verify_border, write_ring

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 from .construct import _BLOCKS, _diagram, _picks
 from .core import (
@@ -122,6 +121,10 @@ _LITERAL_ORDERS = {"order4": 4, "order6": 6}
 
 @lru_cache(maxsize=1)
 def _seed_data() -> tuple[dict[int, dict[tuple[int, int], BorderPlan]], tuple[Table2Row, ...]]:
+    # imported here, because a process that builds and verifies squares
+    # never reads the seed tables
+    from importlib import resources
+
     text = resources.files("magicborders").joinpath("data/seed_tables.txt").read_text()
     literals: dict[int, dict[tuple[int, int], BorderPlan]] = {4: {}, 6: {}}
     rows: list[Table2Row] = []

@@ -21,9 +21,11 @@ reach from the rows not yet decided (``_Rows.window``):
   one int, its fields as digits: the two sums in base M, where M exceeds
   both starting sums, and the value and small-value counts above them in
   base n + 3.  Taking a row into a line, small or large, subtracts one
-  constant of the layer from that int, and a line may take a value while
-  its sum digit is at least the value.  The windows are found once per
-  group of states with equal counts.
+  constant of the layer from that int.  A move is made only when the
+  state it makes is *live*, both of its sums inside their windows for
+  the rows left, so the counter stores no state it would throw away
+  unread.  The windows are found once per group of states with equal
+  counts.
 
 **Small-count lemma.**  Every line of a magic border holds exactly
 (n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import (
     check_corners,
@@ -80,10 +82,11 @@ class OmegaKey(namedtuple("OmegaKey", "n v w")):
 class SearchBudget(namedtuple("SearchBudget", "max_nodes max_seconds")):
     """Limits on one search call, shared by both engines; None means unlimited.
 
-    A backtracker node or a counter state costs one node.  Going past
-    either limit raises :class:`BudgetExhausted`, because the search is
-    then incomplete.  There is no solution limit: a listing ends early
-    when its reader stops, and a count must see every border.
+    A backtracker node, or a live state the counter stores, costs one
+    node.  Going past either limit raises :class:`BudgetExhausted`,
+    because the search is then incomplete.  There is no solution limit:
+    a listing ends early when its reader stops, and a count must see
+    every border.
     """
 
     __slots__ = ()
@@ -310,35 +313,52 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     - c small: M^2 + r;
     - c large: C - r.
 
-    Each layer maps keys to the number of ways of reaching them, and a
-    state is dropped by the same window check the backtracker prunes on.
-    The layer is walked in key order, so each group's states come
-    together.  Both windows, and the guards on which of the four moves a
-    line may make, are found once per group.  They are cached per layer
-    by ``need*A + owed + 1``, which is the same for either line.  The
-    count is the sum over the keys with ``key % M^2 == 0``.
+    Each layer maps the keys of *live* states, those whose lines both lie
+    inside their windows (the backtracker's prune), to the number of ways
+    of reaching them.  A move is made only if the state it makes is live
+    in the next layer: the moved line's sum, before the move, lies in its
+    next window shifted by the value taken, and the other line's sum in
+    its own next window.  A window never starts below 0, so the shifted
+    window also holds the guard that a line takes no more than it lacks,
+    and an empty window the guards on the counts it may take.  The layer
+    is walked in key order, so each group's states come together, and
+    the three ranges of each line (stay, take small, take large) are
+    found once per group.  They are cached per layer by
+    ``need*A + owed + 1``, which is the same for either line.  Only
+    states with both sums 0 are live after the last row, so the count is
+    the sum of the last layer.
     """
     rows = _Rows(n, v, w)
     c_base = rows.c_base
     total = rows.total
     window = rows.window
-    owed_floor = -rows.slack
     scale = max(rows.rem_b, rows.rem_c) + 1
     group_size = scale * scale
     a = n + 3
-    layer = {
-        ((n * a + rows.owed_b + 1) * a + rows.owed_c + 1) * group_size
-        + rows.rem_b * scale + rows.rem_c: 1
-    }
+    lo_b, hi_b, lo2_b, hi2_b = window(0, n, rows.owed_b)
+    lo_c, hi_c, lo2_c, hi2_c = window(0, total - n, rows.owed_c)
+    layer = {}
+    if (lo_b <= rows.rem_b <= hi_b or lo2_b <= rows.rem_b <= hi2_b) and (
+        lo_c <= rows.rem_c <= hi_c or lo2_c <= rows.rem_c <= hi2_c
+    ):
+        layer[
+            ((n * a + rows.owed_b + 1) * a + rows.owed_c + 1) * group_size
+            + rows.rem_b * scale + rows.rem_c
+        ] = 1
 
-    def line(code: int) -> tuple[int, int, int, int, int, int]:
-        """``window`` of a line, then the least sums at which it may take
-        the small and the large value (``scale``: never)."""
+    def line(code: int) -> tuple[int, ...]:
+        """The sums from which a line may leave this layer live: the window
+        one row later if it stays out of the row, then that window shifted
+        by the small and by the large value for taking it."""
         need, owed = divmod(code, a)
         owed -= 1
-        value = lines[code] = window(idx, need, owed) + (
-            row if need and owed > owed_floor else scale,
-            large if need > owed and need else scale,
+        # a line that needs every row left cannot stay out of this one
+        stay = window(idx + 1, need, owed) if need < rows_left else _EMPTY + _EMPTY
+        lo, hi, lo2, hi2 = window(idx + 1, need - 1, owed - 1)
+        small = (lo + row, hi + row, lo2 + row, hi2 + row)
+        lo, hi, lo2, hi2 = window(idx + 1, need - 1, owed)
+        value = lines[code] = (
+            stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
         )
         return value
 
@@ -348,7 +368,7 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
         b_small = (a * a + a) * group_size + row * scale
         b_large = a * a * group_size + large * scale
         c_small = group_size + row
-        lines: dict[int, tuple[int, int, int, int, int, int]] = {}
+        lines: dict[int, tuple[int, ...]] = {}
         following: dict[int, int] = {}
         get = following.get
         keys = sorted(layer)
@@ -366,33 +386,30 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
                     code_b = group // a
                     need_c = rows_left - code_b // a
                     code_c = need_c * a + group - code_b * a
-                    lo_b, hi_b, lo2_b, hi2_b, min_small_b, min_large_b = (
-                        lines.get(code_b) or line(code_b)
-                    )
-                    lo_c, hi_c, lo2_c, hi2_c, min_small_c, min_large_c = (
-                        lines.get(code_c) or line(code_c)
-                    )
+                    # the ranges to stay out, take small (s), take large (l)
+                    (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
+                     lol_b, hil_b, lol2_b, hil2_b) = lines.get(code_b) or line(code_b)
+                    (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
+                     lol_c, hil_c, lol2_c, hil2_c) = lines.get(code_c) or line(code_c)
                 rem_b, rem_c = divmod(key - base, scale)
-                if not (lo_b <= rem_b <= hi_b or lo2_b <= rem_b <= hi2_b):
-                    continue
-                if not (lo_c <= rem_c <= hi_c or lo2_c <= rem_c <= hi2_c):
-                    continue
                 ways = layer[key]
-                if rem_b >= min_small_b:
-                    k = key - b_small
-                    following[k] = get(k, 0) + ways
-                if rem_b >= min_large_b:
-                    k = key - b_large
-                    following[k] = get(k, 0) + ways
-                if rem_c >= min_small_c:
-                    k = key - c_small
-                    following[k] = get(k, 0) + ways
-                if rem_c >= min_large_c:
-                    k = key - large
-                    following[k] = get(k, 0) + ways
+                if lo_c <= rem_c <= hi_c or lo2_c <= rem_c <= hi2_c:
+                    if los_b <= rem_b <= his_b or los2_b <= rem_b <= his2_b:
+                        k = key - b_small
+                        following[k] = get(k, 0) + ways
+                    if lol_b <= rem_b <= hil_b or lol2_b <= rem_b <= hil2_b:
+                        k = key - b_large
+                        following[k] = get(k, 0) + ways
+                if lo_b <= rem_b <= hi_b or lo2_b <= rem_b <= hi2_b:
+                    if los_c <= rem_c <= his_c or los2_c <= rem_c <= his2_c:
+                        k = key - c_small
+                        following[k] = get(k, 0) + ways
+                    if lol_c <= rem_c <= hil_c or lol2_c <= rem_c <= hil2_c:
+                        k = key - large
+                        following[k] = get(k, 0) + ways
         layer = following
     state.on_nodes(len(layer))
-    return sum(ways for key, ways in layer.items() if not key % group_size)
+    return sum(layer.values())
 
 
 def enumerate_omega(
@@ -433,13 +450,14 @@ def enumerate_order(
 def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     """Exact number of magic borders with the key's corners, without listing them.
 
-    Equals the length of :func:`enumerate_omega`'s stream.  Every state
-    the counter expands is one budget node, so a node or time limit raises
-    :class:`BudgetExhausted`.  Memory grows with the states of one layer,
-    which a node limit also bounds: at the peak, about 160 bytes per state
-    of the largest layer (the layer, its sorted keys and the layer being
-    built; measured with ``tracemalloc`` at (10; 1, 2), Python 3.11).  Keys
-    with same-parity small corners at even order count 0 at once.
+    Equals the length of :func:`enumerate_omega`'s stream.  Every live
+    state the counter stores is one budget node, so a node or time limit
+    raises :class:`BudgetExhausted`.  Memory grows with the states of one
+    layer, which a node limit also bounds: at the peak, about 170 bytes per
+    state of the largest layer (the layer, its sorted keys and the layer
+    being built; measured with ``tracemalloc`` at (10; 1, 2), Python 3.11,
+    where the largest layer holds 7,377 states and the peak is 1.2 MiB).
+    Keys with same-parity small corners at even order count 0 at once.
     """
     check_corners(key.n, key.v, key.w)
     if forbidden_by_parity(key.n, key.v, key.w):

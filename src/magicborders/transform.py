@@ -7,7 +7,7 @@ Both operations preserve validity.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import complement_base
 from .verify import BorderPlan

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import add, eq, itemgetter, sub
-from typing import Iterable, Iterator, Sequence
 
 from .core import (
     check_inner_order,

@@ -425,3 +425,70 @@ def reference_verify_bordered(cells) -> CheckReport:
                     )
         m -= 2
     return CheckReport.from_violations(violations)
+
+
+# --- counter reference ------------------------------------------------------
+
+
+def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
+    """Borders of the key (n; v, w), and the states stored to count them.
+
+    The layered counter again, over plain tuple states (need_b, owed_b,
+    owed_c, rem_b, rem_c) and with every window taken from the sorted
+    rows still undecided.  A state is stored only when it is *live*: each
+    line can still close its missing sum with as many of those rows as it
+    needs, an admissible number of them small.  Its second result, the
+    stored states of every layer, is what the library counter charges as
+    budget nodes.
+    """
+    c = complement_base(n)
+    small = 2 * n + 2
+    corner_rows = {x if x <= small else c - x for x in (v, w)}
+    free = [r for r in range(1, small + 1) if r not in corner_rows]
+    half = (n + 2) // 2
+    # a line's small count is (n+2)//2 at even n, or one more at odd n
+    extra = (0, 1) if n % 2 else (0,)
+    target = magic_constant(n + 2)
+
+    def live(left, need, owed, rem):
+        if not 0 <= need <= len(left):
+            return False
+        for k in (owed + e for e in extra):
+            if 0 <= k <= need:
+                k_large = need - k
+                lo = sum(left[:k]) + k_large * c - sum(left[len(left) - k_large:])
+                hi = sum(left[len(left) - k:]) + k_large * c - sum(left[:k_large])
+                if lo <= rem <= hi:
+                    return True
+        return False
+
+    start = (
+        n,
+        half - (v <= small) - (w <= small),
+        half - (v <= small) - (c - w <= small),
+        target - v - w,
+        target - v - (c - w),
+    )
+    need_b, owed_b, owed_c, rem_b, rem_c = start
+    layer = {}
+    if live(free, need_b, owed_b, rem_b) and live(free, len(free) - n, owed_c, rem_c):
+        layer[start] = 1
+    stored = len(layer)
+    for idx, row in enumerate(free):
+        left = free[idx + 1:]
+        following = {}
+        for (need_b, owed_b, owed_c, rem_b, rem_c), ways in layer.items():
+            # the row goes into b or c, as its small value or its large one
+            for value, small_taken in ((row, 1), (c - row, 0)):
+                for move in (
+                    (need_b - 1, owed_b - small_taken, owed_c, rem_b - value, rem_c),
+                    (need_b, owed_b, owed_c - small_taken, rem_b, rem_c - value),
+                ):
+                    need_b2, owed_b2, owed_c2, rem_b2, rem_c2 = move
+                    if live(left, need_b2, owed_b2, rem_b2) and live(
+                        left, len(left) - need_b2, owed_c2, rem_c2
+                    ):
+                        following[move] = following.get(move, 0) + ways
+        layer = following
+        stored += len(layer)
+    return sum(layer.values()), stored

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,8 +22,11 @@ from magicborders import (
     seed_order4,
     verify_border,
 )
-
+from magicborders import enumeration
+from magicborders.core import border_pool
 from magicborders.enumeration import _BudgetState, _count, _solutions
+
+from goldens import reference_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REGEN_SCRIPT = Path(__file__).parent.parent / "scripts" / "regen_count_fixture.py"
@@ -285,12 +289,12 @@ def test_count_fixtures_match_a_fresh_count(capsys):
     assert "omega7_counts.txt: matches (240 pairs, 7136 borders)" in out
 
 
-# (key, borders, counter states), measured before the counter packed its
-# states into ints: the packing must expand exactly the same states
+# (key, borders, counter states): the counter stores only live states,
+# and each stored state costs one node
 COUNTER_NODE_TOTALS = [
-    (OmegaKey(6, 10, 11), 663, 3_795),
-    (OmegaKey(7, 1, 3), 58, 1_901),
-    (OmegaKey(5, 1, 2), 0, 183),
+    (OmegaKey(6, 10, 11), 663, 1_557),
+    (OmegaKey(7, 1, 3), 58, 550),
+    (OmegaKey(5, 1, 2), 0, 50),
 ]
 
 
@@ -302,6 +306,36 @@ def test_count_borders_spends_the_same_nodes(key, borders, nodes):
     assert count_borders(key, SearchBudget(max_nodes=nodes)) == borders
     with pytest.raises(BudgetExhausted, match=f"node limit {nodes - 1} reached"):
         count_borders(key, SearchBudget(max_nodes=nodes - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_counter_matches_the_reference_in_count_and_nodes(n):
+    # every pool key, large corners included, up to n=5; the small keys at n=6
+    c = complement_base(n)
+    corners = range(1, 2 * n + 3) if n == 6 else sorted(border_pool(n))
+    for v, w in itertools.permutations(corners, 2):
+        if v + w == c:
+            continue
+        state = _BudgetState(None)
+        assert (_count(n, v, w, state), state.nodes) == reference_count(n, v, w), (n, v, w)
+
+
+def test_a_time_limit_reads_the_clock_inside_a_large_layer(monkeypatch):
+    # (20; 1, 2) stores 7,047 states after seven rows and 16,628 after
+    # eight: a clock read once per layer would leave gaps wider than a chunk
+    state = _BudgetState(SearchBudget(max_nodes=100_000, max_seconds=3600.0))
+    readings = []
+
+    def monotonic():
+        readings.append(state.nodes)
+        return state.start
+
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExhausted, match="node limit 100000 reached"):
+        _count(20, 1, 2, state)
+    gaps = [after - before for before, after in zip([0, *readings], readings)]
+    assert readings[-1] > 90_000
+    assert max(gaps) == 4096
 
 
 def test_count_borders_keeps_the_budget_rules():

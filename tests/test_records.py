@@ -32,6 +32,27 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect():
     assert run.stdout == "[]\n", run.stderr
 
 
+BUILD_AND_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import magicborders.cli
+from magicborders import build_border, build_square, verify_border, verify_bordered
+assert verify_border(build_border(7)).valid
+assert verify_bordered(build_square(12)).valid
+print(sorted({"typing", "importlib.resources"} & set(sys.modules)))
+"""
+
+
+def test_building_and_verifying_import_neither_typing_nor_importlib_resources():
+    # annotations come from collections.abc, and only a corner build that
+    # reads the seed tables loads importlib.resources
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", BUILD_AND_VERIFY, str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout == "[]\n", run.stderr
+
+
 def test_fields_cannot_be_assigned():
     plan = build_border(4)
     with pytest.raises(AttributeError):
