@@ -41,6 +41,14 @@ construct_with_corners(4, 1, 2)
 print(time.perf_counter() - start)
 """
 
+# `python -m magicborders ARGS...` under -I -S, which ignore PYTHONPATH and
+# add no working directory to sys.path: the src tree goes on it by hand
+AS_MODULE = (
+    "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "runpy.run_module('magicborders', run_name='__main__', alter_sys=True)"
+)
+CORNER_BUILD = ["build", "--order", "10", "--border-only", "--corners", "1,4"]
+
 # the layered counter over the keys given as "n,v,w" arguments; the peak
 # RSS is the process's VmHWM, since ru_maxrss keeps the high-water mark of
 # the large process that forked it
@@ -90,8 +98,8 @@ def launch_ms(argv, env) -> float:
 def cold_start() -> None:
     print(f"cold start, median of {COLD_LAUNCHES} fresh launches")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    set_up, build, bare = [], [], []
-    # one launch of each kind per round, so a slow phase of the host hits all three
+    set_up, build, corner, bare = [], [], [], []
+    # one launch of each kind per round, so a slow phase of the host hits all four
     for _ in range(COLD_LAUNCHES):
         run = subprocess.run(
             [sys.executable, "-I", "-c", SET_UP, str(SRC)],
@@ -101,9 +109,14 @@ def cold_start() -> None:
         build.append(
             launch_ms([sys.executable, "-m", "magicborders", "build", "--order", "9"], env)
         )
+        corner.append(
+            launch_ms([sys.executable, "-I", "-S", "-c", AS_MODULE, str(SRC), *CORNER_BUILD], env)
+        )
         bare.append(launch_ms([sys.executable, "-c", "pass"], env))
     print(f"  import + set-up (python -I, in-process): {statistics.median(set_up):7.2f} ms")
     print(f"  python -m magicborders build --order 9:  {statistics.median(build):7.2f} ms")
+    print(f"  python -I -S -m magicborders {' '.join(CORNER_BUILD)}: "
+          f"{statistics.median(corner):7.2f} ms")
     print(f"  bare interpreter (python -c pass):        {statistics.median(bare):7.2f} ms")
 
 

@@ -2,10 +2,11 @@
 
 For even n, small corners (both in 1..2n+2) admit a magic border exactly
 when they have opposite parity.  Construction never searches.  It starts
-from a literal seed, an order-4 border from the paper's table or an
-order-6 border from a table of first search results, takes the seed's
-two-column diagram (see :mod:`magicborders.construct`) and grows it four
-orders at a time with one of two edits to the diagram's picks:
+from a seed held in this module as a literal, an order-4 border from the
+paper's table or an order-6 border from a table of first search results
+(kept as its diagram picks), takes the seed's two-column diagram (see
+:mod:`magicborders.construct`) and grows it four orders at a time with
+one of two edits to the diagram's picks:
 
 - the +4 extension (:func:`extend_border`) adds eight fixed rows, the
   first ``shift`` of them above the existing rows and the rest below, so
@@ -23,17 +24,16 @@ costs O(n), and a border with small ascending corners lists each line in
 diagram row order; other corners get its symmetry image.
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
-is kept as an artifact for ``tables --check``: its entries are data, not
-trusted ground truth, so each instantiation is classified by the
-verifier, repaired when one value is off, and otherwise rebuilt by the
-construction above.
+is kept, with its polynomials as printed, as an artifact for ``tables
+--check``: its entries are data, not trusted ground truth, so each
+instantiation is classified by the verifier, repaired when one value is
+off, and otherwise rebuilt by the construction above.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 
 from .construct import _BLOCKS, _diagram, _picks
 from .core import (
@@ -72,7 +72,7 @@ def corners_feasible(n: int, v: int, w: int) -> bool:
     return not forbidden_by_parity(n, v, w)
 
 
-# --- seed table data -------------------------------------------------------
+# --- seed tables -----------------------------------------------------------
 
 _POLY_LEAD = "(m+2)^2"
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
@@ -116,55 +116,146 @@ class Table2Row(namedtuple("Table2Row", "v w_expr b_exprs c_exprs")):
         return BorderPlan(n=m, v=self.v, w=eval_poly(self.w_expr, m), b=b, c=c)
 
 
-_LITERAL_ORDERS = {"order4": 4, "order6": 6}
+# the paper's order-4 table, one border per (odd v, even w) pair, each
+# line in the paper's order
+_ORDER4 = {(p.v, p.w): p for p in (
+    BorderPlan(4, 1, 2, (34, 33, 32, 9), (6, 30, 29, 10)),
+    BorderPlan(4, 1, 4, (35, 32, 31, 8), (34, 7, 9, 27)),
+    BorderPlan(4, 1, 6, (35, 34, 5, 30), (33, 8, 28, 10)),
+    BorderPlan(4, 1, 8, (35, 3, 33, 31), (32, 30, 9, 10)),
+    BorderPlan(4, 1, 10, (35, 4, 31, 30), (34, 32, 8, 9)),
+    BorderPlan(4, 3, 2, (36, 32, 30, 8), (4, 31, 28, 10)),
+    BorderPlan(4, 3, 4, (36, 35, 5, 28), (6, 30, 29, 10)),
+    BorderPlan(4, 3, 6, (36, 35, 4, 27), (32, 7, 29, 9)),
+    BorderPlan(4, 3, 8, (36, 5, 31, 28), (35, 4, 30, 10)),
+    BorderPlan(4, 3, 10, (1, 35, 32, 30), (33, 31, 8, 9)),
+    BorderPlan(4, 5, 2, (36, 34, 4, 30), (6, 29, 9, 27)),
+    BorderPlan(4, 5, 4, (36, 2, 34, 30), (6, 29, 28, 10)),
+    BorderPlan(4, 5, 6, (36, 2, 34, 28), (33, 7, 8, 27)),
+    BorderPlan(4, 5, 8, (1, 34, 33, 30), (35, 6, 9, 27)),
+    BorderPlan(4, 5, 10, (1, 34, 33, 28), (35, 6, 30, 8)),
+    BorderPlan(4, 7, 2, (36, 3, 32, 31), (4, 29, 9, 27)),
+    BorderPlan(4, 7, 4, (36, 2, 34, 28), (5, 31, 8, 27)),
+    BorderPlan(4, 7, 6, (1, 35, 34, 28), (33, 5, 8, 27)),
+    BorderPlan(4, 7, 8, (36, 5, 28, 27), (2, 34, 33, 6)),
+    BorderPlan(4, 7, 10, (1, 33, 32, 28), (35, 3, 31, 8)),
+    BorderPlan(4, 9, 2, (36, 3, 32, 29), (4, 6, 30, 27)),
+    BorderPlan(4, 9, 4, (36, 2, 31, 29), (3, 32, 7, 27)),
+    BorderPlan(4, 9, 6, (1, 35, 33, 27), (3, 32, 7, 29)),
+    BorderPlan(4, 9, 8, (1, 35, 31, 27), (34, 4, 5, 30)),
+    BorderPlan(4, 9, 10, (1, 32, 30, 29), (2, 34, 33, 6)),
+)}
 
+# one border of inner order 6 per ascending opposite-parity pair v < w,
+# the first the exhaustive search lists, as its fourteen diagram picks
+# (row 1 first; see construct._diagram)
+_ORDER6 = {
+    (1, 2): "LvLwLcRbRbRbRcLbRbRcRcLcLbLc", (1, 4): "LvLbRbLwRbRbRbLcRcRcRcLcLcLb",
+    (1, 6): "LvLbRbRbRbLwLcRcRbRcRcLbLcLc", (1, 8): "LvLbRbRbRbLcRcLwRcRcRbLbLcLc",
+    (1, 10): "LvLbRbRbLcRcRbRcRcLwRbLbLcLc", (1, 12): "LvLbRbRbLbRbRbRcRcRcLcLwLcLc",
+    (1, 14): "LvLbRbRbRcLbRbRcRbRcLcLcLcLw", (2, 3): "LcLvLwRbRbRbRcLbRcRbRcLbLcLc",
+    (2, 5): "LbLvRbRbLwRbLcRbRcRcRcLcLbLc", (2, 7): "LbLvRbRbRbLcLwRcRcRbRcLbLcLc",
+    (2, 9): "LbLvRbRbLcRbRcRcLwRcRbLbLcLc", (2, 11): "LbLvRbLcRbRcRcRbRcRbLwLbLcLc",
+    (2, 13): "LbLvRbRbLbRbRcRbRcRcLcLcLwLc", (3, 4): "LbRbLvLwRbLcRbRbRcRcRcLcLcLb",
+    (3, 6): "LbRbLvRbLcLwRbRcRbRcRcLbLcLc", (3, 8): "LbRbLvLcRbRbRcLwRcRcRbLbLcLc",
+    (3, 10): "LbRbLvLcRbRbRcRcRcLwLbRbLcLc", (3, 12): "LbRbLvLbRbRbRbRcRcLcRcLwLcLc",
+    (3, 14): "LbRbLvLbRbRbRcRcRbRcLcLcLcLw", (4, 5): "LbRbRbLvLwLcRbRbRcLbRcRcLcLc",
+    (4, 7): "LbRbLcLvRbRbLwRcRcRcRbLbLcLc", (4, 9): "LbLcRbLvRbRcRbRcLwRcRbLbLcLc",
+    (4, 11): "LbRbLcLvRbRcRbRcRcLbLwRbLcLc", (4, 13): "LbLcRbLvRcRcRbRcRbRbLbLcLwLc",
+    (5, 6): "LbLcRbRbLvLwRbRcRcRbRcLbLcLc", (5, 8): "LbLcRbRbLvRbRcLwRcRcLbRbLcLc",
+    (5, 10): "LbLcRbRbLvRcRbRcRcLwLbLcRbLc", (5, 12): "LbLbRbRbLvRbRbRcLcRcRcLwLcLc",
+    (5, 14): "LbLbRbRbLvRbRcRcRbLcRcLcLcLw", (6, 7): "LbLcRbRbRbLvLwRcRcLbRcRbLcLc",
+    (6, 9): "LbLcRbRbRcLvRbRcLwRcLcLbLcRb", (6, 11): "LbLbRbRbRbLvRcRbLcRcLwLcRcLc",
+    (6, 13): "LbLbRbRbRbLvRcLcRcRbRcLcLwLc", (7, 8): "LbLbRbRbRbRbLvLwLcRcRcLcRcLc",
+    (7, 10): "LbLbRbRbRbRcLvRbLcLwLcRcRcLc", (7, 12): "LbLbRbRbRbLcLvRcRcRbRcLwLcLc",
+    (7, 14): "LbLbRbRbRbRcLvLcRcRcLcRbLcLw", (8, 9): "LbLbRbRbRcRbRbLvLwLcLcLcRcRc",
+    (8, 11): "LbLbRbRbLcRbRcLvRbRcLwRcLcLc", (8, 13): "LbLbRbRbLcRbRcLvRcRcRbLcLwLc",
+    (9, 10): "LbLbRbLcRbRbRcRbLvLwRcRcLcLc", (9, 12): "LbLbLcRbRbRcRbRbLvRcRcLwLcLc",
+    (9, 14): "LbLbRbLcRbRcRbRcLvRcRbLcLcLw", (10, 11): "LbLbLcRbRbRbRcRcRbLvLwLcRcLc",
+    (10, 13): "LbLbLcRbRbRcRcRbRbLvLcRcLwLc", (11, 12): "LbLbLcRbRbRcRcRbRbLcLvLwRcLc",
+    (11, 14): "LbLbLcRbRbRcRbRcRcLcLvRbLcLw", (12, 13): "LbLbLcRbRbRcRcLcRbRbRcLvLwLc",
+    (13, 14): "LbLbLcRbRbRcRcLcRcRbRbLcLvLw",
+}
 
-@lru_cache(maxsize=1)
-def _seed_data() -> tuple[dict[int, dict[tuple[int, int], BorderPlan]], tuple[Table2Row, ...]]:
-    # imported here, because a process that builds and verifies squares
-    # never reads the seed tables
-    from importlib import resources
-
-    text = resources.files("magicborders").joinpath("data/seed_tables.txt").read_text()
-    literals: dict[int, dict[tuple[int, int], BorderPlan]] = {4: {}, 6: {}}
-    rows: list[Table2Row] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *fields = line.split()
-        if kind in _LITERAL_ORDERS:
-            n = _LITERAL_ORDERS[kind]
-            v, w = int(fields[0]), int(fields[1])
-            b = tuple(int(x) for x in fields[2].split(","))
-            c = tuple(int(x) for x in fields[3].split(","))
-            literals[n][(v, w)] = BorderPlan(n=n, v=v, w=w, b=b, c=c)
-        elif kind == "orderm":
-            rows.append(
-                Table2Row(
-                    v=int(fields[0]),
-                    w_expr=fields[1],
-                    b_exprs=tuple(fields[2].split(",")),
-                    c_exprs=tuple(fields[3].split(",")),
-                )
-            )
-        else:
-            raise ValueError(f"unknown seed-table record {kind!r}")
-    return literals, tuple(rows)
+# the paper's parameterized table for the gap pairs at m = 8, 12, 16, ...:
+# each value a polynomial in m for eval_poly; instantiate() completes b
+# and c with block_sets(m)
+_ORDER_M = (
+    Table2Row(1, "2m+2",
+              ("10", "14", "16", "m^2+2m+4", "(m+2)^2-15", "(m+2)^2-12", "(m+2)^2-11", "(m+2)^2-1"),
+              ("7", "8", "9", "11", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2-3", "(m+2)^2-2")),
+    Table2Row(3, "2m+2",
+              ("7", "13", "14", "m^2+2m+4", "(m+2)^2-15", "(m+2)^2-11", "(m+2)^2-7", "(m+2)^2-1"),
+              ("4", "9", "10", "15", "(m+2)^2-10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(5, "2m+2",
+              ("2", "13", "2m-1", "m^2+2m+4", "m^2+2m+5", "(m+2)^2-8", "(m+2)^2-7", "(m+2)^2-2"),
+              ("4", "10", "11", "14", "(m+2)^2-11", "(m+2)^2-6", "(m+2)^2-5", "(m+2)^2")),
+    Table2Row(7, "2m+2",
+              ("3", "5", "15", "m^2+2m+4", "(m+2)^2-10", "(m+2)^2-9", "(m+2)^2-5", "(m+2)^2-3"),
+              ("2", "12", "13", "16", "(m+2)^2-13", "(m+2)^2-8", "(m+2)^2-7", "(m+2)^2")),
+    Table2Row(2, "2m+1",
+              ("7", "13", "16", "m^2+2m+3", "(m+2)^2-13", "(m+2)^2-11", "(m+2)^2-7", "(m+2)^2-2"),
+              ("4", "9", "10", "15", "(m+2)^2-10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(4, "2m+1",
+              ("3", "13", "2m-1", "m^2+2m+3", "m^2+2m+5", "(m+2)^2-8", "(m+2)^2-7", "(m+2)^2"),
+              ("5", "10", "11", "14", "(m+2)^2-11", "(m+2)^2-6", "(m+2)^2-5", "(m+2)^2-1")),
+    Table2Row(6, "2m+1",
+              ("3", "9", "16", "m^2+2m+3", "(m+2)^2-13", "(m+2)^2-9", "(m+2)^2-4", "(m+2)^2-3"),
+              ("2", "11", "12", "15", "(m+2)^2-12", "(m+2)^2-7", "(m+2)^2-6", "(m+2)^2")),
+    Table2Row(8, "2m+1",
+              ("4", "14", "15", "m^2+2m+3", "(m+2)^2-15", "(m+2)^2-10", "(m+2)^2-6", "(m+2)^2-5"),
+              ("2", "5", "12", "13", "(m+2)^2-9", "(m+2)^2-8", "(m+2)^2-2", "(m+2)^2")),
+    Table2Row(1, "2m",
+              ("8", "9", "2m-1", "m^2+2m+4", "m^2+2m+8", "(m+2)^2-11", "(m+2)^2-3", "(m+2)^2-2"),
+              ("5", "10", "11", "2m+2", "m^2+2m+7", "(m+2)^2-6", "(m+2)^2-5", "(m+2)^2-1")),
+    Table2Row(3, "2m",
+              ("7", "12", "2m+2", "m^2+2m+4", "m^2+2m+6", "(m+2)^2-13", "(m+2)^2-7", "(m+2)^2-1"),
+              ("4", "9", "10", "13", "(m+2)^2-10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(5, "2m",
+              ("2", "14", "2m+1", "m^2+2m+3", "m^2+2m+6", "(m+2)^2-12", "(m+2)^2-11", "(m+2)^2-1"),
+              ("3", "10", "11", "13", "(m+2)^2-11", "(m+2)^2-6", "(m+2)^2-5", "(m+2)^2")),
+    Table2Row(2, "2m-1",
+              ("8", "13", "2m+2", "m^2+2m+4", "m^2+2m+5", "(m+2)^2-11", "(m+2)^2-6", "(m+2)^2-3"),
+              ("3", "9", "10", "14", "(m+2)^2-10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(4, "2m-1",
+              ("8", "12", "2m+2", "m^2+2m+4", "m^2+2m+5", "(m+2)^2-13", "(m+2)^2-6", "(m+2)^2-2"),
+              ("2", "9", "10", "13", "(m+2)^2-10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(6, "2m-1",
+              ("3", "11", "14", "m^2+2m+4", "(m+2)^2-12", "(m+2)^2-11", "(m+2)^2-4", "(m+2)^2-1"),
+              ("4", "9", "10", "2m+2", "(m+2)^2+2m+5", "(m+2)^2-7", "(m+2)^2-6", "(m+2)^2")),
+    Table2Row(1, "2m-2",
+              ("5", "10", "2m", "m^2+2m+3", "m^2+2m+8", "(m+2)^2-8", "(m+2)^2-3", "(m+2)^2-1"),
+              ("6", "11", "12", "2m+1", "m^2+2m+6", "(m+2)^2-7", "(m+2)^2-6", "(m+2)^2-2")),
+    Table2Row(3, "2m-2",
+              ("7", "2m-1", "2m+2", "m^2+2m+4", "m^2+2m+5", "m^2+2m+9", "(m+2)^2-7", "(m+2)^2-3"),
+              ("2", "9", "10", "2m-3", "m^2+2m+10", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(2, "2m-3",
+              ("7", "11", "2m+2", "m^2+2m+5", "m^2+2m+7", "(m+2)^2-11", "(m+2)^2-7", "(m+2)^2"),
+              ("4", "9", "10", "2m+1", "m^2+2m+6", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2-2")),
+    Table2Row(4, "2m-3",
+              ("11", "2m-1", "2m+1", "m^2+2m+3", "m^2+2m+5", "m^2+2m+7", "(m+2)^2-11", "(m+2)^2-1"),
+              ("3", "7", "8", "12", "(m+2)^2-8", "(m+2)^2-5", "(m+2)^2-4", "(m+2)^2")),
+    Table2Row(1, "2m-4",
+              ("2m-3", "2m", "2m+1", "m^2+2m+3", "m^2+2m+6", "m^2+2m+7", "m^2+2m+11", "(m+2)^2-1"),
+              ("6", "7", "8", "2m-5", "m^2+2m+12", "(m+2)^2-4", "(m+2)^2-3", "(m+2)^2-2")),
+    Table2Row(2, "2m-5",
+              ("8", "2m", "2m+2", "m^2+2m+4", "m^2+2m+7", "m^2+2m+8", "(m+2)^2-11", "(m+2)^2-1"),
+              ("5", "6", "9", "2m-1", "m^2+2m+9", "(m+2)^2-6", "(m+2)^2-3", "(m+2)^2-2")),
+)
 
 
 def order4_table() -> dict[tuple[int, int], BorderPlan]:
-    return dict(_seed_data()[0][4])
+    return dict(_ORDER4)
 
 
 def parameterized_table() -> tuple[Table2Row, ...]:
-    return _seed_data()[1]
+    return _ORDER_M
 
 
 def seed_order4(v: int, w: int) -> BorderPlan:
     """The literal order-4 seed with corners (v, w); v odd, w even."""
     try:
-        return _seed_data()[0][4][(v, w)]
+        return _ORDER4[(v, w)]
     except KeyError:
         raise ValueError(
             f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
@@ -354,7 +445,8 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
             w -= shift
         n -= 4
     if n == 6:
-        seed = _picks(_seed_data()[0][6][(v, w)])
+        picks = _ORDER6[(v, w)]
+        seed = [picks[i : i + 2] for i in range(0, len(picks), 2)]
     elif v % 2:
         seed = _picks(seed_order4(v, w))
     else:

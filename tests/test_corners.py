@@ -258,14 +258,16 @@ def test_constructed_order4_plans_appear_in_the_exhaustive_listing():
 
 
 def test_every_order6_literal_is_the_first_border_the_search_finds():
-    table = corners._seed_data()[0][6]
+    table = corners._ORDER6
     assert set(table) == {
         (v, w) for v in range(1, 15) for w in range(v + 1, 15) if (v + w) % 2
     }
-    for (v, w), plan in table.items():
-        assert plan == next(enumerate_omega(OmegaKey(6, v, w))).to_plan(), (v, w)
-        built = construct_with_corners(6, v, w)
-        assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(plan)
+    for (v, w), picks in table.items():
+        rows = [picks[i : i + 2] for i in range(0, len(picks), 2)]
+        assert len(rows) == 14 and rows[v - 1] == "Lv" and rows[w - 1] == "Lw", (v, w)
+        first = next(enumerate_omega(OmegaKey(6, v, w)))
+        assert CanonicalBorder.from_plan(_diagram(6, picks)) == first, (v, w)
+        assert CanonicalBorder.from_plan(construct_with_corners(6, v, w)) == first, (v, w)
 
 
 def _ascending_pairs(n):

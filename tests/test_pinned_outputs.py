@@ -9,6 +9,7 @@ import hashlib
 
 from magicborders import build_border, build_square, complement_base, construct_with_corners
 from magicborders import corners
+from magicborders.cli import main
 from magicborders.documents import FORMATS, serialize_grid, serialize_plan
 from magicborders.verify import BorderPlan
 
@@ -18,6 +19,10 @@ CORNERS_DIGEST = "961d00d7446a8e6a54b8906b1a2fced47e6edbdb9abc126a005de017428d10
 # a construction lists them in
 CORNERS_SET_DIGEST = "f6b7fe93e0e732cb972a150779c0b88fa3fe8afc5b4e71286c454be7d4914636"
 SQUARE_DIGEST = "f07db268819075e96cdda71c028f65b7ff92c8a26c5fdac01607948006044b5a"
+# stdout of `tables --check --m 8 --m 12 --m 40`
+TABLES_CHECK_DIGEST = "d6a785507f9f9016cf5669f2781d9532b6696e24de606dd66ec7cdad4b0360dd"
+# the paper's order-4 table, each line in the paper's order
+ORDER4_DIGEST = "7095472d05ec00dfee89322408af2af5c2d7fde9d24495747c8ed501763e9772"
 
 
 def test_build_border_matches_its_pinned_digest():
@@ -83,3 +88,14 @@ def test_corner_construction_matches_its_pinned_set_digest():
         by_set = BorderPlan(plan.n, plan.v, plan.w, tuple(sorted(plan.b)), tuple(sorted(plan.c)))
         digest.update(serialize_plan(by_set).encode())
     assert digest.hexdigest() == CORNERS_SET_DIGEST
+
+
+def test_tables_check_matches_its_pinned_digest(capsys):
+    assert main(["tables", "--check", "--m", "8", "--m", "12", "--m", "40"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_CHECK_DIGEST
+
+
+def test_order4_table_matches_its_pinned_digest():
+    text = "".join(serialize_plan(plan) for _, plan in sorted(corners.order4_table().items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER4_DIGEST

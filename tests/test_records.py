@@ -37,15 +37,20 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import magicborders.cli
 from magicborders import build_border, build_square, verify_border, verify_bordered
+from magicborders import construct_with_corners
+from magicborders.corners import audit_order_m
 assert verify_border(build_border(7)).valid
 assert verify_bordered(build_square(12)).valid
+# one corner build from each seed table, and the paper's order-m table
+construct_with_corners(4, 1, 2)
+construct_with_corners(6, 1, 2)
+audit_order_m(8)
 print(sorted({"typing", "importlib.resources"} & set(sys.modules)))
 """
 
 
 def test_building_and_verifying_import_neither_typing_nor_importlib_resources():
-    # annotations come from collections.abc, and only a corner build that
-    # reads the seed tables loads importlib.resources
+    # annotations come from collections.abc, and the seed tables are literals
     run = subprocess.run(
         [sys.executable, "-I", "-S", "-c", BUILD_AND_VERIFY, str(SRC)],
         capture_output=True, text=True, timeout=60, check=True,
