@@ -156,12 +156,17 @@ def main() -> None:
             times.append(f"{corners[0]},{corners[1]} {best * 1e3:8.2f} ms")
         print(f"  n={n:>5}: " + "   ".join(times))
 
-    print("full bordered squares")
+    print("full bordered squares: build, verify, verify with cells (0,1) and (1,0) swapped")
     for order in (10, 20, 40, 80, 200, 400, 2003):
         square, t_build = timed(build_square, order)
         report, t_check = timed(verify_bordered, square)
         assert report.valid
-        print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms")
+        # the outer ring is broken and peeled cell by cell, the inner ones whole
+        square[0][1], square[1][0] = square[1][0], square[0][1]
+        report, t_swapped = timed(verify_bordered, square)
+        assert not report.valid
+        print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms   "
+              f"swapped {t_swapped * 1e3:8.2f} ms")
 
     print("build_square by stage, best of 3: recipes + verify_border per ring, ring writes")
     for order in (200, 2003):

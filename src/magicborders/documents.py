@@ -164,8 +164,7 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"unreadable JSON document: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DocumentError("JSON document must be an object")
+    # the text starts with "{", so what parses is an object
     if {"n", "v", "w", "b", "c"} <= payload.keys():
         for key in ("n", "v", "w"):
             if not _is_int(payload[key]):

@@ -8,7 +8,8 @@ interior c), such that both lines reach the magic sum.  Borders are
 reported at set level (order inside a line is immaterial).
 
 Two engines share one pruning rule, a window of sums each line can still
-reach from the rows not yet decided (``_Rows.window``):
+reach from the rows not yet decided (``_Rows``, which computes each
+window once per key):
 
 - the backtracker (``enumerate_omega``) decides one row at a time, depth
   first with an explicit stack, and streams borders.  It is the oracle
@@ -161,8 +162,15 @@ class _BudgetState:
 _EMPTY = (1, 0)
 
 
-class _Rows:
-    """The free diagram rows of one corner key and the sum windows both engines prune on.
+class _Rows(dict):
+    """The free diagram rows of one corner key, and the sum windows both
+    engines prune on, computed on first use and kept by ``(idx, need, owed)``.
+
+    ``rows[idx, need, owed]`` holds the sums a line can still close on
+    with ``need`` more values from rows idx..: (lo, hi) for taking exactly
+    ``owed`` more small values, then (lo, hi) for ``owed + 1`` at odd n.
+    A count the line cannot take, and the second window at even n, read
+    as the empty window (1, 0).
 
     A line's *owed* count is how many more small values it must take for
     its small count to reach ``(n+2)//2``; at odd n it may also take one
@@ -211,31 +219,14 @@ class _Rows:
         )
         return lo, hi
 
-    def window(self, idx: int, need: int, owed: int) -> tuple[int, int, int, int]:
-        """Sums a line can still close on with ``need`` more values from rows idx..
-
-        (lo, hi) for taking exactly ``owed`` more small values, then (lo, hi)
-        for ``owed + 1`` at odd n.  A count the line cannot take, and the
-        second window at even n, read as the empty window (1, 0).
-        """
+    def __missing__(self, key: tuple[int, int, int]) -> tuple[int, int, int, int]:
+        idx, need, owed = key
         first = second = _EMPTY
         if 0 <= owed <= need:
             first = self.span(idx, owed, need - owed)
         if self.slack and 0 <= owed + 1 <= need:
             second = self.span(idx, owed + 1, need - owed - 1)
-        return first + second
-
-
-class _Windows(dict):
-    """``rows.window(idx, need, owed)`` by (need, owed), computed on first use."""
-
-    def __init__(self, rows: _Rows, idx: int):
-        super().__init__()
-        self.rows = rows
-        self.idx = idx
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[int, int, int, int]:
-        value = self[key] = self.rows.window(self.idx, *key)
+        value = self[key] = first + second
         return value
 
 
@@ -245,7 +236,6 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
     c_base = rows.c_base
     free = rows.free
     total = rows.total
-    windows = [_Windows(rows, idx) for idx in range(total)]
     # a line may take a small value only while it owes more than this
     owed_floor = -rows.slack
 
@@ -270,11 +260,10 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
                 )
             continue
         need_c = total - idx - need_b
-        by_need = windows[idx]
-        lo, hi, lo2, hi2 = by_need[need_b, owed_b]
+        lo, hi, lo2, hi2 = rows[idx, need_b, owed_b]
         if not (lo <= rem_b <= hi or lo2 <= rem_b <= hi2):
             continue
-        lo, hi, lo2, hi2 = by_need[need_c, owed_c]
+        lo, hi, lo2, hi2 = rows[idx, need_c, owed_c]
         if not (lo <= rem_c <= hi or lo2 <= rem_c <= hi2):
             continue
 
@@ -331,12 +320,11 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     rows = _Rows(n, v, w)
     c_base = rows.c_base
     total = rows.total
-    window = rows.window
     scale = max(rows.rem_b, rows.rem_c) + 1
     group_size = scale * scale
     a = n + 3
-    lo_b, hi_b, lo2_b, hi2_b = window(0, n, rows.owed_b)
-    lo_c, hi_c, lo2_c, hi2_c = window(0, total - n, rows.owed_c)
+    lo_b, hi_b, lo2_b, hi2_b = rows[0, n, rows.owed_b]
+    lo_c, hi_c, lo2_c, hi2_c = rows[0, total - n, rows.owed_c]
     layer = {}
     if (lo_b <= rows.rem_b <= hi_b or lo2_b <= rows.rem_b <= hi2_b) and (
         lo_c <= rows.rem_c <= hi_c or lo2_c <= rows.rem_c <= hi2_c
@@ -353,10 +341,10 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
         need, owed = divmod(code, a)
         owed -= 1
         # a line that needs every row left cannot stay out of this one
-        stay = window(idx + 1, need, owed) if need < rows_left else _EMPTY + _EMPTY
-        lo, hi, lo2, hi2 = window(idx + 1, need - 1, owed - 1)
+        stay = rows[idx + 1, need, owed] if need < rows_left else _EMPTY + _EMPTY
+        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed - 1]
         small = (lo + row, hi + row, lo2 + row, hi2 + row)
-        lo, hi, lo2, hi2 = window(idx + 1, need - 1, owed)
+        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
         value = lines[code] = (
             stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
         )

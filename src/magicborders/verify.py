@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from operator import add, eq, itemgetter, sub
+from operator import add, eq, sub
 
 from .core import (
     check_inner_order,
@@ -300,82 +300,28 @@ def verify_bordered(cells: Sequence[Sequence[int]]) -> CheckReport:
     The full square's own lines are always checked, so below order 3,
     where there is no ring, this is the plain magic check.
 
-    A permutation is accepted in one whole-grid pass when:
-
-    (a) in every proper ring, each cell and the cell facing it sum to
-        P = N^2+1: the far end of its column for top and bottom cells, of
-        its row for left and right cells, the diagonally opposite corner
-        for corners;
-    (b) every proper ring's top row and left column sum to mP/2, m being
-        the ring's order;
-    (c) the core (order 3 or 4, or the whole square below order 3) has
-        all its lines summing to its own target.
-
-    These imply every condition above, by induction from the core
-    outwards.  Say the subsquare of order m-2 inside ring k has all its
-    lines at (m-2)P/2.  The ring's bottom row faces its top row cell by
-    cell, with the corners swapped, so by (a) and (b) it sums to
-    mP - mP/2 = mP/2; likewise its right column faces its left column.
-    Each other row of the order-m subsquare is a row of the order m-2 one
-    plus a facing pair of the ring, so it sums to (m-2)P/2 + P = mP/2, and
-    so does each other column.  Each diagonal adds one pair of opposite
-    corners, P, to the inner diagonal.  (a) is the ring-complement
-    condition itself, so with (c) as the base every subsquare passes;
-    conversely every valid square satisfies (a)-(c).  So the whole-grid
-    pass accepts exactly the valid squares, and any grid it does not
-    accept takes the walk below, which names every violation.
-
-    The walk takes the line sums of the full square once; stepping from
-    order m to m-2 subtracts the peeled ring's two cells from each running
-    sum, so the whole check costs O(N^2).
+    One walk takes the line sums of the full square once and steps from
+    order m to m-2 ring by ring, so the whole check costs O(N^2).  A ring
+    whose facing pairs all sum to P = N^2+1 takes exactly P off every
+    inner row and column and off each diagonal, since each of those lines
+    meets the ring in one facing pair.  So the walk keeps the sums it took
+    and one running offset, the P of every whole ring peeled so far, and
+    compares them with each subsquare's target raised by that offset.
+    Only a broken ring is taken off the sums cell by cell, and only its
+    pairs are walked one by one to name each that fails.
     """
     return _verify_lines(cells, bordered=True)
 
 
-def _accepts_bordered(cells: Sequence[Sequence[int]], order: int) -> bool:
-    """Whether a permutation square is bordered, by the whole-grid pass that
-    :func:`verify_bordered` proves exact: facing pairs, ring top rows and
-    left columns, then the core's lines."""
-    pair_sum = order * order + 1
-    rings = max(0, (order - (3 if order % 2 else 4)) // 2)
-    cols = list(zip(*cells))
-    for k in range(rings):
-        hi = order - 1 - k
-        top, bottom, left, right = cells[k], cells[hi], cols[k], cols[hi]
-        line_target = (hi - k + 1) * pair_sum // 2
-        if not (
-            top[k] + bottom[hi] == pair_sum == top[hi] + bottom[k]
-            and sum(top[k : hi + 1]) == line_target == sum(left[k : hi + 1])
-            and {
-                *map(add, top[k + 1 : hi], bottom[k + 1 : hi]),
-                *map(add, left[k + 1 : hi], right[k + 1 : hi]),
-            }
-            == {pair_sum}
-        ):
-            return False
-    core = [row[rings : order - rings] for row in cells[rings : order - rings]]
-    m = len(core)
-    line_target = m * pair_sum // 2
-    diagonals = (
-        [row[t] for t, row in enumerate(core)],
-        [row[m - 1 - t] for t, row in enumerate(core)],
-    )
-    return all(sum(line) == line_target for line in chain(core, zip(*core), diagonals))
-
-
 def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport:
-    """The one line-sum pass behind :func:`verify_square` (the full square's
-    lines, as ``line-sum``) and :func:`verify_bordered` (every concentric
+    """The one walk behind :func:`verify_square` (the full square's lines,
+    as ``line-sum``) and :func:`verify_bordered` (every concentric
     subsquare's lines, as ``subsquare-line-sum``, plus ring complements)."""
     violations = _square_shape_violations(cells)
     if violations:
         return CheckReport.from_violations(violations)
     order = len(cells)
-
-    is_permutation = _is_permutation(cells, order)
-    if bordered and is_permutation and _accepts_bordered(cells, order):
-        return CheckReport(valid=True)
-    if not is_permutation:
+    if not _is_permutation(cells, order):
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )
@@ -383,56 +329,53 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
     condition = "subsquare-line-sum" if bordered else "line-sum"
     base = 3 if order % 2 else 4
     pair_sum = order * order + 1
-    row_sums = [sum(row) for row in cells]
-    col_sums = [sum(col) for col in zip(*cells)]
-    diag = sum(cells[t][t] for t in range(order))
-    anti = sum(cells[t][order - 1 - t] for t in range(order))
+    cols = list(zip(*cells))
+    row_sums = list(map(sum, cells))
+    col_sums = list(map(sum, cols))
+    diag = sum(row[t] for t, row in enumerate(cells))
+    anti = sum(row[-1 - t] for t, row in enumerate(cells))
+    # the pair sums of the whole rings peeled so far, by which the running
+    # sums exceed the lines of the current subsquare
+    peeled = 0
     m = order
     while True:
-        k = (order - m) // 2
-        lo, hi = k, k + m - 1
+        lo = (order - m) // 2
+        hi = lo + m - 1
         line_target = m * pair_sum // 2
-        prefix = f"order {m} " if bordered else ""
-        for lines, kind in ((row_sums, "row"), (col_sums, "column")):
-            if lines[lo : hi + 1].count(line_target) == m:
-                continue
-            for i in range(lo, hi + 1):
-                if lines[i] != line_target:
-                    violations.append(
-                        Violation(
-                            condition,
-                            f"{prefix}{kind} {i}",
-                            expected=line_target,
-                            actual=lines[i],
-                        )
-                    )
-        for total, name in ((diag, "main diagonal"), (anti, "anti diagonal")):
-            if total != line_target:
-                violations.append(
-                    Violation(
-                        condition, f"{prefix}{name}", expected=line_target, actual=total
-                    )
-                )
+        shifted = line_target + peeled
+        if not (
+            row_sums[lo : hi + 1].count(shifted) == m == col_sums[lo : hi + 1].count(shifted)
+            and diag == shifted == anti
+        ):
+            prefix = f"order {m} " if bordered else ""
+            failed = [
+                (f"{kind} {i}", lines[i])
+                for lines, kind in ((row_sums, "row"), (col_sums, "column"))
+                for i in range(lo, hi + 1)
+                if lines[i] != shifted
+            ]
+            failed += [("main diagonal", diag), ("anti diagonal", anti)]
+            violations.extend(
+                Violation(condition, prefix + where, expected=line_target, actual=total - peeled)
+                for where, total in failed
+                if total != shifted
+            )
         if not bordered or m < base + 2:
             break
-        # the ring's facing pairs as whole sides; a ring that fails is
-        # walked pair by pair to name each broken pair
-        top, bottom = cells[lo], cells[hi]
-        inner = cells[lo + 1 : hi]
+        top, bottom, left, right = cells[lo], cells[hi], cols[lo], cols[hi]
+        corners = (top[lo] + bottom[hi], top[hi] + bottom[lo])
         across = list(map(add, top[lo + 1 : hi], bottom[lo + 1 : hi]))
-        along = list(map(add, map(itemgetter(lo), inner), map(itemgetter(hi), inner)))
-        if not (
-            top[lo] + bottom[hi] == pair_sum == top[hi] + bottom[lo]
-            and set(across) == set(along) == {pair_sum}
-        ):
+        along = list(map(add, left[lo + 1 : hi], right[lo + 1 : hi]))
+        if corners == (pair_sum, pair_sum) and {*across, *along} == {pair_sum}:
+            peeled += pair_sum
+        else:  # a broken ring comes off the running sums cell by cell
             violations.extend(
                 _facing_violations(cells, lo, hi, pair_sum, "ring-complement")
             )
-        # peel the ring off the running sums of the order m-2 subsquare
-        row_sums[lo + 1 : hi] = map(sub, row_sums[lo + 1 : hi], along)
-        col_sums[lo + 1 : hi] = map(sub, col_sums[lo + 1 : hi], across)
-        diag -= top[lo] + bottom[hi]
-        anti -= top[hi] + bottom[lo]
+            row_sums[lo + 1 : hi] = map(sub, row_sums[lo + 1 : hi], along)
+            col_sums[lo + 1 : hi] = map(sub, col_sums[lo + 1 : hi], across)
+            diag -= corners[0]
+            anti -= corners[1]
         m -= 2
     return CheckReport.from_violations(violations)
 

@@ -405,6 +405,15 @@ def test_orbit_checks_the_whole_frame(capsys, tmp_path):
     assert code == 1 and out == verified
 
 
+def test_orbit_of_a_full_square_exits_1(capsys, tmp_path):
+    _, out, _ = run(capsys, "build", "--order", "6")
+    path = tmp_path / "square.txt"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "orbit", str(path))
+    assert code == 1 and out == ""
+    assert "orbit expects a border plan or frame" in err
+
+
 SEED_PLAN = {"n": 4, "v": 1, "w": 2, "b": [34, 33, 32, 9], "c": [6, 30, 29, 10]}
 
 

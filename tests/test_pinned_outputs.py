@@ -1,13 +1,21 @@
-"""Construction outputs pinned to SHA-256 digests of their documents.
+"""Construction outputs and verifier reports pinned to SHA-256 digests.
 
 A change to any digest is a change to the borders or squares the program
-builds, which a refactor of the recipes, of corner construction or of
-square assembly must not make.
+builds, or to what the verifiers say of them, which a refactor of the
+recipes, of corner construction, of square assembly or of the verifiers
+must not make.
 """
 
 import hashlib
 
-from magicborders import build_border, build_square, complement_base, construct_with_corners
+from magicborders import (
+    build_border,
+    build_square,
+    complement_base,
+    construct_with_corners,
+    verify_bordered,
+    verify_square,
+)
 from magicborders import corners
 from magicborders.cli import main
 from magicborders.documents import FORMATS, serialize_grid, serialize_plan
@@ -23,6 +31,8 @@ SQUARE_DIGEST = "f07db268819075e96cdda71c028f65b7ff92c8a26c5fdac01607948006044b5
 TABLES_CHECK_DIGEST = "d6a785507f9f9016cf5669f2781d9532b6696e24de606dd66ec7cdad4b0360dd"
 # the paper's order-4 table, each line in the paper's order
 ORDER4_DIGEST = "7095472d05ec00dfee89322408af2af5c2d7fde9d24495747c8ed501763e9772"
+# the reprs of both square verifiers' reports on squares with two cells swapped
+TAMPER_DIGEST = "62283b9739b18524c6e81935faf3043c2e8a43ce2f0c09dbe3e539f5f9126cdd"
 
 
 def test_build_border_matches_its_pinned_digest():
@@ -99,3 +109,17 @@ def test_tables_check_matches_its_pinned_digest(capsys):
 def test_order4_table_matches_its_pinned_digest():
     text = "".join(serialize_plan(plan) for _, plan in sorted(corners.order4_table().items()))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER4_DIGEST
+
+
+def test_reports_on_tampered_squares_match_their_pinned_digest():
+    # every cell of each square at orders 3..24 swapped with one other cell
+    digest = hashlib.sha256()
+    for order in range(3, 25):
+        size, base = order * order, build_square(order)
+        for t in range(size):
+            cells = [list(row) for row in base]
+            (i1, j1), (i2, j2) = divmod(t, order), divmod((7 * t + 3) % size, order)
+            cells[i1][j1], cells[i2][j2] = cells[i2][j2], cells[i1][j1]
+            digest.update(repr(verify_bordered(cells)).encode())
+            digest.update(repr(verify_square(cells)).encode())
+    assert digest.hexdigest() == TAMPER_DIGEST

@@ -37,7 +37,7 @@ from magicborders import (
     verify_square,
 )
 from magicborders.assemble import base_square, layer_plans
-from magicborders.verify import _accepts_bordered, _square_shape_violations
+from magicborders.verify import _square_shape_violations
 
 from goldens import reference_verify_bordered
 
@@ -255,11 +255,10 @@ def test_verify_bordered_matches_the_reference_at_large_orders(order, data):
     assert verify_bordered(cells) == reference_verify_bordered(cells)
 
 
-def test_the_whole_grid_pass_accepts_every_built_square():
-    # so valid squares never pay for the ring-by-ring walk
+def test_the_walk_accepts_every_built_square():
     for order in range(3, 61):
-        assert _accepts_bordered(build_square(order), order), order
-    assert _accepts_bordered([[1]], 1)
+        assert verify_bordered(build_square(order)) == CheckReport(True), order
+    assert verify_bordered([[1]]) == CheckReport(True)
 
 
 def ring_spans(order):
@@ -298,8 +297,8 @@ def test_trading_a_top_pair_for_a_left_pair_breaks_only_the_ring_sums():
 
 
 def test_swaps_that_break_one_kind_of_ring_condition_are_rejected():
-    # each swap keeps a permutation and breaks one kind of condition of the
-    # whole-grid pass: facing pairs of one kind, or one ring line sum
+    # each swap keeps a permutation and breaks one kind of ring condition:
+    # facing pairs of one kind, or one ring line sum
     for order in (7, 8, 13, 24):
         rings = ring_spans(order)
         for k, hi in rings:

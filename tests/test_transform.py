@@ -151,6 +151,12 @@ def test_permute_lines_rejects_non_permutations():
         permute_lines(ORDER8_PLAN, range(7), range(8))
 
 
+def test_permute_lines_rejects_a_plan_with_short_lines():
+    short = ORDER8_PLAN._replace(b=ORDER8_PLAN.b[:-1])
+    with pytest.raises(ValueError, match="plan lines must have length n"):
+        permute_lines(short, range(8), range(8))
+
+
 @given(st.integers(min_value=3, max_value=12), st.data())
 @settings(max_examples=30, deadline=None)
 def test_validity_survives_random_permutations_and_symmetries(n, data):

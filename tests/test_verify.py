@@ -3,8 +3,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from magicborders import (
+    BorderFrame,
     BorderPlan,
     CheckReport,
+    Violation,
     build_border,
     build_square,
     complement,
@@ -174,6 +176,20 @@ def test_verify_square_rejects_non_permutations():
     grid = [[1] * 4 for _ in range(4)]
     assert any(
         x.condition == "not-permutation" for x in verify_square(grid).violations
+    )
+
+
+def test_misshapen_inputs_are_shape_violations():
+    assert verify_square([]) == CheckReport(False, (Violation("shape", "empty grid"),))
+    assert verify_bordered([[1, 2], [3]]) == CheckReport(
+        False, (Violation("shape", "row 1", expected=2, actual=1),)
+    )
+    assert verify_border(BorderPlan(n=2, v=1, w=2, b=(3, 4), c=(5, 6))) == CheckReport(
+        False, (Violation("inner-order", "n=2"),)
+    )
+    wrong_size = BorderFrame(n=4, cells=tuple((1,) * 6 for _ in range(5)))
+    assert verify_frame(wrong_size) == CheckReport(
+        False, (Violation("shape", "grid is not 6x6"),)
     )
 
 
