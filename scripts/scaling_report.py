@@ -11,6 +11,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -66,6 +67,19 @@ with open("/proc/self/status") as status:
 print(total, state.nodes, elapsed, peak_kib)
 """
 
+# parse_document over the document in the file given, and the process's
+# peak RSS (VmHWM, as in COUNTER_RUN) after it
+PARSE_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from magicborders.documents import parse_document
+with open(sys.argv[2], encoding="utf-8") as handle:
+    parse_document(handle.read())
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+PARSE_PEAK_ORDER = 1500
+
 
 def timed(fn, *args):
     start = time.perf_counter()
@@ -83,6 +97,19 @@ def counter_run(keys):
     )
     total, nodes, elapsed, peak_kib = run.stdout.split()
     return int(total), int(nodes), float(elapsed), int(peak_kib) / 1024
+
+
+def parse_peak_mib(text: str) -> float:
+    """Peak RSS in MiB of a fresh process that reads ``text`` from a file
+    and parses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document"
+        path.write_text(text, encoding="utf-8")
+        run = subprocess.run(
+            [sys.executable, "-c", PARSE_RUN, str(SRC), str(path)],
+            check=True, capture_output=True, text=True,
+        )
+    return int(run.stdout) / 1024
 
 
 def listed_total(n):
@@ -185,6 +212,9 @@ def main() -> None:
             assert list(map(list, doc.cells)) == square
             timings.append(f"{fmt} {t_write * 1e3:7.1f} + {t_read * 1e3:7.1f} ms")
         print(f"  N={order:>4}: " + "   ".join(timings))
+    square = build_square(PARSE_PEAK_ORDER)
+    peaks = [f"{fmt} {parse_peak_mib(serialize_grid(square, fmt)):6.1f} MiB" for fmt in FORMATS]
+    print(f"  N={PARSE_PEAK_ORDER}, parse peak RSS, each in a fresh process: " + "   ".join(peaks))
 
     print("exact set-level counts per inner order: layered counter vs backtracker")
     for n in (3, 4, 5, 6, 7):

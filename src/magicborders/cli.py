@@ -39,6 +39,7 @@ from .enumeration import (
 )
 from .transform import orbit
 from .verify import (
+    BorderFrame,
     BorderPlan,
     CheckReport,
     verify_border,
@@ -137,34 +138,19 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _reject_holed_square(doc: GridDocument) -> None:
-    """Tell a frame from a square with holes, for a grid with an empty cell.
-
-    A grid of order 5 or more whose interior is mostly empty is a frame,
-    and ``GridDocument.as_frame`` names any cell out of place in it.  Any
-    other grid is a square with holes, reported at its first empty cell.
-    """
-    interior = [x for row in doc.cells[1:-1] for x in row[1:-1]]
-    if doc.order < 5 or 2 * interior.count(None) <= len(interior):
-        i, j = next(
-            (i, j) for i, row in enumerate(doc.cells) for j, x in enumerate(row) if x is None
-        )
-        raise DocumentError(f"grid has an empty cell at ({i},{j})")
-
-
 def cmd_verify(args) -> int:
     doc = parse_document(_read_input(args.input))
-    if isinstance(doc, GridDocument) and doc.is_complete():
+    if isinstance(doc, GridDocument) and not doc.is_complete():
+        doc = doc.as_frame()
+    if isinstance(doc, GridDocument):
         # the bordered check covers every line of the full square as its
         # order-N subsquare, so it runs alone
         check = verify_bordered if args.bordered else verify_square
         report = check(doc.cells)
+    elif args.bordered:
+        raise DocumentError("--bordered applies to full squares only")
     else:
-        if isinstance(doc, GridDocument):
-            _reject_holed_square(doc)
-        if args.bordered:
-            raise DocumentError("--bordered applies to full squares only")
-        report = verify_border(doc) if isinstance(doc, BorderPlan) else verify_frame(doc.as_frame())
+        report = verify_border(doc) if isinstance(doc, BorderPlan) else verify_frame(doc)
     return _print_report(report)
 
 
@@ -204,14 +190,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_orbit(args) -> int:
     doc = parse_document(_read_input(args.input))
+    if isinstance(doc, GridDocument) and not doc.is_complete():
+        doc = doc.as_frame()
     if isinstance(doc, BorderPlan):
         plan, report = doc, verify_border(doc)
-    elif isinstance(doc, GridDocument) and not doc.is_complete():
-        _reject_holed_square(doc)
+    elif isinstance(doc, BorderFrame):
         # the whole frame, not only the plan read off its top row and left
         # column: the cells facing those must hold their complements too
-        frame = doc.as_frame()
-        plan, report = plan_from_frame(frame), verify_frame(frame)
+        plan, report = plan_from_frame(doc), verify_frame(doc)
     else:
         raise DocumentError("orbit expects a border plan or frame, not a full square")
     if not report.valid:

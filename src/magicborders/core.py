@@ -42,8 +42,9 @@ def pool_bounds(n: int) -> tuple[int, int, int, int]:
 
 
 def in_pool(x: int, n: int) -> bool:
+    """Whether x is an int in the pool; bools count as 0 and 1."""
     s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
-    return s_lo <= x <= s_hi or l_lo <= x <= l_hi
+    return isinstance(x, int) and (s_lo <= x <= s_hi or l_lo <= x <= l_hi)
 
 
 def border_pool(n: int) -> frozenset[int]:

@@ -67,7 +67,7 @@ def corners_feasible(n: int, v: int, w: int) -> bool:
     small = 2 * n + 2
     if v == w:
         raise ValueError("corners must be distinct")
-    if not (1 <= v <= small and 1 <= w <= small):
+    if not all(isinstance(x, int) and 1 <= x <= small for x in (v, w)):
         raise ValueError(f"corners must lie in 1..{small}, got ({v}, {w})")
     return not forbidden_by_parity(n, v, w)
 

@@ -4,7 +4,8 @@ Grids travel as whitespace-aligned text, CSV, or JSON with keys "order"
 and "cells"; border plans travel as JSON with keys "n", "v", "w", "b",
 "c".  Empty cells (the interior of a frame) are "." in text, an empty
 field in CSV and null in JSON.  Parsing auto-detects the format and
-round-trips every emitted document.
+round-trips every emitted document.  ``GridDocument.as_frame`` holds the
+one rule that tells a frame from a square with holes.
 
 ``json`` and ``csv`` are imported where a JSON or CSV document, or a
 grid row that needs the CSV reader, is handled, so a grid-format build
@@ -43,14 +44,21 @@ class GridDocument(namedtuple("GridDocument", "cells")):
         return not any(None in row for row in self.cells)
 
     def as_frame(self) -> BorderFrame:
-        order = self.order
-        if order < 5:
-            raise DocumentError(f"a frame needs order >= 5, got {order}")
-        for i, j, on_border in misplaced_cells(self.cells):
-            if on_border:
-                raise DocumentError(f"frame border cell ({i},{j}) is empty")
-            raise DocumentError(f"frame interior cell ({i},{j}) is filled")
-        return BorderFrame(n=order - 2, cells=self.cells)
+        """Read the grid as a frame if its order is 5 or more and its interior
+        mostly empty, naming any misplaced cell.  Any other grid is a square,
+        named at its first empty cell if it has one."""
+        cells, order = self.cells, self.order
+        holes = sum(row[1:-1].count(None) for row in cells[1:-1])
+        if order >= 5 and 2 * holes > (order - 2) ** 2:
+            for i, j, on_border in misplaced_cells(cells):
+                if on_border:
+                    raise DocumentError(f"frame border cell ({i},{j}) is empty")
+                raise DocumentError(f"frame interior cell ({i},{j}) is filled")
+            return BorderFrame(n=order - 2, cells=cells)
+        for i, row in enumerate(cells):
+            if None in row:
+                raise DocumentError(f"grid has an empty cell at ({i},{row.index(None)})")
+        raise DocumentError("grid has no empty cell: a full square is not a frame")
 
 
 def _grid_rows(cells) -> tuple[tuple[int | None, ...], ...]:
@@ -195,12 +203,15 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
 
 def parse_document(text: str) -> BorderPlan | GridDocument:
     """Read any emitted document back: JSON plan, or JSON/CSV/text grid."""
-    stripped = text.strip()
-    if not stripped:
+    if not text or text.isspace():
         raise DocumentError("empty document")
-    if stripped.startswith("{"):
-        return _parse_json(stripped)
-    lines = [line for line in stripped.splitlines() if line.strip()]
+    if next(ch for ch in text if not ch.isspace()) == "{":
+        # stripped, so JSON error positions count from the first "{"
+        return _parse_json(text.strip())
+    # blank lines and end spaces go as with text.strip(), without its copy
+    lines = [line for line in text.splitlines() if line and not line.isspace()]
+    lines[0] = lines[0].lstrip()
+    lines[-1] = lines[-1].rstrip()  # the same line in a one-line document
     cells = []
     for i, line in enumerate(lines, start=1):
         sep = "," if "," in line else None

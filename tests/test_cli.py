@@ -154,6 +154,17 @@ def test_verify_bordered_rejects_frames_and_plans(capsys, tmp_path, fmt):
     assert err == "error: --bordered applies to full squares only\n"
 
 
+def test_verify_bordered_names_the_misplaced_cell_of_a_frame(capsys, tmp_path):
+    # the grid is read as a frame first, so the cell out of place is named
+    # before --bordered turns frames away
+    _, out, _ = run(capsys, "build", "--order", "5", "--border-only")
+    path = tmp_path / "frame.txt"
+    path.write_text(_edited_grid(out, (0, 0), "."), encoding="utf-8")
+    for flags in ((), ("--bordered",)):
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert (code, out, err) == (1, "", "error: frame border cell (0,0) is empty\n")
+
+
 def test_verify_reports_the_hole_of_a_square_too_small_for_a_frame(capsys, tmp_path):
     path = tmp_path / "holed3.txt"
     path.write_text("8 1 6\n3 . 7\n4 9 2\n", encoding="utf-8")

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from magicborders import core
+from magicborders import construct_with_corners, core
+from magicborders.corners import corners_feasible
+from magicborders.enumeration import OmegaKey, count_borders, enumerate_omega
 
 from goldens import d_corner, d_value
 
@@ -31,6 +33,32 @@ def test_complement_rejects_values_outside_pool():
         core.complement(0, 4)
     with pytest.raises(ValueError):
         core.complement(37, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: construct_with_corners(6, 1, 2.5),
+                     "corner w=2.5 is outside the pool for n=6", id="construct"),
+        pytest.param(lambda: construct_with_corners(10, 1, 22.0),
+                     "corner w=22.0 is outside the pool for n=10", id="construct-float"),
+        pytest.param(lambda: count_borders(OmegaKey(4, 1, 2.5)),
+                     "corner w=2.5 is outside the pool for n=4", id="count"),
+        pytest.param(lambda: list(enumerate_omega(OmegaKey(4, 1.5, 2))),
+                     "corner v=1.5 is outside the pool for n=4", id="enumerate"),
+        pytest.param(lambda: core.complement(2.5, 4),
+                     "2.5 is outside the border pool {1..10} u {27..36} for inner order 4",
+                     id="complement"),
+        pytest.param(lambda: corners_feasible(6, 1, 2.5),
+                     "corners must lie in 1..14, got (1, 2.5)", id="feasible"),
+    ],
+)
+def test_non_integer_values_are_outside_the_pool(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+    # bools count as 0 and 1, as in verify_border's pool-membership check
+    assert core.in_pool(True, 4) and not core.in_pool(1.0, 4)
 
 
 @given(st.integers(min_value=3, max_value=60), st.data())

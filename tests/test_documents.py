@@ -105,6 +105,27 @@ def test_grid_document_guards():
         full.as_frame()
 
 
+def _holed_square(order, i, j):
+    square = build_square(order)
+    square[i][j] = None
+    return serialize_grid(square, GRID)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 .\n3 4\n", "grid has an empty cell at (0,1)"),
+        ("1 2\n3 4\n", "grid has no empty cell: a full square is not a frame"),
+        # one hole leaves the interior mostly filled: a square, not a frame
+        (_holed_square(5, 2, 3), "grid has an empty cell at (2,3)"),
+    ],
+)
+def test_as_frame_tells_frames_from_squares(text, message):
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(text).as_frame()
+    assert str(excinfo.value) == message
+
+
 def test_frame_document_requires_border_cells():
     text = serialize_grid(render_frame(build_border(4)).cells, GRID)
     holed = text.replace("35", " .", 1)
