@@ -24,6 +24,7 @@ from magicborders import (
     verify_border,
     verify_bordered,
 )
+from magicborders import construct
 from magicborders.assemble import ring_shift
 from magicborders.documents import FORMATS, parse_document, serialize_grid
 from magicborders.verify import write_ring
@@ -147,13 +148,14 @@ def cold_start() -> None:
     print(f"  bare interpreter (python -c pass):        {statistics.median(bare):7.2f} ms")
 
 
-def square_stages(order: int) -> tuple[float, float]:
-    """``build_square``'s two ring stages timed apart, in seconds: the
-    recipes with one ``verify_border`` per ring (``build_border``), then
-    the ring writes."""
+def square_stages(order: int) -> tuple[float, float, float]:
+    """``build_square``'s three ring stages timed apart, in seconds: the
+    recipes, one ``verify_border`` per ring, then the ring writes."""
     core = 3 if order % 2 else 4
     # inner orders of the rings, innermost first, as build_square takes them
-    plans, t_plans = timed(lambda: [build_border(n) for n in range(core, order - 1, 2)])
+    plans, t_recipes = timed(lambda: [construct._recipe(n) for n in range(core, order - 1, 2)])
+    reports, t_verify = timed(lambda: [verify_border(plan) for plan in plans])
+    assert all(report.valid for report in reports)
     cells = [[0] * order for _ in range(order)]
 
     def write_rings():
@@ -162,7 +164,7 @@ def square_stages(order: int) -> tuple[float, float]:
             write_ring(cells, k, plan, ring_shift(order, k))
 
     _, t_write = timed(write_rings)
-    return t_plans, t_write
+    return t_recipes, t_verify, t_write
 
 
 def main() -> None:
@@ -195,12 +197,11 @@ def main() -> None:
         print(f"  N={order:>4}: build {t_build * 1e3:8.2f} ms   verify {t_check * 1e3:8.2f} ms   "
               f"swapped {t_swapped * 1e3:8.2f} ms")
 
-    print("build_square by stage, best of 3: recipes + verify_border per ring, ring writes")
+    print("build_square by stage, best of 3: recipes, verify_border per ring, ring writes")
     for order in (200, 2003):
-        stages = [square_stages(order) for _ in range(3)]
-        t_plans, t_write = min(t for t, _ in stages), min(t for _, t in stages)
-        print(f"  N={order:>4}: recipes + verify_border {t_plans * 1e3:8.2f} ms   "
-              f"ring writes {t_write * 1e3:8.2f} ms")
+        t_recipes, t_verify, t_write = map(min, zip(*(square_stages(order) for _ in range(3))))
+        print(f"  N={order:>4}: recipes {t_recipes * 1e3:8.2f} ms   "
+              f"verify_border {t_verify * 1e3:8.2f} ms   ring writes {t_write * 1e3:8.2f} ms")
 
     print("square documents: serialize, then parse")
     for order in (200, 1000, 2003):

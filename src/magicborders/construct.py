@@ -159,20 +159,24 @@ def recipe_odd(n: int) -> BorderPlan:
 _N3 = _diagram(3, "LvLcLwRbRbRcRcRb")
 
 
-def build_border(n: int) -> BorderPlan:
-    """A verified magic border for inner order n; deterministic in n.
+def _recipe(n: int) -> BorderPlan:
+    """The recipe's border for inner order n, not yet verified.
 
     n=4 runs the 4k recipe's fixed opening alone.
     """
-    check_inner_order(n)
     if n == 3:
-        plan = _N3
-    elif n % 4 == 0:
-        plan = recipe_even_4k(n // 4)
-    elif n % 2 == 0:
-        plan = recipe_even_4k_plus_2((n - 2) // 4)
-    else:
-        plan = recipe_odd(n)
+        return _N3
+    if n % 4 == 0:
+        return recipe_even_4k(n // 4)
+    if n % 2 == 0:
+        return recipe_even_4k_plus_2((n - 2) // 4)
+    return recipe_odd(n)
+
+
+def build_border(n: int) -> BorderPlan:
+    """A verified magic border for inner order n; deterministic in n."""
+    check_inner_order(n)
+    plan = _recipe(n)
     report = verify_border(plan)
     if not report.valid:
         raise RuntimeError(

@@ -145,24 +145,20 @@ def _is_int(x) -> bool:
 def _grid_from_lists(raw, where: str) -> GridDocument:
     if not isinstance(raw, list):
         raise DocumentError(f"{where} must be a list of rows, got {raw!r}")
-    cells = []
+    # each row is converted in place, so its decoded list is freed as soon
+    # as its tuple exists
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise DocumentError(f"{where} row {i} is {row!r}, not a list of cells")
-        if _int_row(row):
-            cells.append(tuple(row))
-            continue
-        parsed = []
-        for j, x in enumerate(row):
-            if x is None or _is_int(x):
-                parsed.append(x)
-            else:
-                raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
-        cells.append(tuple(parsed))
-    order = len(cells)
-    if order == 0 or any(len(row) != order for row in cells):
+        if not _int_row(row):
+            for j, x in enumerate(row):
+                if x is not None and not _is_int(x):
+                    raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
+        raw[i] = tuple(row)
+    order = len(raw)
+    if order == 0 or any(len(row) != order for row in raw):
         raise DocumentError(f"{where}: cells do not form a square grid")
-    return GridDocument(cells=tuple(cells))
+    return GridDocument(cells=tuple(raw))
 
 
 def _parse_json(text: str) -> BorderPlan | GridDocument:

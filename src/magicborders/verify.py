@@ -7,7 +7,6 @@ exhaustively so callers can print a complete diagnosis.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
@@ -95,8 +94,16 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     top row (v + sum(b) + w) and the left column (v + sum(c) + comp(w))
     sum to the magic constant of the full frame.
 
-    A valid plan is accepted by whole-line checks; any other plan is
-    walked value by value, which names every violation.
+    A valid plan is accepted in one pass.  Once every value is known to
+    lie in 1..C-1, each is folded onto its diagram row (x if x <= 2n+2,
+    else C - x) and marked in a table of rows 1..2n+2.  A value in the gap
+    between the pools folds past the table and raises IndexError, so if
+    none does, all lie in the pool.  A value and its complement fold onto
+    one row, so 2n+2 values that mark all 2n+2 rows fold injectively: they
+    are distinct and complement-free.  A float or a str cannot index the
+    table, and a bool marks the row of the int it equals, as the walk
+    below counts it.  Any plan not accepted so is walked value by value,
+    which names every violation.
     """
     violations: list[Violation] = []
     n = plan.n
@@ -111,20 +118,16 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
     values = plan.values()
 
-    if len(plan.b) == n == len(plan.c) and set(map(type, values)) == {int}:
-        ordered = sorted(values)
-        distinct = set(values)
-        small = bisect_right(ordered, s_hi)
-        # no value outside both pools, none in the gap between them; the
-        # pools hold no value equal to its own complement.  Complements
-        # swap the two pools, so a complementary pair of pool values has
-        # exactly one member in the small pool: checking those suffices
+    if len(plan.b) == n == len(plan.c):
+        rows = bytearray(s_hi + 1)
+        try:
+            if s_lo <= min(values) and max(values) <= l_hi:
+                for x in values:
+                    rows[x if x <= s_hi else c_base - x] = 1
+        except (IndexError, TypeError):  # the table is left part-marked
+            pass
         if (
-            s_lo <= ordered[0]
-            and ordered[-1] <= l_hi
-            and small == bisect_left(ordered, l_lo)
-            and len(distinct) == len(values)
-            and distinct.isdisjoint(map(c_base.__sub__, ordered[:small]))
+            rows.count(0) == 1
             and plan.v + sum(plan.b) + plan.w == target
             and plan.v + sum(plan.c) + (c_base - plan.w) == target
         ):
@@ -180,7 +183,7 @@ def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:
     """
     hi = k + plan.n + 1
     pair_sum = complement_base(plan.n) + 2 * shift
-    top = [plan.v + shift, *(x + shift for x in plan.b), plan.w + shift]
+    top = [plan.v + shift, *map(shift.__add__, plan.b), plan.w + shift]
     cells[k][k : hi + 1] = top
     # each bottom cell faces the top cell in its column, each bottom
     # corner the top corner diagonally opposite
@@ -260,27 +263,28 @@ def _square_shape_violations(cells: Sequence[Sequence[int]]) -> list[Violation]:
     return violations
 
 
-def _is_permutation(cells: Sequence[Sequence[int]], order: int) -> bool:
-    """Whether the cells hold 1..order^2 once each.
+def _is_permutation(cells: Sequence[Sequence[int]], order: int, total: int) -> bool:
+    """Whether the cells, whose sum is ``total``, hold 1..order^2 once each.
 
-    Cells that all lie in 1..order^2 are marked in a byte table, and a
-    table with every slot marked accepts them.  Any other grid is decided
-    by sorting its cells and comparing them with a lazy range, so no second
-    list of order^2 fresh integers is built next to them.
+    Each cell x marks slot x of a byte table in one pass.  When the order^2
+    cells mark all of slots 1..order^2 they mark one slot each, so every
+    cell lies in 1..order^2 but for a negative x, which marks slot
+    order^2+1+x and so falls short of its slot by order^2+1: the cells then
+    sum to less than 1 + 2 + ... + order^2, and only ``total`` rules them
+    out.  A cell that cannot index the table (out of range, or a float)
+    sends the grid to a sort of its cells, compared with a lazy range, so
+    no second list of order^2 fresh integers is built next to them.
     """
     size = order * order
     seen = bytearray(size + 1)
     try:
-        if all(1 <= min(row) and max(row) <= size for row in cells):
-            for row in cells:
-                for x in row:
-                    seen[x] = 1
-            if seen.count(0) == 1:
-                return True
-    except TypeError:  # a cell that cannot index the table, such as a float
-        pass
-    values = sorted(chain.from_iterable(cells))
-    return len(values) == order * order and all(map(eq, values, range(1, len(values) + 1)))
+        for row in cells:
+            for x in row:
+                seen[x] = 1
+    except (IndexError, TypeError):
+        values = sorted(chain.from_iterable(cells))
+        return len(values) == size and all(map(eq, values, range(1, size + 1)))
+    return seen.count(0) == 1 and total == size * (size + 1) // 2
 
 
 def verify_square(cells: Sequence[Sequence[int]]) -> CheckReport:
@@ -321,7 +325,8 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
     if violations:
         return CheckReport.from_violations(violations)
     order = len(cells)
-    if not _is_permutation(cells, order):
+    row_sums = list(map(sum, cells))
+    if not _is_permutation(cells, order, sum(row_sums)):
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
         )
@@ -330,7 +335,6 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
     base = 3 if order % 2 else 4
     pair_sum = order * order + 1
     cols = list(zip(*cells))
-    row_sums = list(map(sum, cells))
     col_sums = list(map(sum, cols))
     diag = sum(row[t] for t, row in enumerate(cells))
     anti = sum(row[-1 - t] for t, row in enumerate(cells))
@@ -366,7 +370,9 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
         corners = (top[lo] + bottom[hi], top[hi] + bottom[lo])
         across = list(map(add, top[lo + 1 : hi], bottom[lo + 1 : hi]))
         along = list(map(add, left[lo + 1 : hi], right[lo + 1 : hi]))
-        if corners == (pair_sum, pair_sum) and {*across, *along} == {pair_sum}:
+        if corners == (pair_sum, pair_sum) and (
+            across.count(pair_sum) + along.count(pair_sum) == 2 * (m - 2)
+        ):
             peeled += pair_sum
         else:  # a broken ring comes off the running sums cell by cell
             violations.extend(

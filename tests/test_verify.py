@@ -330,3 +330,164 @@ def test_verify_bordered_agrees_with_the_per_cell_reference_on_swaps(order, data
             )
         )
     assert verify_bordered(cells).violations == reference_verify_bordered(cells).violations
+
+
+# --- verdicts on cells and values that are not plain ints -------------------
+# A bool counts as the int it equals.  A float is named as outside the pool
+# in a plan, and in a square is compared with 1..N^2 by value.
+
+
+def test_verify_border_verdicts_on_bools_and_floats_are_pinned():
+    plan3 = build_border(3)  # v=1, w=3, b=(22, 21, 18), c=(2, 20, 19)
+    assert verify_border(TABLE1_12._replace(v=True)) == CheckReport(valid=True)
+    assert verify_border(plan3._replace(v=True)) == CheckReport(valid=True)
+    for n in (3, 4, 8):  # the plans holding a 3
+        plan = build_border(n)
+        mutant = _mutated(plan, plan.values().index(3), 3.0)
+        assert verify_border(mutant) == CheckReport(
+            False, (Violation("pool-membership", "value 3.0"),)
+        )
+    assert verify_border(plan3._replace(b=(3.0, 21, 18))) == CheckReport(
+        False,
+        (
+            Violation("pool-membership", "value 3.0"),
+            Violation("duplicate-value", "value 3", expected=1, actual=2),
+            Violation("row-sum", "top row", expected=65, actual=46.0),
+        ),
+    )
+    assert verify_border(plan3._replace(b=(23.0, 21, 18))) == CheckReport(
+        False,
+        (
+            Violation("pool-membership", "value 23.0"),
+            Violation("complement-clash", "values 3 and 23"),
+            Violation("row-sum", "top row", expected=65, actual=66.0),
+        ),
+    )
+    assert verify_border(plan3._replace(c=(True, 20, 19))) == CheckReport(
+        False,
+        (
+            Violation("duplicate-value", "value 1", expected=1, actual=2),
+            Violation("column-sum", "left column", expected=65, actual=64),
+        ),
+    )
+
+
+def _put(cells, old, new):
+    return [[new if x == old else x for x in row] for row in cells]
+
+
+def test_square_verdicts_on_bools_and_floats_are_pinned():
+    assert verify_square(_put(LO_SHU, 1, True)) == CheckReport(valid=True)
+    assert verify_square(_put(LO_SHU, 2, 2.0)) == CheckReport(valid=True)
+    for order in (5, 6, 7):
+        square = build_square(order)
+        for cells in (_put(square, 1, True), _put(square, 2, 2.0)):
+            assert verify_square(cells) == verify_bordered(cells) == CheckReport(valid=True)
+    square = build_square(5)  # row 0 is 1, 22, 21, 18, 3; cell (1,0) is 2
+    assert verify_bordered(_put(square, 2, True)) == CheckReport(
+        False,
+        (
+            Violation("not-permutation", "cells are not 1..25"),
+            Violation("subsquare-line-sum", "order 5 row 1", expected=65, actual=64),
+            Violation("subsquare-line-sum", "order 5 column 0", expected=65, actual=64),
+            Violation("ring-complement", "cells (1,0) and (1,4)", expected=26, actual=25),
+        ),
+    )
+    assert verify_square(_put(square, 3, 2.0)) == CheckReport(
+        False,
+        (
+            Violation("not-permutation", "cells are not 1..25"),
+            Violation("line-sum", "row 0", expected=65, actual=64.0),
+            Violation("line-sum", "column 4", expected=65, actual=64.0),
+            Violation("line-sum", "anti diagonal", expected=65, actual=64.0),
+        ),
+    )
+
+
+# --- values that fool a marking table ---------------------------------------
+# The accept paths mark each value's slot in a byte table.  These edits hit
+# the slot a valid value would have marked, or fall outside the table, and
+# every verdict must still match the per-value and per-cell references.
+
+
+def _not_permutation(cells):
+    flat = sorted(x for row in cells for x in row)
+    return flat != list(range(1, len(cells) ** 2 + 1))
+
+
+def _assert_square_verdicts(cells):
+    report = verify_square(cells)
+    flagged = Violation("not-permutation", f"cells are not 1..{len(cells) ** 2}")
+    assert (flagged in report.violations) == _not_permutation(cells)
+    if len(cells) >= 3:
+        assert verify_bordered(cells) == reference_verify_bordered(cells)
+
+
+def _small_squares():
+    yield [[1]]
+    yield [[1, 2], [3, 4]]
+    for order in (3, 4, 5, 6):
+        yield build_square(order)
+
+
+def test_a_cell_lowered_by_its_wrap_is_no_permutation():
+    # x - (N^2+1) indexes the same table slot as x, so only the cell total
+    # tells the two apart; raising another cell by as much keeps the total
+    for cells in _small_squares():
+        order = len(cells)
+        wrap = order * order + 1
+        for i in range(order):
+            for j in range(order):
+                mutant = [row[:] for row in cells]
+                mutant[i][j] -= wrap
+                _assert_square_verdicts(mutant)
+                assert not verify_square(mutant).valid
+                mutant[order - 1 - i][order - 1 - j] += wrap
+                _assert_square_verdicts(mutant)
+
+
+def test_cells_beyond_the_table_are_no_permutation():
+    for cells in _small_squares():
+        order = len(cells)
+        size = order * order
+        for value in (0, -1, size + 1, 2 * size + 5):
+            for i in range(order):
+                for j in range(order):
+                    mutant = [row[:] for row in cells]
+                    mutant[i][j] = value
+                    _assert_square_verdicts(mutant)
+
+
+def test_plan_values_outside_the_pools_match_the_reference():
+    for n in range(3, 9):
+        plan = build_border(n)
+        c_base = complement_base(n)
+        gap = (2 * n + 3, c_base // 2, c_base - 2 * n - 3)
+        for value in (*gap, 0, -1, -c_base, c_base, c_base + 1, 2 * c_base):
+            for index in range(2 * n + 2):
+                mutant = _mutated(plan, index, value)
+                assert verify_border(mutant) == reference_verify_border(mutant)
+                # the same edit with a neighbour on its line absorbing it,
+                # so both line sums still hold
+                line = "b" if 2 <= index < n + 2 else "c"
+                values = list(getattr(plan, line))
+                if index >= 2:
+                    i = (index - 2) % n
+                    k = (i + 1) % n
+                    values[k] -= value - values[i]
+                    values[i] = value
+                    mutant = plan._replace(**{line: values})
+                    assert verify_border(mutant) == reference_verify_border(mutant)
+
+
+def test_a_value_swapped_for_its_complement_matches_the_reference():
+    # a value and its complement share a diagram row, so the row table is
+    # marked just as for the valid plan and only the line sums can tell
+    for n in range(3, 9):
+        plan = build_border(n)
+        c_base = complement_base(n)
+        for index, value in enumerate(plan.values()):
+            mutant = _mutated(plan, index, c_base - value)
+            report = verify_border(mutant)
+            assert report == reference_verify_border(mutant)
+            assert not report.valid
