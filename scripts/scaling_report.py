@@ -68,18 +68,31 @@ with open("/proc/self/status") as status:
 print(total, state.nodes, elapsed, peak_kib)
 """
 
-# parse_document over the document in the file given, and the process's
-# peak RSS (VmHWM, as in COUNTER_RUN) after it
+# the process's peak RSS in KiB (VmHWM, as in COUNTER_RUN), printed last
+PRINT_PEAK = """
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+# parse_document over the document in the file given
 PARSE_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from magicborders.documents import parse_document
 with open(sys.argv[2], encoding="utf-8") as handle:
     parse_document(handle.read())
-with open("/proc/self/status") as status:
-    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-"""
-PARSE_PEAK_ORDER = 1500
+""" + PRINT_PEAK
+# build_square of the order given, then serialize_grid of it in the format
+# given, with the peak after each
+WRITE_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from magicborders import build_square
+from magicborders.documents import serialize_grid
+square = build_square(int(sys.argv[2]))
+""" + PRINT_PEAK + """
+serialize_grid(square, sys.argv[3])
+""" + PRINT_PEAK
+PEAK_ORDER = 1500
 
 
 def timed(fn, *args):
@@ -100,17 +113,24 @@ def counter_run(keys):
     return int(total), int(nodes), float(elapsed), int(peak_kib) / 1024
 
 
+def peaks_mib(script: str, *args: str) -> list[float]:
+    """The peak RSS figures, in MiB, that ``script`` prints in a fresh
+    process run on ``args``."""
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(SRC), *args],
+        check=True, capture_output=True, text=True,
+    )
+    return [int(kib) / 1024 for kib in run.stdout.split()]
+
+
 def parse_peak_mib(text: str) -> float:
     """Peak RSS in MiB of a fresh process that reads ``text`` from a file
     and parses it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "document"
         path.write_text(text, encoding="utf-8")
-        run = subprocess.run(
-            [sys.executable, "-c", PARSE_RUN, str(SRC), str(path)],
-            check=True, capture_output=True, text=True,
-        )
-    return int(run.stdout) / 1024
+        [peak] = peaks_mib(PARSE_RUN, str(path))
+    return peak
 
 
 def listed_total(n):
@@ -213,9 +233,15 @@ def main() -> None:
             assert list(map(list, doc.cells)) == square
             timings.append(f"{fmt} {t_write * 1e3:7.1f} + {t_read * 1e3:7.1f} ms")
         print(f"  N={order:>4}: " + "   ".join(timings))
-    square = build_square(PARSE_PEAK_ORDER)
-    peaks = [f"{fmt} {parse_peak_mib(serialize_grid(square, fmt)):6.1f} MiB" for fmt in FORMATS]
-    print(f"  N={PARSE_PEAK_ORDER}, parse peak RSS, each in a fresh process: " + "   ".join(peaks))
+    print(f"  N={PEAK_ORDER}, peak RSS of a write (after build_square alone) and of a "
+          "parse, each in a fresh process:")
+    square = build_square(PEAK_ORDER)
+    peaks = []
+    for fmt in FORMATS:
+        built, written = peaks_mib(WRITE_RUN, str(PEAK_ORDER), fmt)
+        parsed = parse_peak_mib(serialize_grid(square, fmt))
+        peaks.append(f"{fmt} write {written:6.1f} ({built:5.1f}), parse {parsed:6.1f} MiB")
+    print("    " + "   ".join(peaks))
 
     print("exact set-level counts per inner order: layered counter vs backtracker")
     for n in (3, 4, 5, 6, 7):

@@ -7,9 +7,15 @@ field in CSV and null in JSON.  Parsing auto-detects the format and
 round-trips every emitted document.  ``GridDocument.as_frame`` holds the
 one rule that tells a frame from a square with holes.
 
-``json`` and ``csv`` are imported where a JSON or CSV document, or a
-grid row that needs the CSV reader, is handled, so a grid-format build
-or check loads neither.
+CSV rows of plain ints go through the C JSON codec, one call per row: a
+row is written as its JSON array without the brackets, and a line is read
+as the JSON array "[" + line + "]" (see :func:`_read_csv_ints`).  Any
+other row is written or read cell by cell with ``csv``.
+
+``json`` is imported where a JSON or CSV document is handled, and ``csv``
+only where a row needs the per-cell writer or reader, so a grid-format
+build or check loads neither, and an all-int CSV document loads no
+``csv``.
 """
 
 from __future__ import annotations
@@ -95,20 +101,27 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
         ]
         return "\n".join(lines) + "\n"
     if fmt == CSV:
-        import csv
+        import json
 
+        # an int row's compact JSON array, brackets sliced off, is its CSV line
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = None
         for row in rows:
             if _int_row(row):
-                out.write(",".join(map(str, row)) + "\n")
-            else:
-                writer.writerow(["" if x is None else x for x in row])
+                out.write(encode(row)[1:-1] + "\n")
+                continue
+            if writer is None:
+                import csv
+
+                writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["" if x is None else x for x in row])
         return out.getvalue()
     if fmt == JSON:
         import json
 
-        payload = {"order": order, "cells": [list(row) for row in rows]}
+        # tuples are written as JSON arrays, as lists are
+        payload = {"order": order, "cells": rows}
         return json.dumps(payload, indent=None) + "\n"
     raise DocumentError(f"unknown format {fmt!r}; pick one of {FORMATS}")
 
@@ -197,6 +210,45 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
     )
 
 
+# characters a JSON array of ints never holds but other JSON values do:
+# quotes, brackets, braces, and the letters of true, false and null
+_NOT_JSON_INTS = '"[]{}tfn'
+
+
+def _not_an_int(token: str):
+    raise ValueError(f"not an int: {token}")
+
+
+def _csv_int_decoder():
+    """A JSON decoder that reads only ints: floats and NaN/Infinity raise."""
+    import json
+
+    return json.JSONDecoder(parse_float=_not_an_int, parse_constant=_not_an_int).decode
+
+
+def _read_csv_ints(line: str, decode) -> tuple[int, ...]:
+    """The ints of a CSV line, as ``int`` reads each comma-split token.
+
+    The line is decoded as the JSON array "[" + line + "]" when it holds
+    none of ``_NOT_JSON_INTS``.  Such a line has no bracket, brace or
+    quote, so the array's top-level commas are exactly the line's commas.
+    With ``true``/``false``/``null`` ruled out by their letters and floats,
+    NaN and Infinity by the decoder's hooks, an element decodes only if it
+    is -?(0|[1-9][0-9]*) with spaces or tabs around it, and ``int`` reads
+    that token to the same value.  Everything else raises ValueError and is
+    read by ``int`` token by token: a + sign, leading zeros, "_", non-ASCII
+    digits or spaces, an empty field, and ints past the interpreter's
+    digit limit.  So values, and the errors that send a line to the
+    per-cell reader, are those of ``int`` alone.
+    """
+    if not any(map(line.__contains__, _NOT_JSON_INTS)):
+        try:
+            return tuple(decode("[" + line + "]"))
+        except ValueError:
+            pass
+    return tuple(map(int, line.split(",")))
+
+
 def parse_document(text: str) -> BorderPlan | GridDocument:
     """Read any emitted document back: JSON plan, or JSON/CSV/text grid."""
     if not text or text.isspace():
@@ -209,10 +261,16 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
     lines[0] = lines[0].lstrip()
     lines[-1] = lines[-1].rstrip()  # the same line in a one-line document
     cells = []
+    decode = None
     for i, line in enumerate(lines, start=1):
         sep = "," if "," in line else None
         try:
-            row = tuple(map(int, line.split(sep)))
+            if sep:
+                if decode is None:
+                    decode = _csv_int_decoder()
+                row = _read_csv_ints(line, decode)
+            else:
+                row = tuple(map(int, line.split()))
         except ValueError:
             # holes, quoted CSV fields and unreadable tokens, cell by cell
             if sep:

@@ -142,7 +142,7 @@ def verify_border(plan: BorderPlan) -> CheckReport:
         if not isinstance(value, int) or not (
             s_lo <= value <= s_hi or l_lo <= value <= l_hi
         ):
-            violations.append(Violation("pool-membership", f"value {value}"))
+            violations.append(Violation("pool-membership", f"value {value!r}"))
 
     counts = Counter(values)
     duplicates = [(value, count) for value, count in counts.items() if count > 1]
@@ -161,16 +161,17 @@ def verify_border(plan: BorderPlan) -> CheckReport:
             Violation("complement-clash", f"values {value} and {c_base - value}")
         )
 
-    row_sum = plan.v + sum(plan.b) + plan.w
-    if row_sum != target:
-        violations.append(
-            Violation("row-sum", "top row", expected=target, actual=row_sum)
-        )
-    col_sum = plan.v + sum(plan.c) + (c_base - plan.w)
-    if col_sum != target:
-        violations.append(
-            Violation("column-sum", "left column", expected=target, actual=col_sum)
-        )
+    line_sums = (
+        ("row-sum", "top row", lambda: plan.v + sum(plan.b) + plan.w),
+        ("column-sum", "left column", lambda: plan.v + sum(plan.c) + (c_base - plan.w)),
+    )
+    for condition, where, line_sum in line_sums:
+        try:
+            total = line_sum()
+        except TypeError:  # a value that is no number, named as pool-membership
+            continue
+        if total != target:
+            violations.append(Violation(condition, where, expected=target, actual=total))
     return CheckReport.from_violations(violations)
 
 
@@ -263,6 +264,16 @@ def _square_shape_violations(cells: Sequence[Sequence[int]]) -> list[Violation]:
     return violations
 
 
+def _cell_type_violations(
+    cells: Sequence[Sequence], types: tuple[type, ...] = (int, float)
+) -> Iterator[Violation]:
+    """Each cell that is none of ``types``, named with its value."""
+    for i, row in enumerate(cells):
+        for j, x in enumerate(row):
+            if not isinstance(x, types):
+                yield Violation("cell-type", f"cell ({i},{j}) holding {x!r}")
+
+
 def _is_permutation(cells: Sequence[Sequence[int]], order: int, total: int) -> bool:
     """Whether the cells, whose sum is ``total``, hold 1..order^2 once each.
 
@@ -325,7 +336,10 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
     if violations:
         return CheckReport.from_violations(violations)
     order = len(cells)
-    row_sums = list(map(sum, cells))
+    try:
+        row_sums = list(map(sum, cells))
+    except TypeError:  # no line holding such a cell can be summed
+        return CheckReport.from_violations(_cell_type_violations(cells))
     if not _is_permutation(cells, order, sum(row_sums)):
         violations.append(
             Violation("not-permutation", f"cells are not 1..{order * order}")
@@ -402,8 +416,13 @@ def verify_frame(frame: BorderFrame) -> CheckReport:
     ]
     if violations:
         return CheckReport.from_violations(violations)
-    violations.extend(
-        _facing_violations(cells, 0, order - 1, pair_sum, "opposite-complement")
-    )
+    try:
+        violations.extend(
+            _facing_violations(cells, 0, order - 1, pair_sum, "opposite-complement")
+        )
+    except TypeError:  # a border cell that is no number; the interior is empty
+        return CheckReport.from_violations(
+            _cell_type_violations(cells, (int, float, type(None)))
+        )
     violations.extend(verify_border(read_ring(cells, 0, n, 0)).violations)
     return CheckReport.from_violations(violations)

@@ -273,6 +273,10 @@ def reference_parse_grid(text):
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"unreadable JSON document: {exc}") from None
+        if not {"order", "cells"} <= payload.keys():
+            raise DocumentError(
+                'JSON document needs keys "order"/"cells" (grid) or "n"/"v"/"w"/"b"/"c" (plan)'
+            )
         doc = _reference_json_rows(payload["cells"], "JSON cells")
         if doc.order != payload["order"]:
             raise DocumentError(

@@ -58,6 +58,26 @@ def test_building_and_verifying_import_neither_typing_nor_importlib_resources():
     assert run.stdout == "[]\n", run.stderr
 
 
+CSV_ROUND_TRIP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from magicborders.cli import main
+path = sys.argv[2]
+assert main(["build", "--order", "9", "--format", "csv", "--output", path]) == 0
+assert main(["verify", "--bordered", path]) == 0
+print(sorted({"csv"} & set(sys.modules)))
+"""
+
+
+def test_an_all_int_csv_round_trip_imports_no_csv(tmp_path):
+    # every row is plain ints, so each is written and read through json alone
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", CSV_ROUND_TRIP, str(SRC), str(tmp_path / "sq.csv")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout == "valid\n[]\n", run.stderr
+
+
 def test_fields_cannot_be_assigned():
     plan = build_border(4)
     with pytest.raises(AttributeError):

@@ -491,3 +491,46 @@ def test_a_value_swapped_for_its_complement_matches_the_reference():
             report = verify_border(mutant)
             assert report == reference_verify_border(mutant)
             assert not report.valid
+
+
+# --- values that are no numbers ----------------------------------------------
+# A str or None cannot be summed; the verifiers name it instead of raising.
+
+
+def test_a_plan_value_that_is_no_number_is_named():
+    plan3 = build_border(3)  # v=1, w=3, b=(22, 21, 18), c=(2, 20, 19)
+    assert verify_border(plan3._replace(c=("2", 20, 19))) == CheckReport(
+        False, (Violation("pool-membership", "value '2'"),)
+    )
+    # the row sum still holds; the column sum cannot be taken
+    assert verify_border(plan3._replace(w=None)) == CheckReport(
+        False, (Violation("pool-membership", "value None"),)
+    )
+
+
+def test_a_square_cell_that_is_no_number_is_named():
+    assert verify_square([[1, "2"], [3, 4]]) == CheckReport(
+        False, (Violation("cell-type", "cell (0,1) holding '2'"),)
+    )
+    assert verify_bordered([[1, None], [3, 4]]) == CheckReport(
+        False, (Violation("cell-type", "cell (0,1) holding None"),)
+    )
+    square = build_square(7)
+    square[3][3], square[6][0] = None, "x"
+    named = CheckReport(
+        False,
+        (
+            Violation("cell-type", "cell (3,3) holding None"),
+            Violation("cell-type", "cell (6,0) holding 'x'"),
+        ),
+    )
+    assert verify_square(square) == verify_bordered(square) == named
+
+
+def test_a_frame_cell_that_is_no_number_is_named():
+    frame = render_frame(build_border(4))
+    cells = [list(row) for row in frame.cells]
+    cells[0][2] = "5"
+    assert verify_frame(frame._replace(cells=cells)) == CheckReport(
+        False, (Violation("cell-type", "cell (0,2) holding '5'"),)
+    )
