@@ -262,10 +262,12 @@ def main() -> None:
         assert 2 * total == known, (n, 2 * total)
         print(f"  n={n}: {2 * total:>11} borders over {2 * len(keys)} corner pairs: "
               f"{t_count:6.2f} s  {nodes:>9,} nodes  {peak:6.1f} MiB")
-    total, nodes, t_count, peak = counter_run([(12, 1, 2)])
-    assert total == 593_867_307, total
-    print(f"  (12; 1, 2): {total:>11} borders: {t_count:6.2f} s  {nodes:>9,} nodes  "
-          f"{peak:6.1f} MiB")
+    # single dense keys, whose largest layers set the counter's memory
+    for key, known in (((12, 1, 2), 593_867_307), ((16, 1, 2), 13_101_939_513_064)):
+        total, nodes, t_count, peak = counter_run([key])
+        assert total == known, (key, total)
+        print(f"  ({key[0]}; {key[1]}, {key[2]}): {total:>14} borders: {t_count:6.2f} s  "
+              f"{nodes:>9,} nodes  {peak:6.1f} MiB")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ other row is written or read cell by cell with ``csv``.
 
 ``json`` is imported where a JSON or CSV document is handled, and ``csv``
 only where a row needs the per-cell writer or reader, so a grid-format
-build or check loads neither, and an all-int CSV document loads no
-``csv``.
+build or check loads neither, and a CSV document whose every line the
+decoder reads loads no ``csv``.
 """
 
 from __future__ import annotations
@@ -227,26 +227,24 @@ def _csv_int_decoder():
 
 
 def _read_csv_ints(line: str, decode) -> tuple[int, ...]:
-    """The ints of a CSV line, as ``int`` reads each comma-split token.
+    """The ints of a CSV line, as the per-cell reader reads them.
 
     The line is decoded as the JSON array "[" + line + "]" when it holds
-    none of ``_NOT_JSON_INTS``.  Such a line has no bracket, brace or
-    quote, so the array's top-level commas are exactly the line's commas.
-    With ``true``/``false``/``null`` ruled out by their letters and floats,
-    NaN and Infinity by the decoder's hooks, an element decodes only if it
-    is -?(0|[1-9][0-9]*) with spaces or tabs around it, and ``int`` reads
-    that token to the same value.  Everything else raises ValueError and is
-    read by ``int`` token by token: a + sign, leading zeros, "_", non-ASCII
-    digits or spaces, an empty field, and ints past the interpreter's
-    digit limit.  So values, and the errors that send a line to the
-    per-cell reader, are those of ``int`` alone.
+    none of ``_NOT_JSON_INTS``; any other line raises ValueError.  Such a
+    line has no quote, so ``csv.reader`` splits it exactly at its commas,
+    and no bracket or brace, so the array's top-level commas are exactly
+    those commas too.  With ``true``/``false``/``null`` ruled out by their
+    letters and floats, NaN and Infinity by the decoder's hooks, an
+    element decodes only if it is -?(0|[1-9][0-9]*) with spaces or tabs
+    around it, and ``int`` reads that token to the same value.  Everything
+    else raises ValueError and goes to the per-cell reader: a hole, a +
+    sign, leading zeros, "_", non-ASCII digits or spaces, and ints past
+    the interpreter's digit limit.  So values and errors are those of the
+    per-cell reader alone.
     """
-    if not any(map(line.__contains__, _NOT_JSON_INTS)):
-        try:
-            return tuple(decode("[" + line + "]"))
-        except ValueError:
-            pass
-    return tuple(map(int, line.split(",")))
+    if any(map(line.__contains__, _NOT_JSON_INTS)):
+        raise ValueError("not a JSON array of ints")
+    return tuple(decode("[" + line + "]"))
 
 
 def parse_document(text: str) -> BorderPlan | GridDocument:

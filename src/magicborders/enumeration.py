@@ -18,15 +18,14 @@ window once per key):
   same decision tree one row at a time but keeps only, for each state
   (values and small values each line still needs, and the sums each line
   still lacks), the number of ways to reach it.  Its time grows with the
-  number of distinct states, not with the number of borders.  A state is
-  one int, its fields as digits: the two sums in base M, where M exceeds
-  both starting sums, and the value and small-value counts above them in
-  base n + 3.  Taking a row into a line, small or large, subtracts one
-  constant of the layer from that int.  A move is made only when the
-  state it makes is *live*, both of its sums inside their windows for
-  the rows left, so the counter stores no state it would throw away
-  unread.  The windows are found once per group of states with equal
-  counts.
+  number of distinct states, not with the number of borders.  States
+  with equal counts form a group, and a layer maps each group to its
+  states' two sums, packed as one int, and their ways.  Taking a row
+  into a line, small or large, sends a whole group to one group of the
+  next layer and subtracts one constant from its packed sums.  A move is
+  made only when the state it makes is *live*, both of its sums inside
+  their windows for the rows left, so the counter stores no state it
+  would throw away unread.  The windows are found once per group.
 
 **Small-count lemma.**  Every line of a magic border holds exactly
 (n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
@@ -282,122 +281,97 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
             push((nxt, need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c, row))
 
 
+def _exits(rows: _Rows, idx: int, need: int, owed: int) -> tuple[int, ...]:
+    """The sums from which a line may leave row idx live: its window one row
+    later if it stays out of the row, then that window shifted by the small
+    and by the large value for taking it."""
+    row = rows.free[idx]
+    large = rows.c_base - row
+    # a line that needs every row left cannot stay out of this one
+    stay = rows[idx + 1, need, owed] if need < rows.total - idx else _EMPTY + _EMPTY
+    lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed - 1]
+    small = (lo + row, hi + row, lo2 + row, hi2 + row)
+    lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
+    return stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
+
+
 def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     """Number of borders ``_solutions`` would list, one layer of rows at a time.
 
     The state after the first idx rows is (need_b, owed_b, owed_c, rem_b,
-    rem_c); need_c is the rows left minus need_b.  It is packed into one
-    int, the key
+    rem_c); need_c is the rows left minus need_b.  A layer maps each
+    *group* (need_b, owed_b, owed_c) to a dict from the packed sums
+    rem_b*M + rem_c, with M one more than the larger starting sum, to the
+    number of ways of reaching that state.  Taking the layer's row r into
+    a line, as r or as C - r, sends a whole group to one group of the next
+    layer and subtracts one constant from its sums: r*M or (C - r)*M for
+    b, r or C - r for c.
 
-        ((need_b*A + owed_b + 1)*A + owed_c + 1)*M^2 + rem_b*M + rem_c,
-
-    with A = n + 3 and M one more than the larger starting sum.  Every
-    field stays inside its digit: a sum only falls, and never below 0; an
-    owed count stays in -1..(n+2)//2.  The key's *group* ``key // M^2`` is
-    (need_b, owed_b, owed_c).  Taking the layer's row r (large value
-    C - r) subtracts a constant from the key:
-
-    - b small: (A^2 + A)*M^2 + r*M;
-    - b large: A^2*M^2 + (C - r)*M;
-    - c small: M^2 + r;
-    - c large: C - r.
-
-    Each layer maps the keys of *live* states, those whose lines both lie
-    inside their windows (the backtracker's prune), to the number of ways
-    of reaching them.  A move is made only if the state it makes is live
-    in the next layer: the moved line's sum, before the move, lies in its
-    next window shifted by the value taken, and the other line's sum in
-    its own next window.  A window never starts below 0, so the shifted
-    window also holds the guard that a line takes no more than it lacks,
-    and an empty window the guards on the counts it may take.  The layer
-    is walked in key order, so each group's states come together, and
-    the three ranges of each line (stay, take small, take large) are
-    found once per group.  They are cached per layer by
-    ``need*A + owed + 1``, which is the same for either line.  Only
-    states with both sums 0 are live after the last row, so the count is
-    the sum of the last layer.
+    A layer holds only *live* states, those whose lines both lie inside
+    their windows (the backtracker's prune).  A move is made only if the
+    state it makes is live: the moved line's sum, before the move, lies in
+    its next window shifted by the value taken (``_exits``), and the other
+    line's sum in its own next window.  A window never starts below 0, so
+    no sum falls below 0 and the packed sums always decode, and an empty
+    window holds the guards on the counts a line may take.  The windows are read once per group.  Groups
+    that no move reached are dropped, since their counts may exceed the
+    rows left.  Only states with both sums 0 are live after the last row,
+    so the count is the sum of the last layer.
     """
     rows = _Rows(n, v, w)
-    c_base = rows.c_base
     total = rows.total
     scale = max(rows.rem_b, rows.rem_c) + 1
-    group_size = scale * scale
-    a = n + 3
     lo_b, hi_b, lo2_b, hi2_b = rows[0, n, rows.owed_b]
     lo_c, hi_c, lo2_c, hi2_c = rows[0, total - n, rows.owed_c]
     layer = {}
     if (lo_b <= rows.rem_b <= hi_b or lo2_b <= rows.rem_b <= hi2_b) and (
         lo_c <= rows.rem_c <= hi_c or lo2_c <= rows.rem_c <= hi2_c
     ):
-        layer[
-            ((n * a + rows.owed_b + 1) * a + rows.owed_c + 1) * group_size
-            + rows.rem_b * scale + rows.rem_c
-        ] = 1
-
-    def line(code: int) -> tuple[int, ...]:
-        """The sums from which a line may leave this layer live: the window
-        one row later if it stays out of the row, then that window shifted
-        by the small and by the large value for taking it."""
-        need, owed = divmod(code, a)
-        owed -= 1
-        # a line that needs every row left cannot stay out of this one
-        stay = rows[idx + 1, need, owed] if need < rows_left else _EMPTY + _EMPTY
-        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed - 1]
-        small = (lo + row, hi + row, lo2 + row, hi2 + row)
-        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
-        value = lines[code] = (
-            stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
-        )
-        return value
-
+        layer[n, rows.owed_b, rows.owed_c] = {rows.rem_b * scale + rows.rem_c: 1}
+    # states read and not yet charged: every 4,096 are charged once the
+    # group holding the last of them is read, so a time limit also holds
+    # inside one large layer
+    unpaid = 0
     for idx, row in enumerate(rows.free):
-        large = c_base - row
+        large = rows.c_base - row
         rows_left = total - idx
-        b_small = (a * a + a) * group_size + row * scale
-        b_large = a * a * group_size + large * scale
-        c_small = group_size + row
-        lines: dict[int, tuple[int, ...]] = {}
-        following: dict[int, int] = {}
-        get = following.get
-        keys = sorted(layer)
-        end = -1
-        # the budget is charged per chunk, so a time limit also holds
-        # inside one large layer
-        for start in range(0, len(keys), 4096):
-            chunk = keys[start:start + 4096]
-            state.on_nodes(len(chunk))
-            for key in chunk:
-                if key >= end:
-                    group = key // group_size
-                    base = group * group_size
-                    end = base + group_size
-                    code_b = group // a
-                    need_c = rows_left - code_b // a
-                    code_c = need_c * a + group - code_b * a
-                    # the ranges to stay out, take small (s), take large (l)
-                    (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
-                     lol_b, hil_b, lol2_b, hil2_b) = lines.get(code_b) or line(code_b)
-                    (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
-                     lol_c, hil_c, lol2_c, hil2_c) = lines.get(code_c) or line(code_c)
-                rem_b, rem_c = divmod(key - base, scale)
-                ways = layer[key]
+        b_small = row * scale
+        b_large = large * scale
+        following: dict[tuple[int, int, int], dict[int, int]] = {}
+        into = following.setdefault
+        for (need_b, owed_b, owed_c), sums in layer.items():
+            # the ranges to stay out, take small (s), take large (l)
+            (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
+             lol_b, hil_b, lol2_b, hil2_b) = _exits(rows, idx, need_b, owed_b)
+            (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
+             lol_c, hil_c, lol2_c, hil2_c) = _exits(rows, idx, rows_left - need_b, owed_c)
+            into_bs = into((need_b - 1, owed_b - 1, owed_c), {})
+            into_bl = into((need_b - 1, owed_b, owed_c), {})
+            into_cs = into((need_b, owed_b, owed_c - 1), {})
+            into_cl = into((need_b, owed_b, owed_c), {})
+            for key, ways in sums.items():
+                rem_b, rem_c = divmod(key, scale)
                 if lo_c <= rem_c <= hi_c or lo2_c <= rem_c <= hi2_c:
                     if los_b <= rem_b <= his_b or los2_b <= rem_b <= his2_b:
                         k = key - b_small
-                        following[k] = get(k, 0) + ways
+                        into_bs[k] = into_bs.get(k, 0) + ways
                     if lol_b <= rem_b <= hil_b or lol2_b <= rem_b <= hil2_b:
                         k = key - b_large
-                        following[k] = get(k, 0) + ways
+                        into_bl[k] = into_bl.get(k, 0) + ways
                 if lo_b <= rem_b <= hi_b or lo2_b <= rem_b <= hi2_b:
                     if los_c <= rem_c <= his_c or los2_c <= rem_c <= his2_c:
-                        k = key - c_small
-                        following[k] = get(k, 0) + ways
+                        k = key - row
+                        into_cs[k] = into_cs.get(k, 0) + ways
                     if lol_c <= rem_c <= hil_c or lol2_c <= rem_c <= hil2_c:
                         k = key - large
-                        following[k] = get(k, 0) + ways
-        layer = following
-    state.on_nodes(len(layer))
-    return sum(layer.values())
+                        into_cl[k] = into_cl.get(k, 0) + ways
+            unpaid += len(sums)
+            while unpaid >= 4096:
+                state.on_nodes(4096)
+                unpaid -= 4096
+        layer = {group: sums for group, sums in following.items() if sums}
+    state.on_nodes(unpaid + sum(map(len, layer.values())))
+    return sum(sum(sums.values()) for sums in layer.values())
 
 
 def enumerate_omega(
@@ -441,10 +415,10 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     Equals the length of :func:`enumerate_omega`'s stream.  Every live
     state the counter stores is one budget node, so a node or time limit
     raises :class:`BudgetExhausted`.  Memory grows with the states of one
-    layer, which a node limit also bounds: at the peak, about 170 bytes per
-    state of the largest layer (the layer, its sorted keys and the layer
-    being built; measured with ``tracemalloc`` at (10; 1, 2), Python 3.11,
-    where the largest layer holds 7,377 states and the peak is 1.2 MiB).
+    layer, which a node limit also bounds: at the peak, about 145 bytes per
+    state of the largest layer (the layer and the layer being built;
+    measured with ``tracemalloc`` at (10; 1, 2), Python 3.11, where the
+    largest layer holds 7,377 states and the peak is 1.02 MiB).
     Keys with same-parity small corners at even order count 0 at once.
     """
     check_corners(key.n, key.v, key.w)

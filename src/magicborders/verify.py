@@ -144,7 +144,8 @@ def verify_border(plan: BorderPlan) -> CheckReport:
         ):
             violations.append(Violation("pool-membership", f"value {value!r}"))
 
-    counts = Counter(values)
+    # a value that cannot be hashed (a list, say) is named above and nowhere else
+    counts = Counter(value for value in values if _hashable(value))
     duplicates = [(value, count) for value, count in counts.items() if count > 1]
     for value, count in sorted(duplicates, key=lambda kv: str(kv[0])):
         violations.append(
@@ -173,6 +174,14 @@ def verify_border(plan: BorderPlan) -> CheckReport:
         if total != target:
             violations.append(Violation(condition, where, expected=target, actual=total))
     return CheckReport.from_violations(violations)
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:

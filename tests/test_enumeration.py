@@ -295,6 +295,7 @@ COUNTER_NODE_TOTALS = [
     (OmegaKey(6, 10, 11), 663, 1_557),
     (OmegaKey(7, 1, 3), 58, 550),
     (OmegaKey(5, 1, 2), 0, 50),
+    (OmegaKey(12, 1, 2), 593_867_307, 193_186),
 ]
 
 

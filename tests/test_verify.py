@@ -508,6 +508,22 @@ def test_a_plan_value_that_is_no_number_is_named():
     )
 
 
+def test_a_plan_value_that_cannot_be_hashed_is_named():
+    plan3 = build_border(3)  # v=1, w=3, b=(22, 21, 18), c=(2, 20, 19)
+    assert verify_border(plan3._replace(c=([2], 20, 19))) == CheckReport(
+        False, (Violation("pool-membership", "value [2]"),)
+    )
+    # left out of the duplicate and clash counts, which still see the rest
+    assert verify_border(plan3._replace(b=({}, 21, 20), c=({}, 20, 19))) == CheckReport(
+        False,
+        (
+            Violation("pool-membership", "value {}"),
+            Violation("pool-membership", "value {}"),
+            Violation("duplicate-value", "value 20", expected=1, actual=2),
+        ),
+    )
+
+
 def test_a_square_cell_that_is_no_number_is_named():
     assert verify_square([[1, "2"], [3, 4]]) == CheckReport(
         False, (Violation("cell-type", "cell (0,1) holding '2'"),)
