@@ -18,10 +18,12 @@ one of two edits to the diagram's picks:
 
 Both edits keep the invariant behind validity at even order: every line
 holds as many small as large values, and the rows of its small values
-sum to the rows of its large ones.  A build replays its whole chain of
-edits on the seed's picks and reads the one resulting diagram, so it
-costs O(n), and a border with small ascending corners lists each line in
-diagram row order; other corners get its symmetry image.
+sum to the rows of its large ones.  A build is one splice of the seed's
+picks: extension rows wrap them, and the chain's blocks all go in at one
+row after v, as blocks and extension rows put as many small as large
+values on each line and so leave each insertion the same seed rows to
+pass.  It reads one diagram in O(n), and a border with small ascending
+corners lists each line in diagram row order; other corners get its image.
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
 is kept, with its polynomials as printed, as an artifact for ``tables
@@ -74,21 +76,19 @@ def corners_feasible(n: int, v: int, w: int) -> bool:
 
 # --- seed tables -----------------------------------------------------------
 
-_POLY_LEAD = "(m+2)^2"
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+# a signed term: the one bracketed square, or a run free of signs
+_TERM_RE = re.compile(r"[+-]?(?:\(m\+2\)\^2|[^+-]+)")
 
 
 def eval_poly(expr: str, m: int) -> int:
     """Evaluate a table polynomial like '(m+2)^2-15', 'm^2+2m+4' or '2m-1'."""
-    expr = expr.strip()
     total = 0
-    if expr.startswith(_POLY_LEAD):
-        total = (m + 2) ** 2
-        expr = expr[len(_POLY_LEAD) :]
-    for term in _TERM_RE.findall(expr):
+    for term in _TERM_RE.findall(expr.strip()):
         sign = -1 if term.startswith("-") else 1
         t = term.lstrip("+-")
-        if t == "m^2":
+        if t == "(m+2)^2":
+            value = (m + 2) ** 2
+        elif t == "m^2":
             value = m * m
         elif t == "m":
             value = m
@@ -366,47 +366,44 @@ def _repair_single_substitution(plan: BorderPlan) -> BorderPlan | None:
     """Try replacing exactly one b or c value so the whole plan verifies."""
     n = plan.n
     target = magic_constant(n + 2)
-    delta_b = target - (plan.v + sum(plan.b) + plan.w)
-    delta_c = target - (plan.v + sum(plan.c) + (complement_base(n) - plan.w))
-    if delta_b and delta_c:
+    deltas = {
+        "b": target - (plan.v + sum(plan.b) + plan.w),
+        "c": target - (plan.v + sum(plan.c) + (complement_base(n) - plan.w)),
+    }
+    if all(deltas.values()):
         return None  # one substitution cannot mend both lines
-    sides = [("b", delta_b), ("c", delta_c)]
-    for side, delta in sides:
+    for side, delta in deltas.items():
         if delta == 0:
             continue
-        values = plan.b if side == "b" else plan.c
-        for index in sorted(range(len(values)), key=lambda i: values[i]):
-            replacement = values[index] + delta
-            if not in_pool(replacement, n):
+        values = getattr(plan, side)
+        for index in sorted(range(len(values)), key=values.__getitem__):
+            new = values[index] + delta
+            if not in_pool(new, n):
                 continue
-            repaired = list(values)
-            repaired[index] = replacement
-            candidate = (
-                BorderPlan(n, plan.v, plan.w, tuple(repaired), plan.c)
-                if side == "b"
-                else BorderPlan(n, plan.v, plan.w, plan.b, tuple(repaired))
-            )
+            candidate = plan._replace(**{side: values[:index] + (new,) + values[index + 1 :]})
             if verify_border(candidate).valid:
                 return candidate
     return None
+
+
+def _audit_entry(row: Table2Row, m: int) -> SeedAudit:
+    """Instantiate one parameterized entry at order m and classify it."""
+    raw = row.instantiate(m)
+    report = verify_border(raw)
+    status, plan = "valid", raw
+    if not report.valid:
+        status, plan = "repaired", _repair_single_substitution(raw)
+        if plan is None:
+            status, plan = "rebuilt", _small_corners(m, raw.v, raw.w)
+    return SeedAudit(row.row_id, m, raw.v, raw.w, status, plan, report)
 
 
 def seed_order_m_audit(m: int, v: int, w: int) -> SeedAudit:
     """Instantiate the parameterized entry for (v, w) at order m and classify it."""
     for row in parameterized_table():
         if row.v == v and eval_poly(row.w_expr, m) == w:
-            break
-    else:
-        raise ValueError(f"no parameterized seed covers corners ({v}, {w}) at order {m}")
-    raw = row.instantiate(m)
-    report = verify_border(raw)
-    if report.valid:
-        return SeedAudit(row.row_id, m, v, w, "valid", raw, report)
-    repaired = _repair_single_substitution(raw)
-    if repaired is not None:
-        return SeedAudit(row.row_id, m, v, w, "repaired", repaired, report)
-    rebuilt = _small_corners(m, v, w)
-    return SeedAudit(row.row_id, m, v, w, "rebuilt", rebuilt, report)
+            return _audit_entry(row, m)
+    raise ValueError(f"no parameterized seed covers corners ({v}, {w}) at order {m}")
 
 
 def audit_order4() -> list[SeedAudit]:
@@ -421,10 +418,7 @@ def audit_order4() -> list[SeedAudit]:
 
 def audit_order_m(m: int) -> list[SeedAudit]:
     """Classify every parameterized entry instantiated at order m."""
-    return [
-        seed_order_m_audit(m, row.v, eval_poly(row.w_expr, m))
-        for row in parameterized_table()
-    ]
+    return [_audit_entry(row, m) for row in parameterized_table()]
 
 
 # --- corner-prescribed construction ----------------------------------------
@@ -432,15 +426,17 @@ def audit_order_m(m: int) -> list[SeedAudit]:
 
 def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     """The border with small corners v < w, grown from a seed without search."""
-    # walk down to a seed, noting each step (an extension shift, or None
-    # for a block insertion)
-    order, steps = n, []
+    # walk down to a seed: each extension adds a head chunk above and a
+    # tail chunk below everything (outermost first); blocks are counted
+    order, heads, tails, blocks = n, [], [], 0
     while n > 6:
         shift = _extension_shift(n, v, w)
-        steps.append(shift)
         if shift is None:
+            blocks += 1
             w -= 8
         else:
+            heads.append(_EXTENSION[: 2 * shift])
+            tails.append(_EXTENSION[2 * shift :])
             v -= shift
             w -= shift
         n -= 4
@@ -452,32 +448,21 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     else:
         seed = _picks(apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL))
 
-    # replay the steps upward on the picks.  Extensions add rows before and
-    # after everything, and a block goes in just after row v of the seed,
-    # which nothing after it moves; so the picks are head chunks, the seed's
-    # rows up to v, the rows after v (a stack, next row last) and tail
-    # chunks.  Blocks and extension rows add as many small as large values
-    # to each line, so the counts over all rows after v stay the seed's.
-    head, tail = [], []
-    after = seed[v:][::-1]
-    e_top = sum(_COUNTS[pick][0] for pick in after)
-    e_left = sum(_COUNTS[pick][1] for pick in after)
-    for shift in reversed(steps):
-        if shift is not None:
-            head.append(_EXTENSION[: 2 * shift])
-            tail.append(_EXTENSION[2 * shift :])
-            continue
-        # the block goes in at the first row t > v that balances
-        passed, e = [], (e_top, e_left)
+    # a block goes in at the first row t > v whose counts from t on name a
+    # block.  Blocks and extension rows put as many small as large values
+    # on each line, so every insertion meets the seed's rows after v with
+    # the same counts and stops at the same t with the same block
+    t, block = v, ""
+    if blocks:
+        e = tuple(map(sum, zip(*(_COUNTS[pick] for pick in seed[v:]))))
         while e not in _BLOCK:
-            pick = after.pop()
+            pick = seed[t]
             if pick == "Lw":
                 raise RuntimeError(f"no insertion row balances the border with corners ({v}, {w})")
-            passed.append(pick)
             e = (e[0] - _COUNTS[pick][0], e[1] - _COUNTS[pick][1])
-        block = _BLOCK[e]
-        after += [block[i : i + 2] for i in range(14, -1, -2)] + passed[::-1]
-    return _diagram(order, "".join([*head[::-1], *seed[:v], *after[::-1], *tail]))
+            t += 1
+        block = _BLOCK[e] * blocks
+    return _diagram(order, "".join([*heads, *seed[:t], block, *seed[t:], *tails[::-1]]))
 
 
 # keyed by (v is large, w is large)

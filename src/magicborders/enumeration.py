@@ -138,23 +138,17 @@ class _BudgetState:
         self.nodes = 0
         self.start = time.monotonic()
 
-    def on_node(self) -> None:
-        self.nodes += 1
+    def on_nodes(self, count: int = 1) -> None:
+        """Charge ``count`` nodes, reading the clock whenever the total
+        passes a multiple of 1,024."""
+        self.nodes += count
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExhausted(f"node limit {self.max_nodes} reached")
         if (
             self.max_seconds is not None
-            and self.nodes % 1024 == 0
+            and self.nodes % 1024 < count
             and time.monotonic() - self.start > self.max_seconds
         ):
-            raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
-
-    def on_nodes(self, count: int) -> None:
-        """Charge ``count`` nodes at once, checking the clock on every call."""
-        self.nodes += count
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExhausted(f"node limit {self.max_nodes} reached")
-        if self.max_seconds is not None and time.monotonic() - self.start > self.max_seconds:
             raise BudgetExhausted(f"time limit {self.max_seconds}s reached")
 
 
@@ -243,7 +237,7 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
     # overwritten as the depth-first walk moves on.
     picks = [0] * (total + 1)
     stack = [(0, n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c, 0)]
-    on_node = state.on_node
+    on_node = state.on_nodes
     pop = stack.pop
     push = stack.append
     while stack:

@@ -86,6 +86,15 @@ class BorderFrame(namedtuple("BorderFrame", "n cells")):
         return self.n + 2
 
 
+def _inner_order_violations(n: int) -> list[Violation]:
+    """The ``inner-order`` violation if n is no inner order, else none."""
+    try:
+        check_inner_order(n)
+    except ValueError:
+        return [Violation("inner-order", f"n={n!r}")]
+    return []
+
+
 def verify_border(plan: BorderPlan) -> CheckReport:
     """Check the four magic-border conditions for a candidate plan.
 
@@ -105,14 +114,10 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     below counts it.  Any plan not accepted so is walked value by value,
     which names every violation.
     """
-    violations: list[Violation] = []
     n = plan.n
-    try:
-        check_inner_order(n)
-    except ValueError:
-        return CheckReport.from_violations(
-            [Violation("inner-order", f"n={n!r}")]
-        )
+    violations = _inner_order_violations(n)
+    if violations:
+        return CheckReport.from_violations(violations)
     c_base = complement_base(n)
     target = magic_constant(n + 2)
     s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
@@ -412,6 +417,9 @@ def _verify_lines(cells: Sequence[Sequence[int]], bordered: bool) -> CheckReport
 def verify_frame(frame: BorderFrame) -> CheckReport:
     """Check a rendered frame: placement complementarity plus plan validity."""
     n = frame.n
+    violations = _inner_order_violations(n)
+    if violations:
+        return CheckReport.from_violations(violations)
     order = frame.order
     cells = frame.cells
     if len(cells) != order or any(len(row) != order for row in cells):

@@ -27,6 +27,8 @@ CORNERS_DIGEST = "961d00d7446a8e6a54b8906b1a2fced47e6edbdb9abc126a005de017428d10
 # a construction lists them in
 CORNERS_SET_DIGEST = "f6b7fe93e0e732cb972a150779c0b88fa3fe8afc5b4e71286c454be7d4914636"
 SQUARE_DIGEST = "f07db268819075e96cdda71c028f65b7ff92c8a26c5fdac01607948006044b5a"
+# every gap pair at n = 16..102: block chains up to 24 long, beyond the sweep
+CORNER_GAPS_DIGEST = "de9fd69dcd01c01f4df5c2b2c242c1ad8c41795521579fc91fffb317a62a8f5d"
 # stdout of `tables --check --m 8 --m 12 --m 40`
 TABLES_CHECK_DIGEST = "d6a785507f9f9016cf5669f2781d9532b6696e24de606dd66ec7cdad4b0360dd"
 # the paper's order-4 table, each line in the paper's order
@@ -98,6 +100,16 @@ def test_corner_construction_matches_its_pinned_set_digest():
         by_set = BorderPlan(plan.n, plan.v, plan.w, tuple(sorted(plan.b)), tuple(sorted(plan.c)))
         digest.update(serialize_plan(by_set).encode())
     assert digest.hexdigest() == CORNERS_SET_DIGEST
+
+
+def test_gap_pair_chains_match_their_pinned_digest():
+    digest, builds = hashlib.sha256(), 0
+    for n in range(16, 103, 2):
+        for v, w in corners.missing_pairs(n):
+            digest.update(serialize_plan(construct_with_corners(n, v, w)).encode())
+            builds += 1
+    assert builds == 880
+    assert digest.hexdigest() == CORNER_GAPS_DIGEST
 
 
 def test_tables_check_matches_its_pinned_digest(capsys):

@@ -550,3 +550,11 @@ def test_a_frame_cell_that_is_no_number_is_named():
     assert verify_frame(frame._replace(cells=cells)) == CheckReport(
         False, (Violation("cell-type", "cell (0,2) holding '5'"),)
     )
+
+
+def test_a_frame_whose_n_is_no_inner_order_is_reported_as_border_plans_are():
+    square = ((1, 2, 3), (4, None, 6), (7, 8, 9))
+    for n, cells in ((1, square), ("x", ()), (2, square), (True, square)):
+        named = CheckReport(False, (Violation("inner-order", f"n={n!r}"),))
+        assert verify_frame(BorderFrame(n, cells)) == named
+        assert verify_border(BorderPlan(n, 1, 2, (), ())) == named
