@@ -8,10 +8,8 @@ column.  One function, :func:`_diagram`, reads every diagram into a
 :class:`~magicborders.verify.BorderPlan`, and :func:`_picks` writes a
 valid border back as its diagram, which is how :mod:`magicborders.corners`
 edits its seeds.  A recipe's docstring states why its border is magic:
-the picks fall into pairs whose deviations cancel line by line.
-:func:`build_border` checks every result with
-:func:`~magicborders.verify.verify_border`.  The same n always yields the
-same border.
+the picks fall into pairs whose deviations cancel line by line.  The same
+n always yields the same border.
 
 A diagram is given to :func:`_diagram` in parts, read one after another:
 a literal pick string, or a ``(block, copies)`` pair that stands for the
@@ -19,6 +17,23 @@ block's picks repeated ``copies`` times.  The recipes are a fixed opening
 followed by repeated blocks, so each line's values from a block are
 interleaved arithmetic progressions, one per pick of the block on that
 line; they are written as one ``range`` slice each, not row by row.
+
+Each recipe family is proved once for every order, so its borders need no
+check.  A family is fixed pick strings and runs of one fixed block whose
+copy count k is affine in n (``recipe_even_4k`` and
+``recipe_even_4k_plus_2`` one run each, ``recipe_odd`` a head and a tail
+run).  One pick per diagram row makes the 2n+2 values distinct,
+complement-free pool values at every k, so only the lines can fail.  Each
+line's length is affine in k.  Each value is a row r or C - r, where
+C = (n+2)^2 + 1 is quadratic in k and r is affine in k and in the copy t
+of its block, so each line sum, taken over a number of copies affine in
+k, is a polynomial of degree at most 3 in k, as is the target (n+2)C/2.  A family
+whose lines are right at four consecutive k is therefore right at every
+k.  ``tests/test_construct.py`` checks each family so, from its pick
+strings alone, and checks the one order-3 literal as it stands.  So
+:func:`~magicborders.assemble.build_square` writes recipe rings unchecked,
+and :func:`build_border`, which serves the public API, checks its one
+result with :func:`~magicborders.verify.verify_border`.
 """
 
 from __future__ import annotations
@@ -160,7 +175,8 @@ _N3 = _diagram(3, "LvLcLwRbRbRcRcRb")
 
 
 def _recipe(n: int) -> BorderPlan:
-    """The recipe's border for inner order n, not yet verified.
+    """The recipe's border for inner order n, unchecked, since every family
+    is proved for every order (see the module docstring).
 
     n=4 runs the 4k recipe's fixed opening alone.
     """

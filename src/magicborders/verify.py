@@ -102,17 +102,6 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     pool, the 2n+2 values are distinct and complement-free, and both the
     top row (v + sum(b) + w) and the left column (v + sum(c) + comp(w))
     sum to the magic constant of the full frame.
-
-    A valid plan is accepted in one pass.  Once every value is known to
-    lie in 1..C-1, each is folded onto its diagram row (x if x <= 2n+2,
-    else C - x) and marked in a table of rows 1..2n+2.  A value in the gap
-    between the pools folds past the table and raises IndexError, so if
-    none does, all lie in the pool.  A value and its complement fold onto
-    one row, so 2n+2 values that mark all 2n+2 rows fold injectively: they
-    are distinct and complement-free.  A float or a str cannot index the
-    table, and a bool marks the row of the int it equals, as the walk
-    below counts it.  Any plan not accepted so is walked value by value,
-    which names every violation.
     """
     n = plan.n
     violations = _inner_order_violations(n)
@@ -122,21 +111,6 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     target = magic_constant(n + 2)
     s_lo, s_hi, l_lo, l_hi = pool_bounds(n)
     values = plan.values()
-
-    if len(plan.b) == n == len(plan.c):
-        rows = bytearray(s_hi + 1)
-        try:
-            if s_lo <= min(values) and max(values) <= l_hi:
-                for x in values:
-                    rows[x if x <= s_hi else c_base - x] = 1
-        except (IndexError, TypeError):  # the table is left part-marked
-            pass
-        if (
-            rows.count(0) == 1
-            and plan.v + sum(plan.b) + plan.w == target
-            and plan.v + sum(plan.c) + (c_base - plan.w) == target
-        ):
-            return CheckReport(valid=True)
 
     if len(plan.b) != n:
         violations.append(Violation("shape", "b", expected=n, actual=len(plan.b)))

@@ -187,6 +187,94 @@ def test_recipes_read_from_parts_equal_their_flattened_pick_strings(monkeypatch)
         assert any(not isinstance(part, str) for part in parts), n
 
 
+# --- each recipe family proved for every order -------------------------------
+# A family is fixed pick strings and runs of one block whose copy count is
+# affine in k, so its line lengths are affine in k and its line sums, like
+# the target, polynomials of degree at most 3 in k (the construct module
+# docstring has the argument): right at four consecutive k, right at every
+# k.  build_square writes recipe rings unchecked on the strength of this.
+
+# each family's first four orders, k = 1..4 for the even families (0..3
+# copies of the block) and 0..3 head and tail copies for the odd one
+FIRST_FOUR_ORDERS = {
+    "recipe_even_4k": (4, 8, 12, 16),
+    "recipe_even_4k_plus_2": (6, 10, 14, 18),
+    "recipe_odd": (5, 7, 9, 11),
+}
+
+
+def recipe_parts(monkeypatch, family, n):
+    """The parts the recipe for n passes to _diagram, read off the call."""
+    read = []
+    monkeypatch.setattr(construct, "_diagram", lambda order, *parts: read.append(parts))
+    construct._recipe(n)
+    monkeypatch.undo()
+    (parts,) = read
+    assert construct._recipe(n) == getattr(construct, family)(n // 4 if n % 2 == 0 else n)
+    return parts
+
+
+def lines_are_right(n, picks):
+    """Whether the border a flat pick string describes has 2n+2 rows, one
+    v and one w, n values on each line and both line sums at the target;
+    row r of the pick string gives r on the left side, C - r on the right."""
+    c_base = (n + 2) ** 2 + 1
+    target = (n + 2) * c_base // 2
+    count = dict.fromkeys("vwbc", 0)
+    total = dict.fromkeys("vwbc", 0)
+    for r, (side, line) in enumerate(zip(picks[::2], picks[1::2]), 1):
+        count[line] += 1
+        total[line] += r if side == "L" else c_base - r
+    return (
+        len(picks) == 2 * (2 * n + 2)
+        and list(count.values()) == [1, 1, n, n]
+        and total["v"] + total["b"] + total["w"] == target
+        and total["v"] + total["c"] + (c_base - total["w"]) == target
+    )
+
+
+def traded(block):
+    """The block with its first b pick and its first c pick trading lines."""
+    picks = [block[i : i + 2] for i in range(0, len(block), 2)]
+    ib = next(i for i, pick in enumerate(picks) if pick[1] == "b")
+    ic = next(i for i, pick in enumerate(picks) if pick[1] == "c")
+    picks[ib], picks[ic] = picks[ib][0] + "c", picks[ic][0] + "b"
+    return "".join(picks)
+
+
+@pytest.mark.parametrize("family", FIRST_FOUR_ORDERS)
+def test_each_recipe_family_is_right_at_its_first_four_k(monkeypatch, family):
+    orders = FIRST_FOUR_ORDERS[family]
+    parts = [recipe_parts(monkeypatch, family, n) for n in orders]
+    # one shape at every k: the same pick strings and blocks, and each
+    # block's copy count rising by one per step of k, so affine in k
+    for step, at_k in enumerate(parts):
+        assert len(at_k) == len(parts[0])
+        for part, first in zip(at_k, parts[0]):
+            if isinstance(first, str):
+                assert part == first
+            else:
+                assert part == (first[0], first[1] + step)
+    for n, at_k in zip(orders, parts):
+        assert lines_are_right(n, flattened(at_k)), (family, n)
+
+
+@pytest.mark.parametrize("family", FIRST_FOUR_ORDERS)
+def test_a_block_trading_a_b_pick_for_a_c_pick_fails_by_k_2(monkeypatch, family):
+    orders = FIRST_FOUR_ORDERS[family]
+    verdicts = []
+    for n in orders:
+        parts = list(recipe_parts(monkeypatch, family, n))
+        # the first run of blocks only: the odd recipe's tail run would
+        # trade back what its head run trades
+        i = next(i for i, part in enumerate(parts) if not isinstance(part, str))
+        block, copies = parts[i]
+        parts[i] = (traded(block), copies)
+        verdicts.append(lines_are_right(n, flattened(parts)))
+    # no copy at the first k hides the trade; one copy shows it
+    assert verdicts == [True, False, False, False]
+
+
 def test_blocks_read_the_same_at_any_number_of_copies():
     opening = "LbRvLbRbRwLcLbRcLcRc"
     for copies in (0, 1, 2, 7, 50):

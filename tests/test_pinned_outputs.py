@@ -16,7 +16,8 @@ from magicborders import (
     verify_bordered,
     verify_square,
 )
-from magicborders import corners
+import magicborders
+from magicborders import assemble, cli, construct, corners, verify
 from magicborders.cli import main
 from magicborders.documents import FORMATS, serialize_grid, serialize_plan
 from magicborders.verify import BorderPlan
@@ -47,6 +48,35 @@ def test_build_square_matches_its_pinned_digest_in_every_format():
         serialize_grid(build_square(order), fmt) for order in range(3, 61) for fmt in FORMATS
     )
     assert hashlib.sha256(text.encode()).hexdigest() == SQUARE_DIGEST
+
+
+def test_build_square_checks_no_ring_and_build_border_checks_once(monkeypatch):
+    # the recipes are proved for every order, so build_square writes each
+    # ring from its recipe unchecked; build_border keeps its one check
+    checks, recipes = [], []
+    verify_border, recipe = verify.verify_border, assemble._recipe
+
+    def counted_check(plan):
+        checks.append(plan.n)
+        return verify_border(plan)
+
+    def counted_recipe(n):
+        recipes.append(n)
+        return recipe(n)
+
+    for module in (magicborders, assemble, cli, construct, corners, verify):
+        monkeypatch.setattr(module, "verify_border", counted_check)
+    monkeypatch.setattr(assemble, "_recipe", counted_recipe)
+    for order in range(3, 41):
+        build_square(order)
+        core = 3 if order % 2 else 4
+        assert checks == []
+        assert recipes == list(range(core, order - 1, 2))  # one per ring, innermost first
+        recipes.clear()
+    for n in range(3, 41):
+        build_border(n)
+        assert checks == [n]
+        checks.clear()
 
 
 def feasible_pool_pairs(n):

@@ -404,10 +404,11 @@ def test_square_verdicts_on_bools_and_floats_are_pinned():
     )
 
 
-# --- values that fool a marking table ---------------------------------------
-# The accept paths mark each value's slot in a byte table.  These edits hit
-# the slot a valid value would have marked, or fall outside the table, and
-# every verdict must still match the per-value and per-cell references.
+# --- values near the pools and slots of a valid one -------------------------
+# The square check's accept path marks each cell's slot in a byte table, and
+# the plan check walks value by value.  These edits hit the slot a valid cell
+# would have marked, or fall outside the table or the pools, and every
+# verdict must still match the per-value and per-cell references.
 
 
 def _not_permutation(cells):
@@ -481,8 +482,8 @@ def test_plan_values_outside_the_pools_match_the_reference():
 
 
 def test_a_value_swapped_for_its_complement_matches_the_reference():
-    # a value and its complement share a diagram row, so the row table is
-    # marked just as for the valid plan and only the line sums can tell
+    # a value and its complement share a diagram row, so the plan still
+    # holds distinct, complement-free pool values and only the line sums tell
     for n in range(3, 9):
         plan = build_border(n)
         c_base = complement_base(n)
