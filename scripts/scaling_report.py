@@ -50,6 +50,9 @@ AS_MODULE = (
     "runpy.run_module('magicborders', run_name='__main__', alter_sys=True)"
 )
 CORNER_BUILD = ["build", "--order", "10", "--border-only", "--corners", "1,4"]
+# the other two end-to-end commands; verify reads a fixed order-9 square on stdin
+VERIFY_BORDERED = ["verify", "--bordered", "-"]
+COUNT_ONLY = ["enumerate", "--order", "5", "--corners", "1,2", "--count-only"]
 
 # the layered counter over the keys given as "n,v,w" arguments; the peak
 # RSS is the process's VmHWM, since ru_maxrss keeps the high-water mark of
@@ -137,17 +140,19 @@ def listed_total(n):
     return sum(1 for _ in enumerate_order(n))
 
 
-def launch_ms(argv, env) -> float:
+def launch_ms(argv, env, stdin: str = "") -> float:
     start = time.perf_counter()
-    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, env=env)
+    subprocess.run(argv, check=True, input=stdin, stdout=subprocess.DEVNULL, env=env, text=True)
     return (time.perf_counter() - start) * 1e3
 
 
 def cold_start() -> None:
     print(f"cold start, median of {COLD_LAUNCHES} fresh launches")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    set_up, build, corner, bare = [], [], [], []
-    # one launch of each kind per round, so a slow phase of the host hits all four
+    square = serialize_grid(build_square(9), "grid")
+    isolated = [sys.executable, "-I", "-S", "-c", AS_MODULE, str(SRC)]
+    set_up, build, corner, verify, count, bare = [], [], [], [], [], []
+    # one launch of each kind per round, so a slow phase of the host hits all six
     for _ in range(COLD_LAUNCHES):
         run = subprocess.run(
             [sys.executable, "-I", "-c", SET_UP, str(SRC)],
@@ -157,14 +162,15 @@ def cold_start() -> None:
         build.append(
             launch_ms([sys.executable, "-m", "magicborders", "build", "--order", "9"], env)
         )
-        corner.append(
-            launch_ms([sys.executable, "-I", "-S", "-c", AS_MODULE, str(SRC), *CORNER_BUILD], env)
-        )
+        corner.append(launch_ms(isolated + CORNER_BUILD, env))
+        verify.append(launch_ms(isolated + VERIFY_BORDERED, env, square))
+        count.append(launch_ms(isolated + COUNT_ONLY, env))
         bare.append(launch_ms([sys.executable, "-c", "pass"], env))
     print(f"  import + set-up (python -I, in-process): {statistics.median(set_up):7.2f} ms")
     print(f"  python -m magicborders build --order 9:  {statistics.median(build):7.2f} ms")
-    print(f"  python -I -S -m magicborders {' '.join(CORNER_BUILD)}: "
-          f"{statistics.median(corner):7.2f} ms")
+    for argv, times in ((CORNER_BUILD, corner), (VERIFY_BORDERED, verify), (COUNT_ONLY, count)):
+        print(f"  python -I -S -m magicborders {' '.join(argv)}: "
+              f"{statistics.median(times):7.2f} ms")
     print(f"  bare interpreter (python -c pass):        {statistics.median(bare):7.2f} ms")
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success/valid, 1 invalid input or failed verification,
 2 proven infeasibility (same-parity corners at even order), 3 search
 budget exhausted.  Everything is deterministic; there is no seeded mode.
+
+Each command imports the modules it runs when it runs, so a process
+loads only what its command needs beyond the parser, the documents and
+the verifiers.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .assemble import build_square, plan_from_frame, render_frame
-from .construct import build_border
-from .core import InfeasibleCornersError
-from .corners import audit_order4, audit_order_m, construct_with_corners
+from .core import BudgetExhausted, InfeasibleCornersError
 from .documents import (
     FORMATS,
     GRID,
@@ -27,17 +28,6 @@ from .documents import (
     serialize_grid,
     serialize_plan,
 )
-from .enumeration import (
-    BudgetExhausted,
-    OmegaKey,
-    SearchBudget,
-    count_borders,
-    count_omega,
-    enumerate_omega,
-    enumerate_order,
-    format_counts,
-)
-from .transform import orbit
 from .verify import (
     BorderFrame,
     BorderPlan,
@@ -125,14 +115,22 @@ def cmd_build(args) -> int:
     if args.border_only:
         n = args.order
         if args.corners:
+            from .corners import construct_with_corners
+
             plan = construct_with_corners(n, *args.corners)
         else:
+            from .construct import build_border
+
             plan = build_border(n)
         if args.format == JSON:
             _emit(serialize_plan(plan), args.output)
         else:
+            from .assemble import render_frame
+
             _emit(serialize_grid(render_frame(plan).cells, args.format), args.output)
         return EXIT_OK
+    from .assemble import build_square
+
     square = build_square(args.order)
     _emit(serialize_grid(square, args.format), args.output)
     return EXIT_OK
@@ -159,6 +157,16 @@ def cmd_enumerate(args) -> int:
         raise DocumentError(f"--limit must be >= 0, got {args.limit}")
     if args.limit is not None and args.count_only:
         raise DocumentError("--limit does not apply to --count-only, which counts every border")
+    from .enumeration import (
+        OmegaKey,
+        SearchBudget,
+        count_borders,
+        count_omega,
+        enumerate_omega,
+        enumerate_order,
+        format_counts,
+    )
+
     n = args.order
     if args.count_only:
         what, desk_scale = "counting", COUNT_DESK_SCALE_ORDER
@@ -189,6 +197,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .assemble import plan_from_frame
+    from .transform import orbit
+
     doc = parse_document(_read_input(args.input))
     if isinstance(doc, GridDocument) and not doc.is_complete():
         doc = doc.as_frame()
@@ -223,6 +234,8 @@ def cmd_tables(args) -> int:
     if not args.check:
         print("seed tables ship verified; run with --check to (re)validate them")
         return EXIT_OK
+    from .corners import audit_order4, audit_order_m
+
     audits4 = audit_order4()
     # audit every --m first: a bad one exits 1 before anything is printed
     audits_m = [(m, audit_order_m(m)) for m in args.m]
@@ -314,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         print(f"error: search budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DocumentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -15,6 +15,10 @@ class InfeasibleCornersError(ValueError):
     """The requested corner pair provably admits no magic border."""
 
 
+class BudgetExhausted(RuntimeError):
+    """Search stopped before exploring the whole space."""
+
+
 def check_inner_order(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 3:
         raise ValueError(f"inner order must be an integer >= 3, got {n!r}")

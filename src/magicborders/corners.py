@@ -34,7 +34,6 @@ off, and otherwise rebuilt by the construction above.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from .construct import _BLOCKS, _diagram, _picks
@@ -77,13 +76,17 @@ def corners_feasible(n: int, v: int, w: int) -> bool:
 # --- seed tables -----------------------------------------------------------
 
 # a signed term: the one bracketed square, or a run free of signs
-_TERM_RE = re.compile(r"[+-]?(?:\(m\+2\)\^2|[^+-]+)")
+_TERM = r"[+-]?(?:\(m\+2\)\^2|[^+-]+)"
 
 
 def eval_poly(expr: str, m: int) -> int:
     """Evaluate a table polynomial like '(m+2)^2-15', 'm^2+2m+4' or '2m-1'."""
+    # only the tables read polynomials, so only they load re; its cache
+    # compiles the pattern once
+    import re
+
     total = 0
-    for term in _TERM_RE.findall(expr.strip()):
+    for term in re.findall(_TERM, expr.strip()):
         sign = -1 if term.startswith("-") else 1
         t = term.lstrip("+-")
         if t == "(m+2)^2":

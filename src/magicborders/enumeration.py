@@ -63,6 +63,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .core import (
+    BudgetExhausted,
     check_corners,
     check_inner_order,
     complement_base,
@@ -103,10 +104,6 @@ class SearchBudget(namedtuple("SearchBudget", "max_nodes max_seconds")):
     @classmethod
     def _make(cls, iterable) -> "SearchBudget":  # so that _replace checks too
         return cls(*iterable)
-
-
-class BudgetExhausted(RuntimeError):
-    """Search stopped before exploring the whole space."""
 
 
 class CanonicalBorder(namedtuple("CanonicalBorder", "n v w b_set c_set")):

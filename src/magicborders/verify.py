@@ -117,50 +117,59 @@ def verify_border(plan: BorderPlan) -> CheckReport:
     if len(plan.c) != n:
         violations.append(Violation("shape", "c", expected=n, actual=len(plan.c)))
 
+    # one walk: each hashable value maps to its first sighting, which the
+    # report names; a value that cannot be hashed (a list, say) is named as
+    # pool-membership alone
+    seen = {}
+    repeats = []  # a value's first sighting again, once per later sighting
+    clashes = []  # the smaller of each complementary pair, if it is an int
     for value in values:
         if not isinstance(value, int) or not (
             s_lo <= value <= s_hi or l_lo <= value <= l_hi
         ):
             violations.append(Violation("pool-membership", f"value {value!r}"))
+        try:
+            if value in seen:
+                repeats.append(seen[value])
+                continue
+            seen[value] = value
+            # the value itself when no other value complements it
+            partner = seen.get(c_base - value, value)
+        except TypeError:  # no hash, or no number to complement
+            continue
+        if partner is not value:
+            low = min(value, partner)
+            if isinstance(low, int):
+                clashes.append(low)
 
-    # a value that cannot be hashed (a list, say) is named above and nowhere else
-    counts = Counter(value for value in values if _hashable(value))
-    duplicates = [(value, count) for value, count in counts.items() if count > 1]
-    for value, count in sorted(duplicates, key=lambda kv: str(kv[0])):
-        violations.append(
-            Violation("duplicate-value", f"value {value}", expected=1, actual=count)
-        )
-
-    clashes = [
-        value
-        for value in counts
-        if isinstance(value, int) and value < c_base - value and c_base - value in counts
-    ]
+    if repeats:
+        counts = Counter(repeats)
+        # in order of first sighting, which the sort keeps among equal strings
+        duplicates = [value for value in seen.values() if value in counts]
+        for value in sorted(duplicates, key=str):
+            violations.append(
+                Violation("duplicate-value", f"value {value}", expected=1, actual=counts[value] + 1)
+            )
     for value in sorted(clashes, key=str):
         violations.append(
             Violation("complement-clash", f"values {value} and {c_base - value}")
         )
 
-    line_sums = (
-        ("row-sum", "top row", lambda: plan.v + sum(plan.b) + plan.w),
-        ("column-sum", "left column", lambda: plan.v + sum(plan.c) + (c_base - plan.w)),
-    )
-    for condition, where, line_sum in line_sums:
-        try:
-            total = line_sum()
-        except TypeError:  # a value that is no number, named as pool-membership
-            continue
-        if total != target:
-            violations.append(Violation(condition, where, expected=target, actual=total))
-    return CheckReport.from_violations(violations)
-
-
-def _hashable(value) -> bool:
+    # each line summed once; a line holding a value that is no number is
+    # named under pool-membership alone, so it reads as on target
     try:
-        hash(value)
+        top = plan.v + sum(plan.b) + plan.w
     except TypeError:
-        return False
-    return True
+        top = target
+    try:
+        left = plan.v + sum(plan.c) + (c_base - plan.w)
+    except TypeError:
+        left = target
+    if top != target:
+        violations.append(Violation("row-sum", "top row", expected=target, actual=top))
+    if left != target:
+        violations.append(Violation("column-sum", "left column", expected=target, actual=left))
+    return CheckReport.from_violations(violations)
 
 
 def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:

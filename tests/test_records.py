@@ -78,6 +78,98 @@ def test_an_all_int_csv_round_trip_imports_no_csv(tmp_path):
     assert run.stdout == "valid\n[]\n", run.stderr
 
 
+# --- which modules each command loads -----------------------------------------
+
+# the package's modules loaded so far, printed as one line of short names
+LOADED = """
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("magicborders."))))
+"""
+SET_UP_STEPS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import magicborders.cli
+print("argparse" in sys.modules)
+""" + LOADED + """
+from magicborders import build_border, construct_with_corners
+build_border(3)
+construct_with_corners(4, 1, 2)
+""" + LOADED
+# one command through cli.main, its document on stdin
+COMMAND = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from magicborders.cli import main
+code = main(sys.argv[2:])
+""" + LOADED
+
+
+def run_isolated(code: str, *args: str, stdin: str = "") -> list[str]:
+    # -I -S: no site packages, so nothing but the package itself loads its modules
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC), *args],
+        input=stdin, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return run.stdout.splitlines()
+
+
+def test_the_set_up_loads_only_the_modules_its_calls_run():
+    has_argparse, after_import, after_calls = run_isolated(SET_UP_STEPS)
+    assert has_argparse == "True"
+    assert after_import.split() == ["cli", "core", "documents", "verify"]
+    # neither the counter nor the square assembly
+    assert after_calls.split() == [
+        "cli", "construct", "core", "corners", "documents", "transform", "verify"
+    ]
+
+
+def test_verify_bordered_loads_no_construction_module():
+    from magicborders import build_square
+    from magicborders.documents import serialize_grid
+
+    square = serialize_grid(build_square(9), "grid")
+    verdict, loaded = run_isolated(COMMAND, "verify", "--bordered", "-", stdin=square)
+    assert verdict == "valid"
+    assert loaded.split() == ["cli", "core", "documents", "verify"]
+
+
+def test_counting_loads_the_counter_and_no_construction_module():
+    count, loaded = run_isolated(COMMAND, "enumerate", "--order", "5", "--corners", "1,3",
+                                 "--count-only")
+    assert int(count) > 0
+    assert loaded.split() == ["cli", "core", "documents", "enumeration", "verify"]
+
+
+def test_every_public_name_is_its_own_modules_object():
+    import importlib
+
+    import magicborders
+    from magicborders import core, enumeration
+
+    for name in magicborders.__all__:
+        home = importlib.import_module(f"magicborders.{magicborders._HOMES[name]}")
+        assert getattr(magicborders, name) is getattr(home, name), name
+    assert enumeration.BudgetExhausted is core.BudgetExhausted
+    assert magicborders.__version__ == "0.1.0"
+
+
+def test_dir_lists_every_public_name_before_any_is_read():
+    [missing] = run_isolated(
+        "import sys; sys.path.insert(0, sys.argv[1]); import magicborders; "
+        "print(sorted(set(magicborders.__all__) - set(dir(magicborders))))"
+    )
+    assert missing == "[]"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import magicborders
+
+    with pytest.raises(AttributeError, match="has no attribute 'search_first'"):
+        magicborders.search_first
+    assert not hasattr(magicborders, "_recipe")
+    with pytest.raises(ImportError):
+        from magicborders import verify_plan  # noqa: F401
+
+
 def test_fields_cannot_be_assigned():
     plan = build_border(4)
     with pytest.raises(AttributeError):
