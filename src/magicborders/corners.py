@@ -11,7 +11,7 @@ one of two edits to the diagram's picks:
 - the +4 extension (:func:`extend_border`) adds eight fixed rows, the
   first ``shift`` of them above the existing rows and the rest below, so
   both corners rise by the shift (0..8);
-- block insertion splices one of nine eight-row blocks in between the
+- block insertion splices one of six eight-row blocks in between the
   corners' rows, so v stays and w rises by 8.  It covers the 20 "gap"
   pairs per order that no extension reaches, and a gap pair (v, w) at
   order n comes from the gap pair (v, w-8) at order n-4.
@@ -23,7 +23,12 @@ picks: extension rows wrap them, and the chain's blocks all go in at one
 row after v, as blocks and extension rows put as many small as large
 values on each line and so leave each insertion the same seed rows to
 pass.  It reads one diagram in O(n), and a border with small ascending
-corners lists each line in diagram row order; other corners get its image.
+corners lists each line in diagram row order.
+
+Other corners reduce to small ascending ones by one of the eight
+symmetries of the square, picked by three facts: whether v is large,
+whether w is large, and whether the reduced v exceeds the reduced w.
+Those 2 x 2 x 2 cases match the eight symmetries one to one.
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
 is kept, with its polynomials as printed, as an artifact for ``tables
@@ -49,11 +54,13 @@ from .core import (
 from .transform import (
     ANTI_TRANSPOSE,
     IDENTITY,
+    REFLECT_HORIZONTAL,
     REFLECT_VERTICAL,
+    ROTATE_90,
     ROTATE_180,
+    ROTATE_270,
     TRANSPOSE,
     apply_symmetry,
-    compose,
 )
 from .verify import BorderPlan, verify_border
 
@@ -247,23 +254,15 @@ _ORDER_M = (
 )
 
 
-def order4_table() -> dict[tuple[int, int], BorderPlan]:
-    return dict(_ORDER4)
-
-
-def parameterized_table() -> tuple[Table2Row, ...]:
-    return _ORDER_M
-
-
 def seed_order4(v: int, w: int) -> BorderPlan:
     """The literal order-4 seed with corners (v, w); v odd, w even."""
-    try:
+    # 1.0 == 1 as a key, so the type is checked before the lookup
+    if isinstance(v, int) and isinstance(w, int) and (v, w) in _ORDER4:
         return _ORDER4[(v, w)]
-    except KeyError:
-        raise ValueError(
-            f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
-            "(odd corner first) before the lookup"
-        ) from None
+    raise ValueError(
+        f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
+        "(odd corner first) before the lookup"
+    )
 
 
 def block_sets(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -301,15 +300,13 @@ _EXTENSION = "LbRbRbLbRcLcLcRc"
 # moved small values minus its moved large ones, so the move shifted the
 # line's signed row sum by 8e.  Each block puts two small and two large
 # values on each line, at offsets 0..7 whose signed sum there is -8e.
+# Only the six keys that some seed's walk stops at are held.
 _BLOCK = {
     (0, 0): _BLOCKS,
-    (1, 1): "LbLcLcLbRbRcRcRb",
     (-1, -1): "RbRcRcRbLbLcLcLb",
     (1, -1): "LbLbRcRcRbRbLcLc",
-    (-1, 1): "LcLcRbRbRcRcLbLb",
     (1, 0): "LbLbRbLcRcRcLcRb",
     (-1, 0): "RbLcRcRcLcRbLbLb",
-    (0, 1): "LcLcRcLbRbRbLbRc",
     (0, -1): "RcLbRbRbLbRcLcLc",
 }
 
@@ -334,7 +331,8 @@ def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
     rest go below.  The new rows are matched into two top-row pairs and two
     column pairs whose deviations cancel, so validity carries over.
     """
-    if shift not in (0, 2, 4, 6, 8):
+    # 2.0 == 2 would pass the membership test alone
+    if not isinstance(shift, int) or shift not in (0, 2, 4, 6, 8):
         raise ValueError(f"shift must be one of 0, 2, 4, 6, 8, got {shift!r}")
     n = check_inner_order(plan.n)
     if n % 2:
@@ -401,18 +399,10 @@ def _audit_entry(row: Table2Row, m: int) -> SeedAudit:
     return SeedAudit(row.row_id, m, raw.v, raw.w, status, plan, report)
 
 
-def seed_order_m_audit(m: int, v: int, w: int) -> SeedAudit:
-    """Instantiate the parameterized entry for (v, w) at order m and classify it."""
-    for row in parameterized_table():
-        if row.v == v and eval_poly(row.w_expr, m) == w:
-            return _audit_entry(row, m)
-    raise ValueError(f"no parameterized seed covers corners ({v}, {w}) at order {m}")
-
-
 def audit_order4() -> list[SeedAudit]:
     """Run every literal order-4 seed through the verifier."""
     audits = []
-    for (v, w), plan in sorted(order4_table().items()):
+    for (v, w), plan in sorted(_ORDER4.items()):
         report = verify_border(plan)
         status = "valid" if report.valid else "invalid"
         audits.append(SeedAudit(f"{v}&{w}", 4, v, w, status, plan, report))
@@ -421,7 +411,7 @@ def audit_order4() -> list[SeedAudit]:
 
 def audit_order_m(m: int) -> list[SeedAudit]:
     """Classify every parameterized entry instantiated at order m."""
-    return [_audit_entry(row, m) for row in parameterized_table()]
+    return [_audit_entry(row, m) for row in _ORDER_M]
 
 
 # --- corner-prescribed construction ----------------------------------------
@@ -468,12 +458,17 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     return _diagram(order, "".join([*heads, *seed[:t], block, *seed[t:], *tails[::-1]]))
 
 
-# keyed by (v is large, w is large)
-_LARGE_CORNER_SYMMETRIES = {
-    (False, False): IDENTITY,
-    (True, True): ROTATE_180,
-    (False, True): TRANSPOSE,
-    (True, False): ANTI_TRANSPOSE,
+# the symmetry that carries the border with small ascending corners to
+# corners (v, w), keyed by (v is large, w is large, reduced v > reduced w)
+_REDUCTIONS = {
+    (False, False, False): IDENTITY,
+    (False, False, True): REFLECT_VERTICAL,
+    (True, True, False): ROTATE_180,
+    (True, True, True): REFLECT_HORIZONTAL,
+    (False, True, False): TRANSPOSE,
+    (False, True, True): ROTATE_270,
+    (True, False, False): ANTI_TRANSPOSE,
+    (True, False, True): ROTATE_90,
 }
 
 
@@ -493,21 +488,19 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     c_base = complement_base(n)
 
     # reduce to small ascending corners: large corners go to their
-    # complements through an involution, then a reflection swaps v > w; the
-    # border built for the reduced pair maps back through both in one step
+    # complements and the smaller reduced corner comes first; one symmetry
+    # carries the border built for the reduced pair back to (v, w).
+    # check_corners has already made sv and sw distinct small ints
     small = 2 * n + 2
     sv = c_base - v if v > small else v
     sw = c_base - w if w > small else w
-    if not corners_feasible(n, sv, sw):
+    if forbidden_by_parity(n, sv, sw):
         raise InfeasibleCornersError(
             f"no magic border of even inner order {n} has same-parity "
             f"upper corners ({sv}, {sw}): pick one odd and one even corner"
         )
-    symmetry = _LARGE_CORNER_SYMMETRIES[(v > small, w > small)]
-    if sv > sw:
-        sv, sw = sw, sv
-        symmetry = compose(REFLECT_VERTICAL, symmetry)
-    plan = apply_symmetry(_small_corners(n, sv, sw), symmetry)
+    symmetry = _REDUCTIONS[(v > small, w > small, sv > sw)]
+    plan = apply_symmetry(_small_corners(n, min(sv, sw), max(sv, sw)), symmetry)
 
     if (plan.v, plan.w) != (v, w):
         raise RuntimeError(

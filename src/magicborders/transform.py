@@ -67,83 +67,6 @@ def apply_symmetry(plan: BorderPlan, symmetry: str) -> BorderPlan:
     return BorderPlan(n=n, v=new_v, w=new_w, b=new_b, c=new_c)
 
 
-# compose's table, written out so that importing this module computes nothing
-_COMPOSE = {
-    (IDENTITY, IDENTITY): IDENTITY,
-    (IDENTITY, REFLECT_VERTICAL): REFLECT_VERTICAL,
-    (IDENTITY, REFLECT_HORIZONTAL): REFLECT_HORIZONTAL,
-    (IDENTITY, ROTATE_180): ROTATE_180,
-    (IDENTITY, TRANSPOSE): TRANSPOSE,
-    (IDENTITY, ANTI_TRANSPOSE): ANTI_TRANSPOSE,
-    (IDENTITY, ROTATE_90): ROTATE_90,
-    (IDENTITY, ROTATE_270): ROTATE_270,
-    (REFLECT_VERTICAL, IDENTITY): REFLECT_VERTICAL,
-    (REFLECT_VERTICAL, REFLECT_VERTICAL): IDENTITY,
-    (REFLECT_VERTICAL, REFLECT_HORIZONTAL): ROTATE_180,
-    (REFLECT_VERTICAL, ROTATE_180): REFLECT_HORIZONTAL,
-    (REFLECT_VERTICAL, TRANSPOSE): ROTATE_270,
-    (REFLECT_VERTICAL, ANTI_TRANSPOSE): ROTATE_90,
-    (REFLECT_VERTICAL, ROTATE_90): ANTI_TRANSPOSE,
-    (REFLECT_VERTICAL, ROTATE_270): TRANSPOSE,
-    (REFLECT_HORIZONTAL, IDENTITY): REFLECT_HORIZONTAL,
-    (REFLECT_HORIZONTAL, REFLECT_VERTICAL): ROTATE_180,
-    (REFLECT_HORIZONTAL, REFLECT_HORIZONTAL): IDENTITY,
-    (REFLECT_HORIZONTAL, ROTATE_180): REFLECT_VERTICAL,
-    (REFLECT_HORIZONTAL, TRANSPOSE): ROTATE_90,
-    (REFLECT_HORIZONTAL, ANTI_TRANSPOSE): ROTATE_270,
-    (REFLECT_HORIZONTAL, ROTATE_90): TRANSPOSE,
-    (REFLECT_HORIZONTAL, ROTATE_270): ANTI_TRANSPOSE,
-    (ROTATE_180, IDENTITY): ROTATE_180,
-    (ROTATE_180, REFLECT_VERTICAL): REFLECT_HORIZONTAL,
-    (ROTATE_180, REFLECT_HORIZONTAL): REFLECT_VERTICAL,
-    (ROTATE_180, ROTATE_180): IDENTITY,
-    (ROTATE_180, TRANSPOSE): ANTI_TRANSPOSE,
-    (ROTATE_180, ANTI_TRANSPOSE): TRANSPOSE,
-    (ROTATE_180, ROTATE_90): ROTATE_270,
-    (ROTATE_180, ROTATE_270): ROTATE_90,
-    (TRANSPOSE, IDENTITY): TRANSPOSE,
-    (TRANSPOSE, REFLECT_VERTICAL): ROTATE_90,
-    (TRANSPOSE, REFLECT_HORIZONTAL): ROTATE_270,
-    (TRANSPOSE, ROTATE_180): ANTI_TRANSPOSE,
-    (TRANSPOSE, TRANSPOSE): IDENTITY,
-    (TRANSPOSE, ANTI_TRANSPOSE): ROTATE_180,
-    (TRANSPOSE, ROTATE_90): REFLECT_VERTICAL,
-    (TRANSPOSE, ROTATE_270): REFLECT_HORIZONTAL,
-    (ANTI_TRANSPOSE, IDENTITY): ANTI_TRANSPOSE,
-    (ANTI_TRANSPOSE, REFLECT_VERTICAL): ROTATE_270,
-    (ANTI_TRANSPOSE, REFLECT_HORIZONTAL): ROTATE_90,
-    (ANTI_TRANSPOSE, ROTATE_180): TRANSPOSE,
-    (ANTI_TRANSPOSE, TRANSPOSE): ROTATE_180,
-    (ANTI_TRANSPOSE, ANTI_TRANSPOSE): IDENTITY,
-    (ANTI_TRANSPOSE, ROTATE_90): REFLECT_HORIZONTAL,
-    (ANTI_TRANSPOSE, ROTATE_270): REFLECT_VERTICAL,
-    (ROTATE_90, IDENTITY): ROTATE_90,
-    (ROTATE_90, REFLECT_VERTICAL): TRANSPOSE,
-    (ROTATE_90, REFLECT_HORIZONTAL): ANTI_TRANSPOSE,
-    (ROTATE_90, ROTATE_180): ROTATE_270,
-    (ROTATE_90, TRANSPOSE): REFLECT_HORIZONTAL,
-    (ROTATE_90, ANTI_TRANSPOSE): REFLECT_VERTICAL,
-    (ROTATE_90, ROTATE_90): ROTATE_180,
-    (ROTATE_90, ROTATE_270): IDENTITY,
-    (ROTATE_270, IDENTITY): ROTATE_270,
-    (ROTATE_270, REFLECT_VERTICAL): ANTI_TRANSPOSE,
-    (ROTATE_270, REFLECT_HORIZONTAL): TRANSPOSE,
-    (ROTATE_270, ROTATE_180): ROTATE_90,
-    (ROTATE_270, TRANSPOSE): REFLECT_VERTICAL,
-    (ROTATE_270, ANTI_TRANSPOSE): REFLECT_HORIZONTAL,
-    (ROTATE_270, ROTATE_90): IDENTITY,
-    (ROTATE_270, ROTATE_270): ROTATE_180,
-}
-
-
-def compose(first: str, then: str) -> str:
-    """The single symmetry equal to applying ``first`` and then ``then``."""
-    try:
-        return _COMPOSE[(first, then)]
-    except KeyError:
-        raise ValueError(f"unknown symmetry in ({first!r}, {then!r})") from None
-
-
 def orbit(plan: BorderPlan) -> tuple[BorderPlan, ...]:
     """All eight symmetry images, identity first."""
     return tuple(apply_symmetry(plan, s) for s in SYMMETRIES)

@@ -20,6 +20,10 @@ from magicborders.construct import _diagram, _picks
 from magicborders.core import complement_base
 from magicborders.corners import (
     _BLOCK,
+    _COUNTS,
+    _ORDER4,
+    _ORDER_M,
+    _REDUCTIONS,
     _extension_shift,
     audit_order4,
     audit_order_m,
@@ -27,11 +31,9 @@ from magicborders.corners import (
     corners_feasible,
     eval_poly,
     missing_pairs,
-    order4_table,
-    parameterized_table,
-    seed_order_m_audit,
 )
 from magicborders.documents import parse_document
+from magicborders.transform import SYMMETRIES
 from magicborders.verify import BorderPlan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -90,7 +92,7 @@ def test_extension_reference_cases():
 
 
 def test_extension_preserves_validity_for_every_seed_and_shift():
-    for (v, w), plan in sorted(order4_table().items()):
+    for (v, w), plan in sorted(_ORDER4.items()):
         for shift in (0, 2, 4, 6, 8):
             grown = extend_border(plan, shift)
             assert grown.n == 8
@@ -153,14 +155,18 @@ def test_missing_pairs_at_order8_match_the_published_list():
 def test_parameterized_rows_cover_exactly_the_missing_pairs():
     for m in (8, 12, 16):
         covered = {
-            (row.v, eval_poly(row.w_expr, m)) for row in parameterized_table()
+            (row.v, eval_poly(row.w_expr, m)) for row in _ORDER_M
         }
         assert covered == set(missing_pairs(m))
 
 
+def _order8_audit(row_id):
+    return next(audit for audit in audit_order_m(8) if audit.row_id == row_id)
+
+
 def test_known_bad_parameterized_row_is_flagged_and_repaired():
-    audit = seed_order_m_audit(8, 1, 18)
-    assert audit.row_id == "1&2m+2"
+    audit = _order8_audit("1&2m+2")
+    assert (audit.v, audit.w) == (1, 18)
     assert audit.status == "repaired"
     row_sums = [
         x for x in audit.raw_report.violations if x.condition == "row-sum"
@@ -171,8 +177,8 @@ def test_known_bad_parameterized_row_is_flagged_and_repaired():
 
 
 def test_malformed_term_row_is_flagged_and_repaired():
-    audit = seed_order_m_audit(8, 6, 15)
-    assert audit.row_id == "6&2m-1"
+    audit = _order8_audit("6&2m-1")
+    assert (audit.v, audit.w) == (6, 15)
     assert audit.status == "repaired"
     assert any(
         x.condition == "pool-membership" for x in audit.raw_report.violations
@@ -181,8 +187,8 @@ def test_malformed_term_row_is_flagged_and_repaired():
 
 
 def test_parameterized_rows_classify_cleanly():
-    assert seed_order_m_audit(8, 2, 17).status == "valid"
-    assert seed_order_m_audit(8, 8, 17).status == "valid"
+    assert _order8_audit("2&2m+1").status == "valid"
+    assert _order8_audit("8&2m+1").status == "valid"
 
 
 def test_every_parameterized_entry_serves_a_verified_plan():
@@ -191,11 +197,6 @@ def test_every_parameterized_entry_serves_a_verified_plan():
             assert audit.status in ("valid", "repaired", "rebuilt")
             assert verify_border(audit.plan).valid
             assert (audit.plan.v, audit.plan.w) == (audit.v, audit.w)
-
-
-def test_seed_order_m_rejects_pairs_outside_the_gap_list():
-    with pytest.raises(ValueError):
-        seed_order_m_audit(8, 1, 2)
 
 
 def test_construct_reference_cases():
@@ -282,14 +283,44 @@ def test_small_corner_builds_list_their_lines_in_diagram_row_order():
             assert _diagram(n, "".join(_picks(plan))) == plan, (n, v, w)
 
 
+def _block_walk(seed, v, keys):
+    """_small_corners' walk from row v: (row, counts) at the first key, None at Lw."""
+    t, e = v, tuple(map(sum, zip(*(_COUNTS[pick] for pick in seed[v:]))))
+    while e not in keys:
+        if seed[t] == "Lw":
+            return None
+        e = (e[0] - _COUNTS[seed[t]][0], e[1] - _COUNTS[seed[t]][1])
+        t += 1
+    return t, e
+
+
 def test_blocks_hand_out_the_eight_rows_and_cancel_each_shift():
-    assert set(_BLOCK) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    # the walk reads the seed alone, so the 74 seeds at orders 4 and 6 are
+    # every walk there is: each stops at a held block or meets w, where the
+    # other three count pairs in {-1, 0, 1}^2 would move no stop
+    nine = {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    stops = set()
+    for n in (4, 6):
+        for v, w in _ascending_pairs(n):
+            seed = _picks(construct_with_corners(n, v, w))
+            stop = _block_walk(seed, v, _BLOCK)
+            assert stop == _block_walk(seed, v, nine), (n, v, w)
+            if stop is not None:
+                stops.add(stop[1])
+    assert stops == set(_BLOCK)
     for (e_top, e_left), block in _BLOCK.items():
         picks = [block[i : i + 2] for i in range(0, len(block), 2)]
         assert sorted(picks) == sorted(["Lb", "Rb", "Lc", "Rc"] * 2)
         for line, e in (("b", e_top), ("c", e_left)):
             signed = [a if side == "L" else -a for a, (side, x) in enumerate(picks) if x == line]
             assert sum(signed) == -8 * e, block
+
+
+def test_reductions_hold_each_of_the_eight_symmetries_once():
+    assert set(_REDUCTIONS) == {
+        (a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)
+    }
+    assert sorted(_REDUCTIONS.values()) == sorted(SYMMETRIES)
 
 
 def test_extension_builds_extend_the_build_four_orders_down():

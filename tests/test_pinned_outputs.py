@@ -149,7 +149,7 @@ def test_tables_check_matches_its_pinned_digest(capsys):
 
 
 def test_order4_table_matches_its_pinned_digest():
-    text = "".join(serialize_plan(plan) for _, plan in sorted(corners.order4_table().items()))
+    text = "".join(serialize_plan(plan) for _, plan in sorted(corners._ORDER4.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER4_DIGEST
 
 
