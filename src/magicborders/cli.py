@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success/valid, 1 invalid input or failed verification,
-2 proven infeasibility (same-parity corners at even order), 3 search
-budget exhausted.  Everything is deterministic; there is no seeded mode.
+Exit codes: 0 success/valid, 1 invalid input, failed verification or
+too little memory, 2 proven infeasibility (same-parity corners at even
+order), 3 search budget exhausted.  Everything is deterministic; there
+is no seeded mode.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its command needs beyond the parser, the documents and
@@ -329,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:  # a DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        detail = str(exc) or "the command needs more memory than the process can get"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return EXIT_INVALID
 
 

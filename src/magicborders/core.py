@@ -70,9 +70,9 @@ def check_corners(n: int, v: int, w: int) -> None:
     """Reject upper corners that no border of inner order n could have.
 
     The corners must be distinct pool values and not complementary: a
-    value and its complement sit in one diagram row.  The parity rule for
-    small corners is :func:`forbidden_by_parity`, which callers that need
-    it apply after this check.
+    value and its complement sit in one diagram row.  The parity rule is
+    :func:`forbidden_by_parity`, which callers that need it apply after
+    this check.
     """
     check_inner_order(n)
     for name, value in (("v", v), ("w", w)):
@@ -87,13 +87,21 @@ def check_corners(n: int, v: int, w: int) -> None:
 
 
 def forbidden_by_parity(n: int, v: int, w: int) -> bool:
-    """Whether the even-order parity rule proves that no border has corners (v, w).
+    """Whether the row-parity lemma proves that no border has corners (v, w).
 
-    At even inner order n, small corners v, w <= 2n+2 admit a border
-    exactly when they have opposite parity.
+    Every magic border of inner order n has row(v) + row(w) = n + 1
+    (mod 2), for any corners, small or large; the proof is in
+    :mod:`magicborders.enumeration`.  So small corners need opposite
+    parity at even n and equal parity at odd n.  At even n the rule is
+    also sufficient (:mod:`magicborders.corners` builds every other
+    pair); at odd n some keys it allows still have no border.  Expects
+    corners :func:`check_corners` accepts.
     """
     small = 2 * n + 2
-    return n % 2 == 0 and v <= small and w <= small and v % 2 == w % 2
+    c = (n + 2) * (n + 2) + 1
+    row_v = v if v <= small else c - v
+    row_w = w if w <= small else c - w
+    return (row_v + row_w + n) % 2 == 0
 
 
 def complement(x: int, n: int) -> int:

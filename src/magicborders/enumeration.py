@@ -25,7 +25,8 @@ window once per key):
   next layer and subtracts one constant from its packed sums.  A move is
   made only when the state it makes is *live*, both of its sums inside
   their windows for the rows left, so the counter stores no state it
-  would throw away unread.  The windows are found once per group.
+  would throw away unread.  A layer finds the windows once for each
+  (values, small values) a line still needs, and both lines share them.
 
 **Small-count lemma.**  Every line of a magic border holds exactly
 (n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
@@ -45,6 +46,40 @@ the left side is at most the top m+2 rows minus the bottom m rows,
 therefore owes a known number of small values, give or take one at odd
 n, and the window check asks whether some admissible small count can
 still close the line's sum.
+
+**Row-parity lemma.**  In every magic border of inner order n the 2n
+free diagram rows sum to an even number; equivalently row(v) + row(w) =
+n + 1 (mod 2), small corners or large (``forbidden_by_parity``).  Proof:
+let T be the magic constant, R the free rows and S those of them whose
+small values the border uses, k = |S|.  The top row's interior b lacks
+rem_b = T - v - w and the left column's interior c lacks
+rem_c = T - v - (C - w).  Every free row gives one value, r or C - r, to
+exactly one of b and c, so
+
+    rem_b + rem_c = 2T - 2v - C = (2n - k) * C - sum(R) + 2 * sum(S),
+
+hence sum(R) = (1 + k) * C (mod 2).  At odd n, C is even, so sum(R) is
+even.  At even n, C is odd, and by the small-count lemma k is the small
+values both lines owe, (n+2) - 2*[v small] - 1, which is odd: sum(R) is
+even again.  As the rows 1..2n+2 sum to (n+1)(2n+3), which has the
+parity of n + 1, the corners' rows have it too.  The engines apply the
+lemma before they search, so the keys it settles cost no node.
+
+**Pool swap.**  At even n, count(v, w) = count(2n+3-v, 2n+3-w) for small
+corners.  Proof: move both values of every diagram row r to row
+2n+3-r, keeping their side (r becomes 2n+3-r, C - r becomes
+C - (2n+3-r)).  Complementary values stay complementary, and the
+corners become 2n+3-v and 2n+3-w.  At even n a line holds (n+2)/2 small
+values and as many large ones, and it is magic exactly when the rows of
+its small values sum to the rows of its large ones (the small-count
+lemma's identity).  The move turns each of those two row sums into
+(n+2)/2 * (2n+3) minus itself, so they stay equal.  The move is its own
+inverse, so it maps the borders of the two keys one to one onto each
+other.  It equals adding D = n^2 + 2n + 2 to every small value and
+subtracting D from every large one, which swaps the small pool with the
+large one, followed by a half turn of the square.  At odd n a line's
+small count is (n+1)/2 or (n+3)/2, and the identity fails.
+``count_omega`` counts one key of each swap pair.
 
 Both engines take a :class:`SearchBudget` of nodes and seconds; running
 out raises :class:`BudgetExhausted`.  A call over a whole order
@@ -272,18 +307,31 @@ def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[Canonica
             push((nxt, need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c, row))
 
 
-def _exits(rows: _Rows, idx: int, need: int, owed: int) -> tuple[int, ...]:
-    """The sums from which a line may leave row idx live: its window one row
-    later if it stays out of the row, then that window shifted by the small
-    and by the large value for taking it."""
-    row = rows.free[idx]
-    large = rows.c_base - row
-    # a line that needs every row left cannot stay out of this one
-    stay = rows[idx + 1, need, owed] if need < rows.total - idx else _EMPTY + _EMPTY
-    lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed - 1]
-    small = (lo + row, hi + row, lo2 + row, hi2 + row)
-    lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
-    return stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
+class _Exits(dict):
+    """The sums from which a line may leave row idx live, by (need, owed),
+    computed on first use and shared by both lines of one layer: its window
+    one row later if it stays out of the row, then that window shifted by
+    the small and by the large value for taking it."""
+
+    __slots__ = ("rows", "idx")
+
+    def __init__(self, rows: _Rows, idx: int):
+        self.rows = rows
+        self.idx = idx
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, ...]:
+        need, owed = key
+        rows = self.rows
+        idx = self.idx
+        row = rows.free[idx]
+        large = rows.c_base - row
+        # a line that needs every row left cannot stay out of this one
+        stay = rows[idx + 1, need, owed] if need < rows.total - idx else _EMPTY + _EMPTY
+        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed - 1]
+        small = (lo + row, hi + row, lo2 + row, hi2 + row)
+        lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
+        value = self[key] = stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
+        return value
 
 
 def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
@@ -301,12 +349,13 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     A layer holds only *live* states, those whose lines both lie inside
     their windows (the backtracker's prune).  A move is made only if the
     state it makes is live: the moved line's sum, before the move, lies in
-    its next window shifted by the value taken (``_exits``), and the other
+    its next window shifted by the value taken (``_Exits``), and the other
     line's sum in its own next window.  A window never starts below 0, so
     no sum falls below 0 and the packed sums always decode, and an empty
-    window holds the guards on the counts a line may take.  The windows are read once per group.  Groups
-    that no move reached are dropped, since their counts may exceed the
-    rows left.  Only states with both sums 0 are live after the last row,
+    window holds the guards on the counts a line may take.  A layer works
+    out each (need, owed)'s windows once, for both lines, and each group
+    reads them once.  Groups that no move reached are dropped, since their
+    counts may exceed the rows left.  Only states with both sums 0 are live after the last row,
     so the count is the sum of the last layer.
     """
     rows = _Rows(n, v, w)
@@ -330,12 +379,13 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
         b_large = large * scale
         following: dict[tuple[int, int, int], dict[int, int]] = {}
         into = following.setdefault
+        exits = _Exits(rows, idx)
         for (need_b, owed_b, owed_c), sums in layer.items():
             # the ranges to stay out, take small (s), take large (l)
             (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
-             lol_b, hil_b, lol2_b, hil2_b) = _exits(rows, idx, need_b, owed_b)
+             lol_b, hil_b, lol2_b, hil2_b) = exits[need_b, owed_b]
             (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
-             lol_c, hil_c, lol2_c, hil2_c) = _exits(rows, idx, rows_left - need_b, owed_c)
+             lol_c, hil_c, lol2_c, hil2_c) = exits[rows_left - need_b, owed_c]
             into_bs = into((need_b - 1, owed_b - 1, owed_c), {})
             into_bl = into((need_b - 1, owed_b, owed_c), {})
             into_cs = into((need_b, owed_b, owed_c - 1), {})
@@ -373,7 +423,8 @@ def enumerate_omega(
     Deterministic order for identical inputs.  Raises
     :class:`BudgetExhausted` mid-stream if a node or time limit cuts the
     search short; a normally finished stream means the listing is complete.
-    Keys with same-parity small corners at even order end at once, empty.
+    Keys the row-parity lemma settles (:func:`~magicborders.core.forbidden_by_parity`)
+    end at once, empty, and cost no node.
     """
     check_corners(key.n, key.v, key.w)
     if forbidden_by_parity(key.n, key.v, key.w):
@@ -387,9 +438,10 @@ def enumerate_order(
     """Stream every magic border of inner order n, key by key.
 
     Keys run over every ordered pair of distinct small corners, v first,
-    as :func:`enumerate_omega` would list them one at a time.  The
-    node/time budget is shared across the whole listing, as
-    :func:`count_omega` shares it across the table.
+    as :func:`enumerate_omega` would list them one at a time, so keys the
+    row-parity lemma settles are skipped.  The node/time budget is shared
+    across the whole listing, as :func:`count_omega` shares it across the
+    table.
     """
     check_inner_order(n)
     state = _BudgetState(budget)
@@ -410,7 +462,8 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     state of the largest layer (the layer and the layer being built;
     measured with ``tracemalloc`` at (10; 1, 2), Python 3.11, where the
     largest layer holds 7,377 states and the peak is 1.02 MiB).
-    Keys with same-parity small corners at even order count 0 at once.
+    Keys the row-parity lemma settles (:func:`~magicborders.core.forbidden_by_parity`)
+    count 0 at once and cost no node.
     """
     check_corners(key.n, key.v, key.w)
     if forbidden_by_parity(key.n, key.v, key.w):
@@ -425,18 +478,26 @@ def count_omega(
 
     Reflecting a border in the vertical axis keeps its top row, swaps its
     upper corners and complements its left column, so (v, w) and (w, v)
-    have equal counts and only v < w is counted.  Same-parity keys are
-    counted too, so the table also checks the parity rule.  The node/time
-    budget is shared across the whole table.
+    have equal counts and only v < w is counted.  Of those, the keys the
+    row-parity lemma settles count 0 without a search, and at even n only
+    one key of each pool-swap pair is counted (see the module docstring
+    for both proofs): 45 of the 153 pairs v < w at n = 8.  The
+    node/time budget is shared across the whole table.
     """
     check_inner_order(n)
     state = _BudgetState(budget)
     small = 2 * n + 2
-    below = {
-        (v, w): _count(n, v, w, state)
-        for v in range(1, small + 1)
-        for w in range(v + 1, small + 1)
-    }
+    below: dict[tuple[int, int], int] = {}
+    for v in range(1, small + 1):
+        for w in range(v + 1, small + 1):
+            # the swap image of (v, w), ascending; it comes first when smaller
+            image = (small + 1 - w, small + 1 - v)
+            if forbidden_by_parity(n, v, w):
+                below[v, w] = 0
+            elif n % 2 == 0 and image < (v, w):
+                below[v, w] = below[image]
+            else:
+                below[v, w] = _count(n, v, w, state)
     return {
         (v, w): below[(min(v, w), max(v, w))]
         for v in range(1, small + 1)

@@ -257,6 +257,24 @@ def test_enumerate_deep_search_runs_out_of_time_without_a_traceback(capsys):
     assert "budget" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("build_square", ("build", "--order", "60000")),
+        ("render_frame", ("build", "--order", "600", "--border-only")),
+    ],
+)
+def test_running_out_of_memory_prints_one_line(capsys, monkeypatch, name, argv):
+    # the allocation fails in the patched stage, so nothing large is allocated
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(f"magicborders.assemble.{name}", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_enumerate_warns_beyond_desk_scale(capsys):
     code, out, err = run(
         capsys, "enumerate", "--order", "8", "--corners", "1,2", "--limit", "1"

@@ -23,8 +23,9 @@ from magicborders import (
     verify_border,
 )
 from magicborders import enumeration
-from magicborders.core import border_pool
+from magicborders.core import border_pool, forbidden_by_parity
 from magicborders.enumeration import _BudgetState, _count, _solutions
+from magicborders.transform import ROTATE_180, apply_symmetry
 
 from goldens import reference_count
 
@@ -36,32 +37,64 @@ def listing(n, v, w, budget=None):
     return list(enumerate_omega(OmegaKey(n, v, w), budget))
 
 
+def settled_small_keys(n):
+    """Small corner pairs the row-parity rule settles: equal parity at even
+    n, opposite parity at odd n."""
+    return [
+        (v, w)
+        for v, w in itertools.permutations(range(1, 2 * n + 3), 2)
+        if (v + w + n) % 2 == 0
+    ]
+
+
+def frozen_counts(n):
+    frozen = {}
+    for line in (FIXTURES / f"omega{n}_counts.txt").read_text().splitlines():
+        v, w, count = (int(x) for x in line.split())
+        frozen[(v, w)] = count
+    return frozen
+
+
 def test_same_parity_small_corners_yield_an_empty_complete_search():
     assert listing(4, 1, 3) == []
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_same_parity_listings_end_at_once_and_agree_with_the_backtracker(n):
-    small = 2 * n + 2
-    for v in range(1, small + 1):
-        for w in range(1, small + 1):
-            if v == w or (v + w) % 2:
-                continue
-            # one node of budget: a listing that walked the tree would run out
-            assert listing(n, v, w, SearchBudget(max_nodes=1)) == []
-            assert list(_solutions(n, v, w, _BudgetState(None))) == [], (n, v, w)
+    for v, w in settled_small_keys(n):
+        # one node of budget: a listing that walked the tree would run out
+        assert listing(n, v, w, SearchBudget(max_nodes=1)) == []
+        assert list(_solutions(n, v, w, _BudgetState(None))) == [], (n, v, w)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_opposite_parity_listings_end_at_once_at_odd_orders(n):
+    for v, w in settled_small_keys(n):
+        assert listing(n, v, w, SearchBudget(max_nodes=1)) == []
+        assert list(_solutions(n, v, w, _BudgetState(None))) == [], (n, v, w)
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_same_parity_counts_end_at_once_and_agree_with_the_counter(n):
-    small = 2 * n + 2
-    for v in range(1, small + 1):
-        for w in range(1, small + 1):
-            if v == w or (v + w) % 2:
-                continue
-            # one node of budget: a count that swept the layers would run out
-            assert count_borders(OmegaKey(n, v, w), SearchBudget(max_nodes=1)) == 0
-            assert _count(n, v, w, _BudgetState(None)) == 0, (n, v, w)
+    for v, w in settled_small_keys(n):
+        # one node of budget: a count that swept the layers would run out
+        assert count_borders(OmegaKey(n, v, w), SearchBudget(max_nodes=1)) == 0
+        assert _count(n, v, w, _BudgetState(None)) == 0, (n, v, w)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_opposite_parity_counts_end_at_once_at_odd_orders(n):
+    for v, w in settled_small_keys(n):
+        assert count_borders(OmegaKey(n, v, w), SearchBudget(max_nodes=1)) == 0
+        assert _count(n, v, w, _BudgetState(None)) == 0, (n, v, w)
+
+
+@pytest.mark.parametrize("n, settled", [(4, 40), (7, 128)])
+def test_every_key_the_parity_rule_settles_reads_0_in_the_frozen_counts(n, settled):
+    frozen = frozen_counts(n)
+    keys = [key for key in frozen if forbidden_by_parity(n, *key)]
+    assert sorted(keys) == sorted(settled_small_keys(n)) and len(keys) == settled
+    assert all(frozen[key] == 0 for key in keys)
 
 
 def test_listing_contains_the_seed_borders():
@@ -82,12 +115,8 @@ def test_emission_is_deterministic():
 
 
 def test_counts_match_the_frozen_fixture():
-    frozen = {}
-    for line in (FIXTURES / "omega4_counts.txt").read_text().splitlines():
-        v, w, count = (int(x) for x in line.split())
-        frozen[(v, w)] = count
     counts = count_omega(4)
-    assert counts == frozen
+    assert counts == frozen_counts(4)
     assert format_counts(counts).splitlines()[0] == "1 2 2"
 
 
@@ -111,6 +140,45 @@ def test_count_omega_covers_every_distinct_small_pair():
     assert all((v % 2 != w % 2) == (k > 0) for (v, w), k in counts.items())
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_count_omega_equals_the_counter_at_every_key(n):
+    # the table settles keys by the parity rule and copies pool-swap images;
+    # the counter run at every key does neither
+    expected = {
+        (v, w): _count(n, v, w, _BudgetState(None))
+        for v, w in itertools.permutations(range(1, 2 * n + 3), 2)
+    }
+    assert count_omega(n) == expected
+
+
+def pool_swap(border):
+    """The border with every small value x raised to x + D and every large
+    one lowered by D, D = n^2 + 2n + 2, then turned half round."""
+    n = border.n
+    d = n * n + 2 * n + 2
+
+    def swap(values):
+        return tuple(x + d if x <= 2 * n + 2 else x - d for x in values)
+
+    plan = border.to_plan()
+    (v, w), b, c = swap((plan.v, plan.w)), swap(plan.b), swap(plan.c)
+    return CanonicalBorder.from_plan(
+        apply_symmetry(plan._replace(v=v, w=w, b=b, c=c), ROTATE_180)
+    )
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_the_pool_swap_maps_the_borders_of_a_key_onto_its_image_key(n):
+    image_of = 2 * n + 3
+    listings = {
+        (v, w): listing(n, v, w) for v, w in itertools.permutations(range(1, image_of), 2)
+    }
+    for (v, w), borders in listings.items():
+        images = {pool_swap(border) for border in borders}
+        assert all(verify_border(image.to_plan()).valid for image in images), (n, v, w)
+        assert images == set(listings[image_of - v, image_of - w]), (n, v, w)
+
+
 def test_first_listed_border_verifies():
     for key in (OmegaKey(6, 1, 2), OmegaKey(4, 5, 6)):
         border = next(enumerate_omega(key))
@@ -119,11 +187,14 @@ def test_first_listed_border_verifies():
 
 
 def test_an_odd_order_key_may_have_no_border():
-    # (1, 2) has opposite parity yet no order-3 border exists: the even-order
-    # parity rule does not transfer to odd orders
-    key = OmegaKey(3, 1, 2)
-    assert list(enumerate_omega(key)) == []
-    assert count_borders(key) == 0
+    # the parity rule holds at odd orders with its parity reversed, so the
+    # opposite-parity key (3; 1, 2) has no border; but unlike at even
+    # orders the rule is not sufficient: the same-parity key (3; 1, 5)
+    # passes it, is searched, and has no border either
+    for key in (OmegaKey(3, 1, 2), OmegaKey(3, 1, 5)):
+        assert list(enumerate_omega(key)) == []
+        assert count_borders(key) == 0
+    assert forbidden_by_parity(3, 1, 2) and not forbidden_by_parity(3, 1, 5)
 
 
 def test_odd_orders_allow_same_parity_corners():
@@ -290,11 +361,12 @@ def test_count_fixtures_match_a_fresh_count(capsys):
 
 
 # (key, borders, counter states): the counter stores only live states,
-# and each stored state costs one node
+# and each stored state costs one node.  (5; 2, 10) passes the parity rule
+# and is searched, yet has no border
 COUNTER_NODE_TOTALS = [
     (OmegaKey(6, 10, 11), 663, 1_557),
     (OmegaKey(7, 1, 3), 58, 550),
-    (OmegaKey(5, 1, 2), 0, 50),
+    (OmegaKey(5, 2, 10), 0, 50),
     (OmegaKey(12, 1, 2), 593_867_307, 193_186),
 ]
 
@@ -304,6 +376,8 @@ def test_count_borders_spends_the_same_nodes(key, borders, nodes):
     state = _BudgetState(None)
     assert _count(*key, state) == borders
     assert state.nodes == nodes
+    if key.n <= 7:
+        assert reference_count(*key) == (borders, nodes)
     assert count_borders(key, SearchBudget(max_nodes=nodes)) == borders
     with pytest.raises(BudgetExhausted, match=f"node limit {nodes - 1} reached"):
         count_borders(key, SearchBudget(max_nodes=nodes - 1))
@@ -311,14 +385,20 @@ def test_count_borders_spends_the_same_nodes(key, borders, nodes):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_counter_matches_the_reference_in_count_and_nodes(n):
-    # every pool key, large corners included, up to n=5; the small keys at n=6
+    # every pool key, large corners included, up to n=5; at n=6 the small
+    # keys and every key the parity rule settles.  The reference has no
+    # parity screen, so it checks the rule at every settled key
     c = complement_base(n)
-    corners = range(1, 2 * n + 3) if n == 6 else sorted(border_pool(n))
-    for v, w in itertools.permutations(corners, 2):
+    for v, w in itertools.permutations(sorted(border_pool(n)), 2):
         if v + w == c:
             continue
+        settled = forbidden_by_parity(n, v, w)
+        if n == 6 and max(v, w) > 2 * n + 2 and not settled:
+            continue
+        expected = reference_count(n, v, w)
+        assert expected[0] == 0 or not settled, (n, v, w)
         state = _BudgetState(None)
-        assert (_count(n, v, w, state), state.nodes) == reference_count(n, v, w), (n, v, w)
+        assert (_count(n, v, w, state), state.nodes) == expected, (n, v, w)
 
 
 def test_a_time_limit_reads_the_clock_inside_a_large_layer(monkeypatch):
@@ -340,7 +420,7 @@ def test_a_time_limit_reads_the_clock_inside_a_large_layer(monkeypatch):
 
 
 def test_count_borders_keeps_the_budget_rules():
-    key = OmegaKey(5, 1, 2)
+    key = OmegaKey(5, 2, 10)
     with pytest.raises(BudgetExhausted):
         count_borders(key, SearchBudget(max_nodes=3))
     with pytest.raises(ValueError):
