@@ -25,7 +25,7 @@ from magicborders import (
     verify_bordered,
 )
 from magicborders import construct
-from magicborders.assemble import base_square, ring_shift
+from magicborders.assemble import base_square, render_frame, ring_shift
 from magicborders.documents import FORMATS, parse_document, serialize_grid
 from magicborders.verify import write_ring
 
@@ -84,16 +84,18 @@ from magicborders.documents import parse_document
 with open(sys.argv[2], encoding="utf-8") as handle:
     parse_document(handle.read())
 """ + PRINT_PEAK
-# build_square of the order given, then serialize_grid of it in the format
-# given, with the peak after each
+# build_square of the order given, or the frame of that order with "frame"
+# last, then serialize_grid of it in the format given, with the peak after each
 WRITE_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from magicborders import build_square
+from magicborders import build_border, build_square
+from magicborders.assemble import render_frame
 from magicborders.documents import serialize_grid
-square = build_square(int(sys.argv[2]))
+order = int(sys.argv[2])
+cells = render_frame(build_border(order - 2)).cells if sys.argv[4:] else build_square(order)
 """ + PRINT_PEAK + """
-serialize_grid(square, sys.argv[3])
+serialize_grid(cells, sys.argv[3])
 """ + PRINT_PEAK
 PEAK_ORDER = 1500
 
@@ -251,6 +253,15 @@ def main() -> None:
         built, written = peaks_mib(WRITE_RUN, str(PEAK_ORDER), fmt)
         parsed = parse_peak_mib(serialize_grid(square, fmt))
         peaks.append(f"{fmt} write {written:6.1f} ({built:5.1f}), parse {parsed:6.1f} MiB")
+    print("    " + "   ".join(peaks))
+    print(f"  N={PEAK_ORDER} frame, render_frame(build_border({PEAK_ORDER - 2})): write time, "
+          "and peak RSS of a write (after render_frame alone) in a fresh process:")
+    frame = render_frame(build_border(PEAK_ORDER - 2)).cells
+    peaks = []
+    for fmt in FORMATS:
+        _, t_write = timed(serialize_grid, frame, fmt)
+        built, written = peaks_mib(WRITE_RUN, str(PEAK_ORDER), fmt, "frame")
+        peaks.append(f"{fmt} {t_write * 1e3:6.1f} ms, {written:6.1f} ({built:5.1f}) MiB")
     print("    " + "   ".join(peaks))
 
     print("exact set-level counts per inner order: layered counter vs backtracker")

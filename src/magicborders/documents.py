@@ -7,20 +7,22 @@ field in CSV and null in JSON.  Parsing auto-detects the format and
 round-trips every emitted document.  ``GridDocument.as_frame`` holds the
 one rule that tells a frame from a square with holes.
 
-CSV rows of plain ints go through the C JSON codec, one call per row: a
-row is written as its JSON array without the brackets, and a line is read
-as the JSON array "[" + line + "]" (see :func:`_read_csv_ints`).  Any
-other row is written or read cell by cell with ``csv``.
+Grid and CSV text share one row writer.  A row of plain ints goes
+through one ``%`` line built once per document: ``%Wd`` fields joined by
+a space in text, ``%d`` fields joined by a comma in CSV.  Any other row
+goes through one per-cell join.  The readers stay apart: a CSV line of
+plain ints is read through the C JSON decoder as the JSON array
+"[" + line + "]" (see :func:`_read_csv_ints`), and any other CSV line
+cell by cell with ``csv``.
 
-``json`` is imported where a JSON or CSV document is handled, and ``csv``
-only where a row needs the per-cell writer or reader, so a grid-format
-build or check loads neither, and a CSV document whose every line the
-decoder reads loads no ``csv``.
+``json`` is imported where a JSON document is written or a CSV or JSON
+document is read, and ``csv`` only where a CSV line needs the per-cell
+reader.  So a grid-format build or check and a CSV build load neither,
+and a CSV document whose every line the decoder reads loads no ``csv``.
 """
 
 from __future__ import annotations
 
-import io
 from collections import namedtuple
 
 from .verify import BorderFrame, BorderPlan, misplaced_cells
@@ -67,10 +69,6 @@ class GridDocument(namedtuple("GridDocument", "cells")):
         raise DocumentError("grid has no empty cell: a full square is not a frame")
 
 
-def _grid_rows(cells) -> tuple[tuple[int | None, ...], ...]:
-    return tuple(tuple(row) for row in cells)
-
-
 def _int_row(row) -> bool:
     """Whether every cell of a row is a plain int: no hole, bool or other type.
 
@@ -82,48 +80,36 @@ def _int_row(row) -> bool:
 
 def serialize_grid(cells, fmt: str = GRID) -> str:
     """Write a square grid (ints and None) in the requested format."""
-    rows = _grid_rows(cells)
-    order = len(rows)
-    if any(len(row) != order for row in rows):
+    order = len(cells)
+    if any(len(row) != order for row in cells):
         raise DocumentError("grid must be square")
-    if fmt == GRID:
-        if rows and all(map(_int_row, rows)):
-            # the widest int is the largest or, written with its sign, the smallest
-            width = max(len(str(max(map(max, rows)))), len(str(min(map(min, rows)))))
-            line = " ".join([f"%{width}d"] * order)
-            return "\n".join([line % row for row in rows]) + "\n"
-        width = max(
-            (len(str(x)) for row in rows for x in row if x is not None), default=1
-        )
-        lines = [
-            " ".join((_HOLE if x is None else str(x)).rjust(width) for x in row)
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
-    if fmt == CSV:
-        import json
-
-        # an int row's compact JSON array, brackets sliced off, is its CSV line
-        encode = json.JSONEncoder(separators=(",", ":")).encode
-        out = io.StringIO()
-        writer = None
-        for row in rows:
-            if _int_row(row):
-                out.write(encode(row)[1:-1] + "\n")
-                continue
-            if writer is None:
-                import csv
-
-                writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["" if x is None else x for x in row])
-        return out.getvalue()
+    if fmt not in FORMATS:
+        raise DocumentError(f"unknown format {fmt!r}; pick one of {FORMATS}")
     if fmt == JSON:
         import json
 
-        # tuples are written as JSON arrays, as lists are
-        payload = {"order": order, "cells": rows}
-        return json.dumps(payload, indent=None) + "\n"
-    raise DocumentError(f"unknown format {fmt!r}; pick one of {FORMATS}")
+        return json.dumps({"order": order, "cells": cells}) + "\n"
+    int_rows = list(map(_int_row, cells))
+    if fmt == GRID:
+        if not order:
+            return "\n"  # one blank line, where CSV writes none
+        # an int row's widest cell is its largest or, written with its sign,
+        # its smallest; any other row's may be any filled cell
+        filled = (
+            (max(row), min(row)) if ints else [x for x in row if x is not None]
+            for row, ints in zip(cells, int_rows)
+        )
+        width = max((len(str(x)) for row in filled for x in row), default=1)
+        sep, hole, field = " ", _HOLE.rjust(width), f"%{width}d"
+    else:
+        # csv.writer writes a lone empty field, an order-1 hole, as ""
+        width, sep, hole, field = 0, ",", '""' if order == 1 else "", "%d"
+    int_line = sep.join([field] * order) + "\n"
+    return "".join([
+        int_line % tuple(row) if ints
+        else sep.join([hole if x is None else str(x).rjust(width) for x in row]) + "\n"
+        for row, ints in zip(cells, int_rows)
+    ])
 
 
 def serialize_plan(plan: BorderPlan) -> str:
@@ -248,7 +234,11 @@ def _read_csv_ints(line: str, decode) -> tuple[int, ...]:
 
 
 def parse_document(text: str) -> BorderPlan | GridDocument:
-    """Read any emitted document back: JSON plan, or JSON/CSV/text grid."""
+    """Read any emitted document back: JSON plan, or JSON/CSV/text grid.
+
+    A leading byte-order mark, as some editors save UTF-8, is dropped.
+    """
+    text = text.removeprefix("\ufeff")
     if not text or text.isspace():
         raise DocumentError("empty document")
     if next(ch for ch in text if not ch.isspace()) == "{":

@@ -638,3 +638,22 @@ def test_a_grid_build_and_check_load_neither_json_nor_csv():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("border_only", [[], ["--border-only"]], ids=["square", "frame"])
+def test_a_csv_build_loads_neither_json_nor_csv(border_only):
+    script = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from magicborders.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert main(['build', '--order', '9', '--format', 'csv', *sys.argv[2:]]) == 0\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(sorted({'json', 'csv'} & sys.modules.keys()))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(SRC), *border_only],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

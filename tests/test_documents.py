@@ -315,10 +315,24 @@ def test_row_writers_agree_with_the_per_cell_writers(cells, fmt):
     assert serialize_grid(cells, fmt) == reference_serialize_grid(cells, fmt)
 
 
-@pytest.mark.parametrize("order", [3, 4, 11, 30])
+@pytest.mark.parametrize(
+    "cells",
+    [pytest.param(build_square(order), id=str(order)) for order in (3, 4, 11, 30)]
+    # frames mix whole-int rows with holed rows in one document
+    + [pytest.param(render_frame(build_border(n)).cells, id=f"frame{n}") for n in (3, 8, 30)],
+)
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_square_documents_agree_with_the_per_cell_codecs(order, fmt):
-    square = build_square(order)
-    text = serialize_grid(square, fmt)
-    assert text == reference_serialize_grid(square, fmt)
+def test_square_documents_agree_with_the_per_cell_codecs(cells, fmt):
+    text = serialize_grid(cells, fmt)
+    assert text == reference_serialize_grid(cells, fmt)
     assert parse_document(text) == reference_parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [serialize_grid(build_square(5), fmt) for fmt in FORMATS]
+    + [serialize_plan(ORDER7_PLAN)],
+    ids=[*FORMATS, "plan"],
+)
+def test_a_leading_byte_order_mark_is_dropped(text):
+    assert parse_document("\ufeff" + text) == parse_document(text)

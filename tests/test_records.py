@@ -70,7 +70,7 @@ print(sorted({"csv"} & set(sys.modules)))
 
 
 def test_an_all_int_csv_round_trip_imports_no_csv(tmp_path):
-    # every row is plain ints, so each is written and read through json alone
+    # every row is plain ints, so each is written by the % line and read by json's decoder
     run = subprocess.run(
         [sys.executable, "-I", "-S", "-c", CSV_ROUND_TRIP, str(SRC), str(tmp_path / "sq.csv")],
         capture_output=True, text=True, timeout=60, check=True,
