@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Timing and size report across orders: cold start, construction, corner
-construction, assembly, documents, enumeration.
+construction, the table audit, assembly, documents, enumeration.
 
 Everything here is deterministic; rerun after engine changes to spot
 regressions in the growth curves.  The cold-start section launches fresh
@@ -26,6 +26,7 @@ from magicborders import (
 )
 from magicborders import construct
 from magicborders.assemble import base_square, render_frame, ring_shift
+from magicborders.corners import audit_order_m
 from magicborders.documents import FORMATS, parse_document, serialize_grid
 from magicborders.verify import write_ring
 
@@ -98,6 +99,8 @@ cells = render_frame(build_border(order - 2)).cells if sys.argv[4:] else build_s
 serialize_grid(cells, sys.argv[3])
 """ + PRINT_PEAK
 PEAK_ORDER = 1500
+# large enough that a repair costing one verifier call per candidate shows
+TABLE_ORDER = 1000
 
 
 def timed(fn, *args):
@@ -216,6 +219,10 @@ def main() -> None:
             best = min(timed(construct_with_corners, n, *corners)[1] for _ in range(3))
             times.append(f"{corners[0]},{corners[1]} {best * 1e3:8.2f} ms")
         print(f"  n={n:>5}: " + "   ".join(times))
+
+    print("tables --check, best of 3: the parameterized table audited at order m")
+    best = min(timed(audit_order_m, TABLE_ORDER)[1] for _ in range(3))
+    print(f"  m={TABLE_ORDER}: audit_order_m {best * 1e3:8.2f} ms")
 
     print("full bordered squares: build, verify, verify with cells (0,1) and (1,0) swapped")
     for order in (10, 20, 40, 80, 200, 400, 2003):

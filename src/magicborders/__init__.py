@@ -39,7 +39,7 @@ _HOMES = {
     "magic_constant": "core",
     "orbit": "transform",
     "permute_lines": "transform",
-    "plan_from_frame": "assemble",
+    "plan_from_frame": "verify",
     "render_frame": "assemble",
     "seed_order4": "corners",
     "verify_border": "verify",

@@ -9,10 +9,8 @@ so building an order-N square costs O(N^2) with no recursion.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .construct import _recipe
-from .verify import BorderFrame, BorderPlan, read_ring, verify_border, write_ring
+from .verify import BorderFrame, BorderPlan, verify_border, write_ring
 
 _BASE_3 = ((2, 7, 6), (9, 5, 1), (4, 3, 8))
 _BASE_4 = ((16, 3, 2, 13), (5, 10, 11, 8), (9, 6, 7, 12), (4, 15, 14, 1))
@@ -40,11 +38,6 @@ def render_frame(plan: BorderPlan) -> BorderFrame:
     return BorderFrame(n=plan.n, cells=tuple(tuple(row) for row in cells))
 
 
-def plan_from_frame(frame: BorderFrame) -> BorderPlan:
-    """Read the plan back off a frame's top row and left column."""
-    return read_ring(frame.cells, 0, frame.n, 0)
-
-
 def ring_shift(order: int, k: int) -> int:
     """Amount added to the border values of ring k (0 = outermost) of an
     order-N square: the 2k(N-k) values taken by the k rings outside it."""
@@ -69,17 +62,3 @@ def build_square(order: int) -> list[list[int]]:
         write_ring(cells, k, _recipe(m - 2), ring_shift(order, k))
     return cells
 
-
-def layer_plans(cells: Sequence[Sequence[int]]) -> list[BorderPlan]:
-    """Plans of every proper ring of a bordered square, outermost first.
-
-    Each ring's values are normalised back into its own border pool by
-    subtracting the accumulated shift, so the plans can be verified
-    independently.
-    """
-    order = len(cells)
-    base = 3 if order % 2 else 4
-    return [
-        read_ring(cells, k, order - 2 * k - 2, ring_shift(order, k))
-        for k in range((order - base) // 2)
-    ]

@@ -33,6 +33,7 @@ from .verify import (
     BorderFrame,
     BorderPlan,
     CheckReport,
+    plan_from_frame,
     verify_border,
     verify_bordered,
     verify_frame,
@@ -198,7 +199,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from .assemble import plan_from_frame
     from .transform import orbit
 
     doc = parse_document(_read_input(args.input))

@@ -367,19 +367,25 @@ def _repair_single_substitution(plan: BorderPlan) -> BorderPlan | None:
     """Try replacing exactly one b or c value so the whole plan verifies."""
     n = plan.n
     target = magic_constant(n + 2)
+    c_base = complement_base(n)
     deltas = {
         "b": target - (plan.v + sum(plan.b) + plan.w),
-        "c": target - (plan.v + sum(plan.c) + (complement_base(n) - plan.w)),
+        "c": target - (plan.v + sum(plan.c) + (c_base - plan.w)),
     }
     if all(deltas.values()):
         return None  # one substitution cannot mend both lines
+    taken = set(plan.values())
     for side, delta in deltas.items():
         if delta == 0:
             continue
         values = getattr(plan, side)
         for index in sorted(range(len(values)), key=values.__getitem__):
-            new = values[index] + delta
-            if not in_pool(new, n):
+            old = values[index]
+            new = old + delta
+            # a value already held, or the complement of one that stays,
+            # cannot verify: only the rest go to the verifier
+            partner = c_base - new
+            if not in_pool(new, n) or new in taken or (partner != old and partner in taken):
                 continue
             candidate = plan._replace(**{side: values[:index] + (new,) + values[index + 1 :]})
             if verify_border(candidate).valid:

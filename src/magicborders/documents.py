@@ -13,7 +13,7 @@ a space in text, ``%d`` fields joined by a comma in CSV.  Any other row
 goes through one per-cell join.  The readers stay apart: a CSV line of
 plain ints is read through the C JSON decoder as the JSON array
 "[" + line + "]" (see :func:`_read_csv_ints`), and any other CSV line
-cell by cell with ``csv``.
+cell by cell with ``csv``.  A line with a comma or a quote is a CSV line.
 
 ``json`` is imported where a JSON document is written or a CSV or JSON
 document is read, and ``csv`` only where a CSV line needs the per-cell
@@ -260,8 +260,9 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
             else:
                 row = tuple(map(int, line.split()))
         except ValueError:
-            # holes, quoted CSV fields and unreadable tokens, cell by cell
-            if sep:
+            # holes, quoted CSV fields and unreadable tokens, cell by cell;
+            # a quote makes a CSV line, as in the order-1 hole ""
+            if sep or '"' in line:
                 import csv
 
                 tokens = next(csv.reader([line]))

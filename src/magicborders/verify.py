@@ -194,16 +194,13 @@ def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:
         row[hi] = pair_sum - x - shift
 
 
-def read_ring(cells: Sequence[Sequence[int]], k: int, n: int, shift: int) -> BorderPlan:
-    """The plan of inner order n on ring k of ``cells``, lowered by ``shift``;
-    the inverse of :func:`write_ring`."""
-    hi = k + n + 1
-    top = cells[k][k : hi + 1]
-    left = [cells[i][k] for i in range(k + 1, hi)]
-    if shift:
-        top = [x - shift for x in top]
-        left = [x - shift for x in left]
-    return BorderPlan(n=n, v=top[0], w=top[-1], b=top[1:-1], c=left)
+def plan_from_frame(frame: BorderFrame) -> BorderPlan:
+    """Read the plan back off a frame's top row and left column; the inverse
+    of :func:`write_ring` on ring 0."""
+    cells, order = frame.cells, frame.order
+    top = cells[0][:order]
+    left = [cells[i][0] for i in range(1, order - 1)]
+    return BorderPlan(n=frame.n, v=top[0], w=top[-1], b=top[1:-1], c=left)
 
 
 def misplaced_cells(cells: Sequence[Sequence[int | None]]) -> Iterator[tuple[int, int, bool]]:
@@ -424,5 +421,5 @@ def verify_frame(frame: BorderFrame) -> CheckReport:
         return CheckReport.from_violations(
             _cell_type_violations(cells, (int, float, type(None)))
         )
-    violations.extend(verify_border(read_ring(cells, 0, n, 0)).violations)
+    violations.extend(verify_border(plan_from_frame(frame)).violations)
     return CheckReport.from_violations(violations)

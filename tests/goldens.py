@@ -287,7 +287,8 @@ def reference_parse_grid(text):
     lines = [line for line in stripped.splitlines() if line.strip()]
     cells = []
     for i, line in enumerate(lines, start=1):
-        tokens = next(csv.reader([line])) if "," in line else line.split()
+        # a comma or a quote makes a CSV line
+        tokens = next(csv.reader([line])) if "," in line or '"' in line else line.split()
         cells.append(tuple(_reference_cell(tok, f"line {i}") for tok in tokens))
     order = len(cells)
     if any(len(row) != order for row in cells):
@@ -343,6 +344,27 @@ def reference_verify_border(plan):
             Violation("column-sum", "left column", expected=target, actual=col_sum)
         )
     return CheckReport.from_violations(violations)
+
+
+def reference_layer_plans(cells) -> list[BorderPlan]:
+    """The plan of every proper ring of a bordered square, outermost first,
+    each lowered by the 2k(N-k) values of the k rings outside it, so that it
+    verifies as a border of its own."""
+    order = len(cells)
+    base = 3 if order % 2 else 4
+    plans = []
+    m = order
+    while m >= base + 2:
+        k = (order - m) // 2
+        shift = 2 * k * (order - k)
+        n = m - 2
+        top = [cells[k][j] - shift for j in range(k, k + m)]
+        left = [cells[i][k] - shift for i in range(k + 1, k + m - 1)]
+        plans.append(
+            BorderPlan(n=n, v=top[0], w=top[-1], b=tuple(top[1:-1]), c=tuple(left))
+        )
+        m -= 2
+    return plans
 
 
 def reference_verify_bordered(cells) -> CheckReport:

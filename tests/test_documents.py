@@ -95,6 +95,19 @@ def test_json_grid_order_must_be_an_integer(text, shown):
     assert str(excinfo.value) == f"unreadable grid document: order is {shown}"
 
 
+def test_an_order1_csv_hole_round_trips():
+    text = serialize_grid([[None]], "csv")
+    assert text == '""\n'  # as csv.writer writes a lone empty field
+    assert parse_document(text) == GridDocument(cells=((None,),))
+
+
+def test_a_quoted_line_is_read_as_csv_without_a_comma():
+    # csv.reader joins the quoted "1" and the " 2" after it into one field
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document('"1" 2\n3 4\n')
+    assert str(excinfo.value) == "unreadable cell '1 2' at line 1"
+
+
 def test_grid_document_guards():
     doc = parse_document("1 .\n3 4\n")
     assert not doc.is_complete()

@@ -139,6 +139,14 @@ def test_counting_loads_the_counter_and_no_construction_module():
     assert loaded.split() == ["cli", "core", "documents", "enumeration", "verify"]
 
 
+def test_orbit_loads_the_symmetries_and_no_construction_module():
+    from magicborders.documents import serialize_plan
+
+    *images, loaded = run_isolated(COMMAND, "orbit", "-", stdin=serialize_plan(build_border(6)))
+    assert len(images) == 8
+    assert loaded.split() == ["cli", "core", "documents", "transform", "verify"]
+
+
 def test_every_public_name_is_its_own_modules_object():
     import importlib
 

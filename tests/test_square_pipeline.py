@@ -36,7 +36,7 @@ from magicborders import (
     verify_frame,
     verify_square,
 )
-from magicborders.assemble import base_square, layer_plans
+from magicborders.assemble import base_square
 from magicborders.verify import _square_shape_violations
 
 from goldens import reference_verify_bordered
@@ -91,24 +91,6 @@ def reference_plan_from_frame(frame: BorderFrame) -> BorderPlan:
         b=tuple(cells[0][1 : order - 1]),
         c=tuple(cells[i][0] for i in range(1, order - 1)),
     )
-
-
-def reference_layer_plans(cells) -> list[BorderPlan]:
-    order = len(cells)
-    base = 3 if order % 2 else 4
-    plans = []
-    m = order
-    while m >= base + 2:
-        k = (order - m) // 2
-        shift = 2 * k * (order - k)
-        n = m - 2
-        top = [cells[k][j] - shift for j in range(k, k + m)]
-        left = [cells[i][k] - shift for i in range(k + 1, k + m - 1)]
-        plans.append(
-            BorderPlan(n=n, v=top[0], w=top[-1], b=tuple(top[1:-1]), c=tuple(left))
-        )
-        m -= 2
-    return plans
 
 
 def reference_verify_square(cells) -> CheckReport:
@@ -238,7 +220,6 @@ def test_verify_bordered_matches_the_reference_on_tampered_squares(cells):
 @given(tampered_squares())
 def test_verify_square_and_layer_plans_match_the_references_on_tampered_squares(cells):
     assert verify_square(cells) == reference_verify_square(cells)
-    assert layer_plans(cells) == reference_layer_plans(cells)
 
 
 @settings(max_examples=6, deadline=None)
