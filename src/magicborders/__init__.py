@@ -34,7 +34,6 @@ _HOMES = {
     "count_omega": "enumeration",
     "enumerate_omega": "enumeration",
     "enumerate_order": "enumeration",
-    "extend_border": "corners",
     "format_counts": "enumeration",
     "magic_constant": "core",
     "orbit": "transform",

@@ -67,11 +67,18 @@ def _corner_pair(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _read_input(path: str | None) -> str:
+def _read_document(path: str | None) -> BorderPlan | BorderFrame | GridDocument:
+    """Parse the document at ``path`` (stdin for None or "-").  A grid
+    with holes is read as a frame by ``GridDocument.as_frame``."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    doc = parse_document(text)
+    if isinstance(doc, GridDocument) and not doc.is_complete():
+        return doc.as_frame()
+    return doc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -139,9 +146,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = parse_document(_read_input(args.input))
-    if isinstance(doc, GridDocument) and not doc.is_complete():
-        doc = doc.as_frame()
+    doc = _read_document(args.input)
     if isinstance(doc, GridDocument):
         # the bordered check covers every line of the full square as its
         # order-N subsquare, so it runs alone
@@ -201,9 +206,7 @@ def cmd_enumerate(args) -> int:
 def cmd_orbit(args) -> int:
     from .transform import orbit
 
-    doc = parse_document(_read_input(args.input))
-    if isinstance(doc, GridDocument) and not doc.is_complete():
-        doc = doc.as_frame()
+    doc = _read_document(args.input)
     if isinstance(doc, BorderPlan):
         plan, report = doc, verify_border(doc)
     elif isinstance(doc, BorderFrame):

@@ -8,9 +8,10 @@ paper's table or an order-6 border from a table of first search results
 :mod:`magicborders.construct`) and grows it four orders at a time with
 one of two edits to the diagram's picks:
 
-- the +4 extension (:func:`extend_border`) adds eight fixed rows, the
-  first ``shift`` of them above the existing rows and the rest below, so
-  both corners rise by the shift (0..8);
+- the +4 extension, which ``_small_corners`` splices in, adds the eight
+  fixed rows of ``_EXTENSION``, the first ``shift`` of them above the
+  existing rows and the rest below, so both corners rise by the shift
+  (0..8);
 - block insertion splices one of six eight-row blocks in between the
   corners' rows, so v stays and w rises by 8.  It covers the 20 "gap"
   pairs per order that no extension reaches, and a gap pair (v, w) at
@@ -277,18 +278,6 @@ def block_sets(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(b), tuple(c)
 
 
-def missing_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """Ascending corner pairs at order m that no +4 extension step reaches."""
-    if m % 2 or m < 8:
-        raise ValueError(f"extension gaps arise at even orders from 8; got {m}")
-    return tuple(
-        (v, w)
-        for v in range(1, 9)
-        for w in range(v + 1, 2 * m + 3)
-        if (v + w) % 2 and _extension_shift(m, v, w) is None
-    )
-
-
 # --- the two steps, as diagram edits -----------------------------------------
 
 # two top-row pairs (rows 1 & 2, 4 & 3), then two column pairs (6 & 5,
@@ -321,32 +310,6 @@ def _extension_shift(n: int, v: int, w: int) -> int | None:
     lo = max(0, w - inner_small)
     hi = min(8, v - 1)
     return next((j for j in (0, 2, 4, 6, 8) if lo <= j <= hi), None)
-
-
-def extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
-    """Grow a valid even border by one +4 step, shifting both corners by ``shift``.
-
-    ``shift`` of the eight new diagram rows go above the existing rows
-    (raising every small value, the corners included, by ``shift``) and the
-    rest go below.  The new rows are matched into two top-row pairs and two
-    column pairs whose deviations cancel, so validity carries over.
-    """
-    # 2.0 == 2 would pass the membership test alone
-    if not isinstance(shift, int) or shift not in (0, 2, 4, 6, 8):
-        raise ValueError(f"shift must be one of 0, 2, 4, 6, 8, got {shift!r}")
-    n = check_inner_order(plan.n)
-    if n % 2:
-        raise ValueError("only even borders extend: odd ones cannot split evenly")
-    small = 2 * n + 2
-    if not (1 <= plan.v <= small and 1 <= plan.w <= small):
-        raise ValueError(
-            f"corners must be small (left-column) values to shift, got ({plan.v}, {plan.w})"
-        )
-    report = verify_border(plan)
-    if not report.valid:
-        raise ValueError(f"only a valid border extends: {report.violations[0]}")
-    picks = "".join(_picks(plan))
-    return _diagram(n + 4, _EXTENSION[: 2 * shift] + picks + _EXTENSION[2 * shift :])
 
 
 # --- parameterized seeds with classification -------------------------------

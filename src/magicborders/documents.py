@@ -163,9 +163,11 @@ def _grid_from_lists(raw, where: str) -> GridDocument:
 def _parse_json(text: str) -> BorderPlan | GridDocument:
     import json
 
+    # a JSONDecodeError is a ValueError, as is an int past the
+    # interpreter's digit limit; nesting too deep for the decoder recurses
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise DocumentError(f"unreadable JSON document: {exc}") from None
     # the text starts with "{", so what parses is an object
     if {"n", "v", "w", "b", "c"} <= payload.keys():

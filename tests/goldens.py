@@ -11,7 +11,9 @@ import json
 from collections import Counter
 
 from magicborders import BorderPlan, complement, complement_base, magic_constant
+from magicborders.construct import _diagram, _picks
 from magicborders.core import check_inner_order, in_pool, pool_bounds
+from magicborders.corners import _EXTENSION
 from magicborders.documents import DocumentError, GridDocument, parse_document
 from magicborders.verify import (
     CheckReport,
@@ -180,6 +182,16 @@ def balance_sums(plan: BorderPlan) -> tuple[int, int]:
         ordered = sorted(values)
         sums.append(sum(d_value(x, y, n) for x, y in zip(ordered[::2], ordered[1::2])))
     return sums[0], sums[1]
+
+
+# nested past the decoder's recursion limit, in a plan's b or a grid's
+# cells, and an int past the interpreter's 4,300-digit limit
+_DEEP = "[" * 5000 + "]" * 5000
+UNREADABLE_JSON = {
+    "deep-plan": f'{{"n": 4, "v": 1, "w": 2, "b": {_DEEP}, "c": [6, 30, 29, 10]}}',
+    "deep-grid": f'{{"order": 3, "cells": {_DEEP}}}',
+    "long-int": f'{{"n": 4, "v": 1, "w": 2, "b": [{"9" * 5000}], "c": [6, 30, 29, 10]}}',
+}
 
 
 ALL_GOLDEN_PLANS = (
@@ -518,3 +530,27 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
         layer = following
         stored += len(layer)
     return sum(layer.values()), stored
+
+
+# --- corner references -------------------------------------------------------
+
+
+def reference_extend_border(plan: BorderPlan, shift: int) -> BorderPlan:
+    """One +4 step on an even border: the eight ``_EXTENSION`` rows, the
+    first ``shift`` of them above the plan's diagram rows and the rest
+    below, read back as a border of order n + 4.  Inputs are not checked."""
+    picks = "".join(_picks(plan))
+    return _diagram(plan.n + 4, _EXTENSION[: 2 * shift] + picks + _EXTENSION[2 * shift :])
+
+
+def reference_missing_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The ascending opposite-parity pairs (v, w) with v <= 8 at even order
+    m that no +4 step reaches: a shift j in {0, 2, 4, 6, 8} reaches a pair
+    from order m - 4 when max(0, w - 2m + 6) <= j <= min(8, v - 1)."""
+    return tuple(
+        (v, w)
+        for v in range(1, 9)
+        for w in range(v + 1, 2 * m + 3)
+        if (v + w) % 2
+        and not any(max(0, w - 2 * m + 6) <= j <= min(8, v - 1) for j in (0, 2, 4, 6, 8))
+    )

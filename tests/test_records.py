@@ -160,6 +160,25 @@ def test_every_public_name_is_its_own_modules_object():
     assert magicborders.__version__ == "0.1.0"
 
 
+PUBLIC_NAMES = [
+    "BorderFrame", "BorderPlan", "BudgetExhausted", "CanonicalBorder", "CheckReport",
+    "InfeasibleCornersError", "OmegaKey", "SYMMETRIES", "SearchBudget", "Violation",
+    "apply_symmetry", "border_pool", "build_border", "build_square", "complement",
+    "complement_base", "construct_with_corners", "count_borders", "count_omega",
+    "enumerate_omega", "enumerate_order", "format_counts", "magic_constant", "orbit",
+    "permute_lines", "plan_from_frame", "render_frame", "seed_order4", "verify_border",
+    "verify_bordered", "verify_frame", "verify_square",
+]
+
+
+def test_the_public_names_are_pinned():
+    # a name added to or dropped from the API has to change this list too
+    import magicborders
+
+    assert sorted(magicborders.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 32
+
+
 def test_dir_lists_every_public_name_before_any_is_read():
     [missing] = run_isolated(
         "import sys; sys.path.insert(0, sys.argv[1]); import magicborders; "

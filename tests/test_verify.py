@@ -70,6 +70,12 @@ def test_wrong_shape_is_a_violation_not_a_crash():
     assert any(x.condition == "shape" for x in report.violations)
 
 
+def test_a_short_left_column_is_a_shape_violation_at_c_alone():
+    short_c = BorderPlan(n=4, v=1, w=2, b=(34, 33, 32, 9), c=(6, 30, 29))
+    shapes = [x for x in verify_border(short_c).violations if x.condition == "shape"]
+    assert shapes == [Violation("shape", "c", expected=4, actual=3)]
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_verify_border_ignores_line_order(data):
