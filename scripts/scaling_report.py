@@ -55,28 +55,32 @@ CORNER_BUILD = ["build", "--order", "10", "--border-only", "--corners", "1,4"]
 VERIFY_BORDERED = ["verify", "--bordered", "-"]
 COUNT_ONLY = ["enumerate", "--order", "5", "--corners", "1,2", "--count-only"]
 
-# the layered counter over the keys given as "n,v,w" arguments; the peak
-# RSS is the process's VmHWM, since ru_maxrss keeps the high-water mark of
-# the large process that forked it
-COUNTER_RUN = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-from magicborders.enumeration import _BudgetState, _count
-keys = [tuple(map(int, key.split(","))) for key in sys.argv[2:]]
-state = _BudgetState(None)
-start = time.perf_counter()
-total = sum(_count(*key, state) for key in keys)
-elapsed = time.perf_counter() - start
-with open("/proc/self/status") as status:
-    peak_kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-print(total, state.nodes, elapsed, peak_kib)
-"""
-
-# the process's peak RSS in KiB (VmHWM, as in COUNTER_RUN), printed last
+# the process's peak RSS in KiB, printed last: its VmHWM, since ru_maxrss
+# keeps the high-water mark of the large process that forked it
 PRINT_PEAK = """
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
+# count_omega of the inner order given: its total and seconds, then the peak
+OMEGA_RUN = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from magicborders import count_omega
+start = time.perf_counter()
+total = sum(count_omega(int(sys.argv[2])).values())
+print(total, time.perf_counter() - start)
+""" + PRINT_PEAK
+# the layered counter on the key given as "n v w": its borders, nodes and
+# seconds, then the peak
+COUNTER_RUN = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from magicborders.enumeration import _BudgetState, _count
+state = _BudgetState(None)
+start = time.perf_counter()
+total = _count(*map(int, sys.argv[2:]), state)
+print(total, state.nodes, time.perf_counter() - start)
+""" + PRINT_PEAK
 # parse_document over the document in the file given
 PARSE_RUN = """
 import sys
@@ -109,26 +113,19 @@ def timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def counter_run(keys):
-    """The layered counter over ``keys`` in a fresh process, with one budget
-    state as ``count_omega`` spends it: borders, nodes, seconds, and the
-    process's peak RSS in MiB."""
+def fresh_run(script: str, *args) -> list[str]:
+    """The words ``script`` prints in a fresh process run on ``args``."""
     run = subprocess.run(
-        [sys.executable, "-c", COUNTER_RUN, str(SRC), *(",".join(map(str, k)) for k in keys)],
+        [sys.executable, "-c", script, str(SRC), *map(str, args)],
         check=True, capture_output=True, text=True,
     )
-    total, nodes, elapsed, peak_kib = run.stdout.split()
-    return int(total), int(nodes), float(elapsed), int(peak_kib) / 1024
+    return run.stdout.split()
 
 
 def peaks_mib(script: str, *args: str) -> list[float]:
     """The peak RSS figures, in MiB, that ``script`` prints in a fresh
     process run on ``args``."""
-    run = subprocess.run(
-        [sys.executable, "-c", script, str(SRC), *args],
-        check=True, capture_output=True, text=True,
-    )
-    return [int(kib) / 1024 for kib in run.stdout.split()]
+    return [int(kib) / 1024 for kib in fresh_run(script, *args)]
 
 
 def parse_peak_mib(text: str) -> float:
@@ -279,23 +276,20 @@ def main() -> None:
         assert listed == total
         print(f"  n={n}: {total:>6} borders over {len(counts)} corner pairs: "
               f"count_omega {t_count:6.2f} s   listing {t_list:6.2f} s")
-    # too many borders to list: the counter alone, against its known totals
-    print("  the counter alone, each row in a fresh process: time, nodes "
-          "(live states stored), peak RSS")
+    # too many borders to list: count_omega alone, against its known totals
+    print("  count_omega alone, each row in a fresh process: time, peak RSS")
     for n, known in ((8, 8_234_012), (9, 136_332)):
-        # count_omega's keys: v < w, each count standing for (v, w) and (w, v)
-        small = 2 * n + 2
-        keys = [(n, v, w) for v in range(1, small + 1) for w in range(v + 1, small + 1)]
-        total, nodes, t_count, peak = counter_run(keys)
-        assert 2 * total == known, (n, 2 * total)
-        print(f"  n={n}: {2 * total:>11} borders over {2 * len(keys)} corner pairs: "
-              f"{t_count:6.2f} s  {nodes:>9,} nodes  {peak:6.1f} MiB")
-    # single dense keys, whose largest layers set the counter's memory
+        total, t_count, peak_kib = fresh_run(OMEGA_RUN, n)
+        assert int(total) == known, (n, total)
+        print(f"  n={n}: {known:>11} borders over {(2 * n + 2) * (2 * n + 1)} corner pairs: "
+              f"{float(t_count):6.2f} s  {int(peak_kib) / 1024:6.1f} MiB")
+    # single dense keys, whose largest layers set the counter's memory,
+    # through the layered counter alone: time, nodes (live states stored), peak RSS
     for key, known in (((12, 1, 2), 593_867_307), ((16, 1, 2), 13_101_939_513_064)):
-        total, nodes, t_count, peak = counter_run([key])
-        assert total == known, (key, total)
-        print(f"  ({key[0]}; {key[1]}, {key[2]}): {total:>14} borders: {t_count:6.2f} s  "
-              f"{nodes:>9,} nodes  {peak:6.1f} MiB")
+        total, nodes, t_count, peak_kib = fresh_run(COUNTER_RUN, *key)
+        assert int(total) == known, (key, total)
+        print(f"  ({key[0]}; {key[1]}, {key[2]}): {known:>14} borders: "
+              f"{float(t_count):6.2f} s  {int(nodes):>9,} nodes  {int(peak_kib) / 1024:6.1f} MiB")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success/valid, 1 invalid input, failed verification or
-too little memory, 2 proven infeasibility (same-parity corners at even
-order), 3 search budget exhausted.  Everything is deterministic; there
-is no seeded mode.
+too little memory, 2 corners the row-parity lemma rules out, at any
+order, 3 search budget exhausted.  Everything is deterministic; there is
+no seeded mode.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its command needs beyond the parser, the documents and

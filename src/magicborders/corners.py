@@ -1,11 +1,15 @@
 """Corner-prescribed borders for even inner orders.
 
-For even n, small corners (both in 1..2n+2) admit a magic border exactly
-when they have opposite parity.  Construction never searches.  It starts
-from a seed held in this module as a literal, an order-4 border from the
-paper's table or an order-6 border from a table of first search results
-(kept as its diagram picks), takes the seed's two-column diagram (see
-:mod:`magicborders.construct`) and grows it four orders at a time with
+At any order, corners the row-parity lemma rules out
+(:func:`~magicborders.core.forbidden_by_parity`: small corners need
+opposite parity at even n, equal parity at odd n) raise
+:class:`~magicborders.core.InfeasibleCornersError`.  At even n the lemma
+is also sufficient and every other pair is built; at odd n none is, as no
+rule beyond the lemma is proved there.  Construction never searches.  It
+starts from a seed held in this module as a literal, an order-4 border
+from the paper's table or an order-6 border from a table of first search
+results (kept as its diagram picks), takes the seed's two-column diagram
+(see :mod:`magicborders.construct`) and grows it four orders at a time with
 one of two edits to the diagram's picks:
 
 - the +4 extension, which ``_small_corners`` splices in, adds the eight
@@ -46,7 +50,6 @@ from .construct import _BLOCKS, _diagram, _picks
 from .core import (
     InfeasibleCornersError,
     check_corners,
-    check_inner_order,
     complement_base,
     forbidden_by_parity,
     in_pool,
@@ -66,21 +69,6 @@ from .transform import (
 from .verify import BorderPlan, verify_border
 
 
-def corners_feasible(n: int, v: int, w: int) -> bool:
-    """Whether small corners (v, w) admit a border at even inner order n."""
-    check_inner_order(n)
-    if n % 2:
-        raise ValueError(
-            f"corner feasibility is only characterized for even orders, got n={n}"
-        )
-    small = 2 * n + 2
-    if v == w:
-        raise ValueError("corners must be distinct")
-    if not all(isinstance(x, int) and 1 <= x <= small for x in (v, w)):
-        raise ValueError(f"corners must lie in 1..{small}, got ({v}, {w})")
-    return not forbidden_by_parity(n, v, w)
-
-
 # --- seed tables -----------------------------------------------------------
 
 # a signed term: the one bracketed square, or a run free of signs
@@ -88,7 +76,8 @@ _TERM = r"[+-]?(?:\(m\+2\)\^2|[^+-]+)"
 
 
 def eval_poly(expr: str, m: int) -> int:
-    """Evaluate a table polynomial like '(m+2)^2-15', 'm^2+2m+4' or '2m-1'."""
+    """Evaluate a table polynomial like '(m+2)^2-15', 'm^2+2m+4' or '2m-1',
+    whose terms are constants, m^2, (m+2)^2 and multiples km (no bare m)."""
     # only the tables read polynomials, so only they load re; its cache
     # compiles the pattern once
     import re
@@ -101,8 +90,6 @@ def eval_poly(expr: str, m: int) -> int:
             value = (m + 2) ** 2
         elif t == "m^2":
             value = m * m
-        elif t == "m":
-            value = m
         elif t.endswith("m"):
             value = int(t[:-1]) * m
         else:
@@ -446,27 +433,27 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
 
     Corners may be any pool values; one symmetry reduces them to small
     ascending corners, and the border built for those is mapped back.
-    Small same-parity corners raise :class:`InfeasibleCornersError`.
+    Corners the row-parity lemma rules out raise :class:`InfeasibleCornersError`
+    at any order, and any other corners at an odd order ValueError.
     """
-    check_inner_order(n)
-    if n % 2:
-        raise ValueError(
-            f"corner-prescribed construction covers even inner orders only, got n={n}"
-        )
     check_corners(n, v, w)
     c_base = complement_base(n)
 
-    # reduce to small ascending corners: large corners go to their
-    # complements and the smaller reduced corner comes first; one symmetry
-    # carries the border built for the reduced pair back to (v, w).
-    # check_corners has already made sv and sw distinct small ints
+    # reduce to the corners' diagram rows, ascending: a large corner's row
+    # is its complement; one symmetry carries the border built for the
+    # rows back to (v, w).  check_corners has made sv and sw distinct
     small = 2 * n + 2
     sv = c_base - v if v > small else v
     sw = c_base - w if w > small else w
-    if forbidden_by_parity(n, sv, sw):
+    if forbidden_by_parity(n, v, w):
+        need = "the same parity at odd" if n % 2 else "opposite parity at even"
         raise InfeasibleCornersError(
-            f"no magic border of even inner order {n} has same-parity "
-            f"upper corners ({sv}, {sw}): pick one odd and one even corner"
+            f"no magic border of inner order {n} has upper corners ({v}, {w}): "
+            f"their diagram rows {sv} and {sw} need {need} orders"
+        )
+    if n % 2:
+        raise ValueError(
+            f"corner-prescribed construction covers even inner orders only, got n={n}"
         )
     symmetry = _REDUCTIONS[(v > small, w > small, sv > sw)]
     plan = apply_symmetry(_small_corners(n, min(sv, sw), max(sv, sw)), symmetry)

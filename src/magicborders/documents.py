@@ -126,6 +126,17 @@ def serialize_plan(plan: BorderPlan) -> str:
     return json.dumps(payload) + "\n"
 
 
+def _shown(value) -> str:
+    """A value as an error names it: its repr, clipped by ``reprlib`` past
+    two levels, ten items or thirty characters so the line stays short."""
+    import reprlib
+
+    clip = reprlib.Repr()
+    clip.maxlevel, clip.maxlist, clip.maxdict = 2, 10, 10
+    shown = clip.repr(value)
+    return shown if "..." in shown else repr(value)  # reprlib sorts dict keys
+
+
 def _cell_from_token(token: str, where: str) -> int | None:
     token = token.strip()
     if token in ("", _HOLE):
@@ -133,7 +144,7 @@ def _cell_from_token(token: str, where: str) -> int | None:
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"unreadable cell {token!r} at {where}") from None
+        raise DocumentError(f"unreadable cell {_shown(token)} at {where}") from None
 
 
 def _is_int(x) -> bool:
@@ -143,16 +154,16 @@ def _is_int(x) -> bool:
 
 def _grid_from_lists(raw, where: str) -> GridDocument:
     if not isinstance(raw, list):
-        raise DocumentError(f"{where} must be a list of rows, got {raw!r}")
+        raise DocumentError(f"{where} must be a list of rows, got {_shown(raw)}")
     # each row is converted in place, so its decoded list is freed as soon
     # as its tuple exists
     for i, row in enumerate(raw):
         if not isinstance(row, list):
-            raise DocumentError(f"{where} row {i} is {row!r}, not a list of cells")
+            raise DocumentError(f"{where} row {i} is {_shown(row)}, not a list of cells")
         if not _int_row(row):
             for j, x in enumerate(row):
                 if x is not None and not _is_int(x):
-                    raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
+                    raise DocumentError(f"unreadable cell {_shown(x)} at {where} ({i},{j})")
         raw[i] = tuple(row)
     order = len(raw)
     if order == 0 or any(len(row) != order for row in raw):
@@ -173,19 +184,19 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
     if {"n", "v", "w", "b", "c"} <= payload.keys():
         for key in ("n", "v", "w"):
             if not _is_int(payload[key]):
-                raise DocumentError(f"unreadable plan document: {key} is {payload[key]!r}")
+                raise DocumentError(f"unreadable plan document: {key} is {_shown(payload[key])}")
         for key in ("b", "c"):
             line = payload[key]
             if not isinstance(line, list) or not all(map(_is_int, line)):
                 raise DocumentError(
-                    f"unreadable plan document: {key} is {line!r}, not a list of integers"
+                    f"unreadable plan document: {key} is {_shown(line)}, not a list of integers"
                 )
         return BorderPlan(
             n=payload["n"], v=payload["v"], w=payload["w"], b=payload["b"], c=payload["c"]
         )
     if {"order", "cells"} <= payload.keys():
         if not _is_int(payload["order"]):
-            raise DocumentError(f"unreadable grid document: order is {payload['order']!r}")
+            raise DocumentError(f"unreadable grid document: order is {_shown(payload['order'])}")
         doc = _grid_from_lists(payload["cells"], "JSON cells")
         if doc.order != payload["order"]:
             raise DocumentError(

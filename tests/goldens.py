@@ -14,7 +14,7 @@ from magicborders import BorderPlan, complement, complement_base, magic_constant
 from magicborders.construct import _diagram, _picks
 from magicborders.core import check_inner_order, in_pool, pool_bounds
 from magicborders.corners import _EXTENSION
-from magicborders.documents import DocumentError, GridDocument, parse_document
+from magicborders.documents import DocumentError, GridDocument, _shown, parse_document
 from magicborders.verify import (
     CheckReport,
     Violation,
@@ -242,6 +242,8 @@ def reference_serialize_grid(cells, fmt):
     return json.dumps(payload, indent=None) + "\n"
 
 
+# the references name a value as the library does (documents._shown): they
+# check which cells are read, not how an error clips what it echoes
 def _reference_cell(token, where):
     token = token.strip()
     if token in ("", "."):
@@ -249,22 +251,22 @@ def _reference_cell(token, where):
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"unreadable cell {token!r} at {where}") from None
+        raise DocumentError(f"unreadable cell {_shown(token)} at {where}") from None
 
 
 def _reference_json_rows(raw, where):
     if not isinstance(raw, list):
-        raise DocumentError(f"{where} must be a list of rows, got {raw!r}")
+        raise DocumentError(f"{where} must be a list of rows, got {_shown(raw)}")
     cells = []
     for i, row in enumerate(raw):
         if not isinstance(row, list):
-            raise DocumentError(f"{where} row {i} is {row!r}, not a list of cells")
+            raise DocumentError(f"{where} row {i} is {_shown(row)}, not a list of cells")
         parsed = []
         for j, x in enumerate(row):
             if x is None or (isinstance(x, int) and not isinstance(x, bool)):
                 parsed.append(x)
             else:
-                raise DocumentError(f"unreadable cell {x!r} at {where} ({i},{j})")
+                raise DocumentError(f"unreadable cell {_shown(x)} at {where} ({i},{j})")
         cells.append(tuple(parsed))
     order = len(cells)
     if order == 0 or any(len(row) != order for row in cells):

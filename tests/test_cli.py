@@ -74,17 +74,36 @@ def test_infeasible_corners_exit_2(capsys):
     )
     assert code == 2
     assert "parity" in err or "odd and one even" in err
+    # the row-parity lemma holds at every order, with the parity reversed
+    # at odd ones; (1, 142) has diagram rows 1 and 3 at n = 10
+    for order, corners, message in [
+        ("9", "1,2", "their diagram rows 1 and 2 need the same parity at odd orders"),
+        ("10", "1,142", "their diagram rows 1 and 3 need opposite parity at even orders"),
+    ]:
+        code, out, err = run(
+            capsys, "build", "--order", order, "--border-only", "--corners", corners
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: no magic border of inner order {order} has upper corners "
+            f"({corners.replace(',', ', ')}): {message}\n"
+        )
 
 
 def test_corner_requests_at_odd_orders_exit_1(capsys):
     code, _, err = run(
-        capsys, "build", "--order", "9", "--border-only", "--corners", "1,2"
+        capsys, "build", "--order", "9", "--border-only", "--corners", "1,3"
     )
     assert code == 1
     # odd-order corner borders exist (enumerate counts them); only the
     # construction is limited to even orders
     assert "construction covers even inner orders only, got n=9" in err
     assert "exist" not in err
+    # corners outside the pool are named before the order is
+    code, _, err = run(
+        capsys, "build", "--order", "9", "--border-only", "--corners", "1,200"
+    )
+    assert code == 1 and err == "error: corner w=200 is outside the pool for n=9\n"
     code, _, err = run(
         capsys, "build", "--order", "1", "--border-only", "--corners", "1,2"
     )
@@ -572,6 +591,27 @@ def test_verify_names_json_cells_that_are_not_rows(capsys, monkeypatch, cells, m
     assert run(capsys, "verify", "-") == (1, "", message)
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            {"n": 4, "v": 1, "w": 2, "b": ["x"] * 100_000, "c": []},
+            "error: unreadable plan document: b is ['x', 'x', 'x', 'x', 'x', 'x', 'x', "
+            "'x', 'x', 'x', ...], not a list of integers\n",
+        ),
+        (
+            {"order": 1, "cells": [[list(range(100_000))]]},
+            "error: unreadable cell [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] at JSON cells (0,0)\n",
+        ),
+    ],
+    ids=["plan-line", "grid-cell"],
+)
+def test_verify_clips_a_huge_value_it_names(capsys, tmp_path, document, message):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (1, "", message)
+
+
 def test_bad_usage_exits_1(capsys):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys, "build")[0] == 1  # missing --order
@@ -635,6 +675,23 @@ def test_short_outputs_nobody_reads_exit_cleanly():
     # each output fits the stdout buffer, so only the last flush meets the closed pipe
     assert run_unread("build", "--order", "5") == (0, b"")
     assert run_unread("enumerate", "--order", "4", "--limit", "3") == (0, b"")
+
+
+def test_a_long_output_whose_reader_leaves_early_exits_cleanly():
+    # an order-600 square is megabytes, so a write itself, not the last
+    # flush, meets the pipe its reader closed after one byte
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "magicborders", "build", "--order", "600"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(SRC)},
+    ) as process:
+        assert len(process.stdout.read(1)) == 1
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_a_grid_build_and_check_load_neither_json_nor_csv():

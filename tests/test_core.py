@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magicborders import construct_with_corners, core
-from magicborders.corners import corners_feasible, seed_order4
+from magicborders.corners import seed_order4
 from magicborders.enumeration import OmegaKey, count_borders, enumerate_omega
 
 from goldens import d_corner, d_value
@@ -49,8 +49,6 @@ def test_complement_rejects_values_outside_pool():
         pytest.param(lambda: core.complement(2.5, 4),
                      "2.5 is outside the border pool {1..10} u {27..36} for inner order 4",
                      id="complement"),
-        pytest.param(lambda: corners_feasible(6, 1, 2.5),
-                     "corners must lie in 1..14, got (1, 2.5)", id="feasible"),
         pytest.param(lambda: seed_order4(1.0, 2),
                      "(1.0, 2) is not an order-4 seed pair; canonicalize the corners "
                      "(odd corner first) before the lookup", id="seed-order4"),

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from magicborders import (
 )
 from magicborders import corners, enumeration
 from magicborders.construct import _diagram, _picks
-from magicborders.core import complement_base
+from magicborders.core import border_pool, complement_base, forbidden_by_parity
 from magicborders.corners import (
     _BLOCK,
     _COUNTS,
@@ -27,30 +28,48 @@ from magicborders.corners import (
     audit_order4,
     audit_order_m,
     block_sets,
-    corners_feasible,
     eval_poly,
 )
 from magicborders.documents import parse_document
 from magicborders.transform import SYMMETRIES
 
-from goldens import reference_extend_border, reference_missing_pairs
+from goldens import reference_count, reference_extend_border, reference_missing_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_feasibility_is_opposite_parity():
-    assert corners_feasible(4, 1, 2)
-    assert not corners_feasible(4, 1, 3)
-    assert corners_feasible(8, 2, 9)
+    assert not forbidden_by_parity(4, 1, 2)
+    assert forbidden_by_parity(4, 1, 3)
+    assert not forbidden_by_parity(8, 2, 9)
 
 
-def test_feasibility_rejects_odd_orders_and_bad_corners():
-    with pytest.raises(ValueError):
-        corners_feasible(7, 1, 2)
-    with pytest.raises(ValueError):
-        corners_feasible(4, 1, 1)
-    with pytest.raises(ValueError):
-        corners_feasible(4, 1, 11)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_construction_is_infeasible_exactly_where_the_parity_lemma_holds(n):
+    # every pool pair check_corners accepts; at n <= 7 the reference
+    # counter, which screens by neither lemma, finds no border at any
+    # small key the lemma rules out
+    c = complement_base(n)
+    small = 2 * n + 2
+    checked = 0
+    for v, w in itertools.permutations(sorted(border_pool(n)), 2):
+        if v + w == c:
+            continue
+        if forbidden_by_parity(n, v, w):
+            with pytest.raises(InfeasibleCornersError):
+                construct_with_corners(n, v, w)
+            if n <= 7 and v <= small and w <= small:
+                assert reference_count(n, v, w)[0] == 0, (n, v, w)
+                checked += 1
+        elif n % 2:
+            with pytest.raises(ValueError, match="covers even inner orders only") as excinfo:
+                construct_with_corners(n, v, w)
+            assert not isinstance(excinfo.value, InfeasibleCornersError)
+        else:
+            plan = construct_with_corners(n, v, w)
+            assert (plan.v, plan.w) == (v, w)
+    # 2(n+1)^2 opposite-parity small keys at odd n, 2n(n+1) same-parity at even n
+    assert checked == (2 * (n + 1) * (n + n % 2) if n <= 7 else 0)
 
 
 def test_order4_seed_reference_rows():
@@ -226,8 +245,10 @@ def test_construct_rejects_structurally_impossible_requests():
         construct_with_corners(4, 1, 3)
     with pytest.raises(InfeasibleCornersError):
         construct_with_corners(10, 1, 3)
+    with pytest.raises(InfeasibleCornersError):
+        construct_with_corners(7, 1, 2)  # opposite parity at odd order
     with pytest.raises(ValueError):
-        construct_with_corners(7, 1, 2)  # odd order unsupported
+        construct_with_corners(7, 1, 3)  # odd order unsupported
     with pytest.raises(ValueError):
         construct_with_corners(4, 1, 36)  # complementary corners
     with pytest.raises(ValueError):

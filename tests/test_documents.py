@@ -204,6 +204,62 @@ def test_json_cells_that_are_not_a_list_of_lists_are_named(cells, message):
     assert str(excinfo.value) == message
 
 
+_HUGE = 100_000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            json.dumps({"n": 4, "v": 1, "w": 2, "b": ["x"] * _HUGE, "c": []}),
+            "unreadable plan document: b is ['x', 'x', 'x', 'x', 'x', 'x', 'x', 'x', "
+            "'x', 'x', ...], not a list of integers",
+            id="plan-line",
+        ),
+        pytest.param(
+            json.dumps({"n": list(range(_HUGE)), "v": 1, "w": 2, "b": [], "c": []}),
+            "unreadable plan document: n is [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]",
+            id="plan-n",
+        ),
+        pytest.param(
+            json.dumps({"order": 1, "cells": [[list(range(_HUGE))]]}),
+            "unreadable cell [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] at JSON cells (0,0)",
+            id="grid-cell",
+        ),
+        pytest.param(
+            json.dumps({"order": 1, "cells": ["y" * _HUGE]}),
+            "JSON cells row 0 is 'yyyyyyyyyyyy...yyyyyyyyyyyyy', not a list of cells",
+            id="grid-row",
+        ),
+        pytest.param(
+            json.dumps({"order": [[[1]]] * 3, "cells": [[1]]}),
+            "unreadable grid document: order is [[[...]], [[...]], [[...]]]",
+            id="grid-order-deep",
+        ),
+        pytest.param(
+            "1 " + "9" * _HUGE + "x\n3 4\n",
+            "unreadable cell '999999999999...999999999999x' at line 1",
+            id="grid-token",
+        ),
+        pytest.param(
+            "1," + "z" * _HUGE + "\n3,4\n",
+            "unreadable cell 'zzzzzzzzzzzz...zzzzzzzzzzzzz' at line 1",
+            id="csv-token",
+        ),
+        # short values keep repr's text, a dict's keys in document order
+        pytest.param(
+            '{"order": 2, "cells": {"b": [1, 2], "a": null}}',
+            "JSON cells must be a list of rows, got {'b': [1, 2], 'a': None}",
+            id="short-dict",
+        ),
+    ],
+)
+def test_errors_clip_the_values_they_name(text, message):
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
 def test_json_the_decoder_cannot_read_is_a_document_error(text):
     with pytest.raises(DocumentError, match="^unreadable JSON document: "):
