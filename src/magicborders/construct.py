@@ -5,11 +5,11 @@ diagram row, row 1 first.  A pick is a side, ``L`` (the row's small
 value) or ``R`` (its complement), then the line the value goes to: ``v``
 or ``w`` for the upper corners, ``b`` for the top row, ``c`` for the left
 column.  One function, :func:`_diagram`, reads every diagram into a
-:class:`~magicborders.verify.BorderPlan`, and :func:`_picks` writes a
-valid border back as its diagram, which is how :mod:`magicborders.corners`
-edits its seeds.  A recipe's docstring states why its border is magic:
-the picks fall into pairs whose deviations cancel line by line.  The same
-n always yields the same border.
+:class:`~magicborders.verify.BorderPlan`, the seeds that
+:mod:`magicborders.corners` keeps as pick strings and edits included.  A
+recipe's docstring states why its border is magic: the picks fall into
+pairs whose deviations cancel line by line.  The same n always yields the
+same border.
 
 A diagram is given to :func:`_diagram` in parts, read one after another:
 a literal pick string, or a ``(block, copies)`` pair that stands for the
@@ -98,20 +98,6 @@ def _diagram(n: int, *parts: str | tuple[str, int]) -> BorderPlan:
     return BorderPlan(
         n=n, v=lines["v"][0], w=lines["w"][0], b=tuple(lines["b"]), c=tuple(lines["c"])
     )
-
-
-def _picks(plan: BorderPlan) -> list[str]:
-    """The diagram rows of a valid border, row 1 first: the inverse of :func:`_diagram`."""
-    small = 2 * plan.n + 2
-    c_base = complement_base(plan.n)
-    rows = [""] * small
-    for line, values in (("v", (plan.v,)), ("w", (plan.w,)), ("b", plan.b), ("c", plan.c)):
-        for x in values:
-            if x <= small:
-                rows[x - 1] = "L" + line
-            else:
-                rows[c_base - x - 1] = "R" + line
-    return rows
 
 
 def recipe_even_4k(k: int) -> BorderPlan:

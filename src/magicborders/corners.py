@@ -5,12 +5,18 @@ At any order, corners the row-parity lemma rules out
 opposite parity at even n, equal parity at odd n) raise
 :class:`~magicborders.core.InfeasibleCornersError`.  At even n the lemma
 is also sufficient and every other pair is built; at odd n none is, as no
-rule beyond the lemma is proved there.  Construction never searches.  It
-starts from a seed held in this module as a literal, an order-4 border
-from the paper's table or an order-6 border from a table of first search
-results (kept as its diagram picks), takes the seed's two-column diagram
-(see :mod:`magicborders.construct`) and grows it four orders at a time with
-one of two edits to the diagram's picks:
+rule beyond the lemma is proved there.  (A conjectured rule adds at odd
+n, for small corners v < w, that v + w is neither 2n nor 2n+2 and (v, w)
+neither (n-4, n) nor (n+1, n+5).  It matches the exact counts at every
+key v < w for odd n = 3..19, is unproved, and construction does not use
+it.)
+
+Construction never searches.  It starts from a seed held in this module
+as its two-column diagram's pick string (see :mod:`magicborders.construct`),
+an order-4 border from the paper's table or an order-6 border from a table
+of first search results; the order-4 seed for even v < odd w is the mirror
+of the one for (w, v), a relabelling of its picks.  It grows the picks
+four orders at a time with one of two edits:
 
 - the +4 extension, which ``_small_corners`` splices in, adds the eight
   fixed rows of ``_EXTENSION``, the first ``shift`` of them above the
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .construct import _BLOCKS, _diagram, _picks
+from .construct import _BLOCKS, _diagram
 from .core import (
     InfeasibleCornersError,
     check_corners,
@@ -114,35 +120,27 @@ class Table2Row(namedtuple("Table2Row", "v w_expr b_exprs c_exprs")):
         return BorderPlan(n=m, v=self.v, w=eval_poly(self.w_expr, m), b=b, c=c)
 
 
-# the paper's order-4 table, one border per (odd v, even w) pair, each
-# line in the paper's order
-_ORDER4 = {(p.v, p.w): p for p in (
-    BorderPlan(4, 1, 2, (34, 33, 32, 9), (6, 30, 29, 10)),
-    BorderPlan(4, 1, 4, (35, 32, 31, 8), (34, 7, 9, 27)),
-    BorderPlan(4, 1, 6, (35, 34, 5, 30), (33, 8, 28, 10)),
-    BorderPlan(4, 1, 8, (35, 3, 33, 31), (32, 30, 9, 10)),
-    BorderPlan(4, 1, 10, (35, 4, 31, 30), (34, 32, 8, 9)),
-    BorderPlan(4, 3, 2, (36, 32, 30, 8), (4, 31, 28, 10)),
-    BorderPlan(4, 3, 4, (36, 35, 5, 28), (6, 30, 29, 10)),
-    BorderPlan(4, 3, 6, (36, 35, 4, 27), (32, 7, 29, 9)),
-    BorderPlan(4, 3, 8, (36, 5, 31, 28), (35, 4, 30, 10)),
-    BorderPlan(4, 3, 10, (1, 35, 32, 30), (33, 31, 8, 9)),
-    BorderPlan(4, 5, 2, (36, 34, 4, 30), (6, 29, 9, 27)),
-    BorderPlan(4, 5, 4, (36, 2, 34, 30), (6, 29, 28, 10)),
-    BorderPlan(4, 5, 6, (36, 2, 34, 28), (33, 7, 8, 27)),
-    BorderPlan(4, 5, 8, (1, 34, 33, 30), (35, 6, 9, 27)),
-    BorderPlan(4, 5, 10, (1, 34, 33, 28), (35, 6, 30, 8)),
-    BorderPlan(4, 7, 2, (36, 3, 32, 31), (4, 29, 9, 27)),
-    BorderPlan(4, 7, 4, (36, 2, 34, 28), (5, 31, 8, 27)),
-    BorderPlan(4, 7, 6, (1, 35, 34, 28), (33, 5, 8, 27)),
-    BorderPlan(4, 7, 8, (36, 5, 28, 27), (2, 34, 33, 6)),
-    BorderPlan(4, 7, 10, (1, 33, 32, 28), (35, 3, 31, 8)),
-    BorderPlan(4, 9, 2, (36, 3, 32, 29), (4, 6, 30, 27)),
-    BorderPlan(4, 9, 4, (36, 2, 31, 29), (3, 32, 7, 27)),
-    BorderPlan(4, 9, 6, (1, 35, 33, 27), (3, 32, 7, 29)),
-    BorderPlan(4, 9, 8, (1, 35, 31, 27), (34, 4, 5, 30)),
-    BorderPlan(4, 9, 10, (1, 32, 30, 29), (2, 34, 33, 6)),
-)}
+# the paper's order-4 table, one border per (odd v, even w) pair, as its
+# diagram picks (the paper lists each line in diagram row order)
+_ORDER4 = {
+    (1, 2): "LvLwRbRbRbLcRcRcLbLc", (1, 4): "LvRbRcLwRbRbLcLbLcRc",
+    (1, 6): "LvRbRbRcLbLwRbLcRcLc", (1, 8): "LvRbLbRbRcRbRcLwLcLc",
+    (1, 10): "LvRbRcLbRcRbRbLcLcLw", (3, 2): "RbLwLvLcRbRcRbLbRcLc",
+    (3, 4): "RbRbLvLwLbLcRcRcRbLc", (3, 6): "RbRbLvLbRcLwLcRcLcRb",
+    (3, 8): "RbRcLvLcLbRbRcLwRbLc", (3, 10): "LbRbLvRcRbRcRbLcLcLw",
+    (5, 2): "RbLwRbLbLvLcRbRcLcRc", (5, 4): "RbLbRbLwLvLcRbRcRcLc",
+    (5, 6): "RbLbRbRcLvLwLcLcRbRc", (5, 8): "LbRcRbRbLvLcRbLwLcRc",
+    (5, 10): "LbRcRbRbLvLcRcLcRbLw", (7, 2): "RbLwLbLcRbRbLvRcLcRc",
+    (7, 4): "RbLbRbLwLcRcLvLcRbRc", (7, 6): "LbRbRbRcLcLwLvLcRbRc",
+    (7, 8): "RbLcRcRcLbLcLvLwRbRb", (7, 10): "LbRcLcRbRbRcLvLcRbLw",
+    (9, 2): "RbLwLbLcRbLcRcRbLvRc", (9, 4): "RbLbLcLwRcRbLcRbLvRc",
+    (9, 6): "LbRbLcRbRcLwLcRcLvRb", (9, 8): "LbRbRcLcLcRbRcLwLvRb",
+    (9, 10): "LbLcRcRcRbLcRbRbLvLw",
+}
+
+# reflect_vertical on picks, every row in place: the corners trade places
+# and the left column takes its complements
+_MIRROR = {"Lv": "Lw", "Lw": "Lv", "Rv": "Rw", "Rw": "Rv", "Lc": "Rc", "Rc": "Lc"}
 
 # one border of inner order 6 per ascending opposite-parity pair v < w,
 # the first the exhaustive search lists, as its fourteen diagram picks
@@ -246,7 +244,7 @@ def seed_order4(v: int, w: int) -> BorderPlan:
     """The literal order-4 seed with corners (v, w); v odd, w even."""
     # 1.0 == 1 as a key, so the type is checked before the lookup
     if isinstance(v, int) and isinstance(w, int) and (v, w) in _ORDER4:
-        return _ORDER4[(v, w)]
+        return _diagram(4, _ORDER4[v, w])
     raise ValueError(
         f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
         "(odd corner first) before the lookup"
@@ -358,7 +356,8 @@ def _audit_entry(row: Table2Row, m: int) -> SeedAudit:
 def audit_order4() -> list[SeedAudit]:
     """Run every literal order-4 seed through the verifier."""
     audits = []
-    for (v, w), plan in sorted(_ORDER4.items()):
+    for v, w in sorted(_ORDER4):
+        plan = seed_order4(v, w)
         report = verify_border(plan)
         status = "valid" if report.valid else "invalid"
         audits.append(SeedAudit(f"{v}&{w}", 4, v, w, status, plan, report))
@@ -390,12 +389,12 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
             w -= shift
         n -= 4
     if n == 6:
-        picks = _ORDER6[(v, w)]
-        seed = [picks[i : i + 2] for i in range(0, len(picks), 2)]
-    elif v % 2:
-        seed = _picks(seed_order4(v, w))
+        picks = _ORDER6[v, w]
     else:
-        seed = _picks(apply_symmetry(seed_order4(w, v), REFLECT_VERTICAL))
+        picks = _ORDER4[v, w] if v % 2 else _ORDER4[w, v]
+    seed = [picks[i : i + 2] for i in range(0, len(picks), 2)]
+    if n == 4 and v % 2 == 0:
+        seed = [_MIRROR.get(pick, pick) for pick in seed]
 
     # a block goes in at the first row t > v whose counts from t on name a
     # block.  Blocks and extension rows put as many small as large values

@@ -153,10 +153,6 @@ class CanonicalBorder(namedtuple("CanonicalBorder", "n v w b_set c_set")):
     def _make(cls, iterable) -> "CanonicalBorder":  # so that _replace sorts too
         return cls(*iterable)
 
-    @classmethod
-    def from_plan(cls, plan: BorderPlan) -> "CanonicalBorder":
-        return cls(plan.n, plan.v, plan.w, plan.b, plan.c)
-
     def to_plan(self) -> BorderPlan:
         return BorderPlan(n=self.n, v=self.v, w=self.w, b=self.b_set, c=self.c_set)
 

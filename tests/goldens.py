@@ -11,7 +11,7 @@ import json
 from collections import Counter
 
 from magicborders import BorderPlan, complement, complement_base, magic_constant
-from magicborders.construct import _diagram, _picks
+from magicborders.construct import _diagram
 from magicborders.core import check_inner_order, in_pool, pool_bounds
 from magicborders.corners import _EXTENSION
 from magicborders.documents import DocumentError, GridDocument, _shown, parse_document
@@ -535,6 +535,21 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
 
 
 # --- corner references -------------------------------------------------------
+
+
+def _picks(plan: BorderPlan) -> list[str]:
+    """The diagram rows of a valid border, row 1 first: the inverse of
+    ``construct._diagram``, up to the order of values within a line."""
+    small = 2 * plan.n + 2
+    c_base = complement_base(plan.n)
+    rows = [""] * small
+    for line, values in (("v", (plan.v,)), ("w", (plan.w,)), ("b", plan.b), ("c", plan.c)):
+        for x in values:
+            if x <= small:
+                rows[x - 1] = "L" + line
+            else:
+                rows[c_base - x - 1] = "R" + line
+    return rows
 
 
 def reference_extend_border(plan: BorderPlan, shift: int) -> BorderPlan:

@@ -69,7 +69,7 @@ def test_c1_every_order4_seed_entry_verifies():
 def test_c2_recipes_reproduce_the_reference_borders():
     for golden in (ORDER8_PLAN, ORDER10_PLAN, ORDER7_PLAN):
         built = build_border(golden.n)
-        assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(golden)
+        assert CanonicalBorder(*built) == CanonicalBorder(*golden)
 
 
 @criterion(3, "corner parity biconditional at inner order 4")
@@ -225,4 +225,4 @@ def test_c9_bidirectional_oracle_consistency():
         key = (plan.v, plan.w)
         if key not in listings:
             listings[key] = list(enumerate_omega(OmegaKey(4, *key)))
-        assert CanonicalBorder.from_plan(plan) in set(listings[key]), key
+        assert CanonicalBorder(*plan) in set(listings[key]), key

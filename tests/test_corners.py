@@ -15,7 +15,7 @@ from magicborders import (
     verify_border,
 )
 from magicborders import corners, enumeration
-from magicborders.construct import _diagram, _picks
+from magicborders.construct import _diagram
 from magicborders.core import border_pool, complement_base, forbidden_by_parity
 from magicborders.corners import (
     _BLOCK,
@@ -33,7 +33,7 @@ from magicborders.corners import (
 from magicborders.documents import parse_document
 from magicborders.transform import SYMMETRIES
 
-from goldens import reference_count, reference_extend_border, reference_missing_pairs
+from goldens import _picks, reference_count, reference_extend_border, reference_missing_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,9 +110,9 @@ def test_extension_reference_cases():
 
 
 def test_extension_preserves_validity_for_every_seed_and_shift():
-    for (v, w), plan in sorted(_ORDER4.items()):
+    for v, w in sorted(_ORDER4):
         for shift in (0, 2, 4, 6, 8):
-            grown = reference_extend_border(plan, shift)
+            grown = reference_extend_border(seed_order4(v, w), shift)
             assert grown.n == 8
             assert (grown.v, grown.w) == (v + shift, w + shift)
             assert verify_border(grown).valid
@@ -218,7 +218,7 @@ def test_a_repair_gives_up_when_both_lines_miss_their_sums():
 
 def test_construct_reference_cases():
     built = construct_with_corners(4, 1, 4)
-    assert CanonicalBorder.from_plan(built) == CanonicalBorder.from_plan(seed_order4(1, 4))
+    assert CanonicalBorder(*built) == CanonicalBorder(*seed_order4(1, 4))
     plan = construct_with_corners(8, 3, 4)
     assert (plan.v, plan.w) == (3, 4) and verify_border(plan).valid
     plan = construct_with_corners(6, 1, 2)
@@ -274,7 +274,7 @@ def test_constructed_order4_plans_appear_in_the_exhaustive_listing():
                 continue
             plan = construct_with_corners(4, v, w)
             everything = set(enumerate_omega(OmegaKey(4, v, w)))
-            assert CanonicalBorder.from_plan(plan) in everything
+            assert CanonicalBorder(*plan) in everything
 
 
 def test_every_order6_literal_is_the_first_border_the_search_finds():
@@ -286,8 +286,8 @@ def test_every_order6_literal_is_the_first_border_the_search_finds():
         rows = [picks[i : i + 2] for i in range(0, len(picks), 2)]
         assert len(rows) == 14 and rows[v - 1] == "Lv" and rows[w - 1] == "Lw", (v, w)
         first = next(enumerate_omega(OmegaKey(6, v, w)))
-        assert CanonicalBorder.from_plan(_diagram(6, picks)) == first, (v, w)
-        assert CanonicalBorder.from_plan(construct_with_corners(6, v, w)) == first, (v, w)
+        assert CanonicalBorder(*_diagram(6, picks)) == first, (v, w)
+        assert CanonicalBorder(*construct_with_corners(6, v, w)) == first, (v, w)
 
 
 def _ascending_pairs(n):

@@ -162,8 +162,8 @@ def pool_swap(border):
 
     plan = border.to_plan()
     (v, w), b, c = swap((plan.v, plan.w)), swap(plan.b), swap(plan.c)
-    return CanonicalBorder.from_plan(
-        apply_symmetry(plan._replace(v=v, w=w, b=b, c=c), ROTATE_180)
+    return CanonicalBorder(
+        *apply_symmetry(plan._replace(v=v, w=w, b=b, c=c), ROTATE_180)
     )
 
 
@@ -277,7 +277,7 @@ def test_budget_rejects_limits_that_are_not_positive(limits):
 
 def test_canonical_border_round_trip():
     border = next(enumerate_omega(OmegaKey(4, 1, 2)))
-    again = CanonicalBorder.from_plan(border.to_plan())
+    again = CanonicalBorder(*border.to_plan())
     assert again == border
 
 
@@ -319,7 +319,7 @@ def test_engine_matches_an_independent_brute_force(n, v, w):
 
 def test_constructions_appear_in_the_exhaustive_listing():
     plan = seed_order4(1, 2)
-    assert CanonicalBorder.from_plan(plan) in set(listing(4, 1, 2))
+    assert CanonicalBorder(*plan) in set(listing(4, 1, 2))
 
 
 def small_counts(border):

@@ -219,7 +219,7 @@ def test_canonical_border_sorts_its_sets():
     border = CanonicalBorder(n=4, v=1, w=2, b_set=[34, 9, 33, 32], c_set=(30, 6, 10, 29))
     assert border.b_set == (9, 32, 33, 34) and border.c_set == (6, 10, 29, 30)
     assert border._replace(c_set=[29, 6, 30, 10]).c_set == (6, 10, 29, 30)
-    assert CanonicalBorder.from_plan(build_border(4)).to_plan().b == tuple(sorted(build_border(4).b))
+    assert CanonicalBorder(*build_border(4)).to_plan().b == tuple(sorted(build_border(4).b))
 
 
 @pytest.mark.parametrize("field", ["max_nodes", "max_seconds"])

@@ -13,6 +13,8 @@ from magicborders import (
     verify_border,
 )
 from magicborders.assemble import render_frame
+from magicborders.corners import _MIRROR, _ORDER4, seed_order4
+from magicborders.enumeration import enumerate_order
 from magicborders.transform import (
     ANTI_TRANSPOSE,
     IDENTITY,
@@ -25,7 +27,7 @@ from magicborders.transform import (
     TRANSPOSE,
 )
 
-from goldens import ORDER8_PLAN, ORDER8_PERMUTED_FRAME_TEXT, frame_cells
+from goldens import ORDER8_PLAN, ORDER8_PERMUTED_FRAME_TEXT, _picks, frame_cells
 
 
 def grid_image(cells, symmetry):
@@ -64,13 +66,31 @@ def test_mirror_swaps_corners_reverses_b_and_complements_c():
     assert verify_border(image).valid
 
 
+def test_mirror_relabels_the_picks_and_keeps_every_row():
+    # the 670 borders at n = 3..5 have small corners; their orbits put the
+    # corners on large rows too, so every pair of _MIRROR is exercised
+    plans = [border.to_plan() for n in (3, 4, 5) for border in enumerate_order(n)]
+    plans += [seed_order4(*key) for key in _ORDER4]
+    assert len(plans) == 695
+    relabelled = set()
+    for plan in plans:
+        for image in orbit(plan):
+            picks = _picks(image)
+            assert _picks(apply_symmetry(image, REFLECT_VERTICAL)) == [
+                _MIRROR.get(pick, pick) for pick in picks
+            ], image
+            relabelled.update(picks)
+    assert set(_MIRROR) <= relabelled
+    assert _MIRROR == {"Lc": "Rc", "Rc": "Lc", "Lv": "Lw", "Lw": "Lv", "Rv": "Rw", "Rw": "Rv"}
+
+
 def test_orbit_yields_eight_valid_plans():
     images = orbit(ORDER8_PLAN)
     assert len(images) == 8
     assert images[0] == ORDER8_PLAN
     for image in images:
         assert verify_border(image).valid
-    keys = {CanonicalBorder.from_plan(image) for image in images}
+    keys = {CanonicalBorder(*image) for image in images}
     assert len(keys) == 8  # a generic plan has a full orbit
 
 
@@ -160,5 +180,5 @@ def test_orbit_size_divides_eight():
     rng = random.Random(11)
     for n in rng.sample(range(3, 14), 5):
         images = orbit(build_border(n))
-        distinct = len({CanonicalBorder.from_plan(image) for image in images})
+        distinct = len({CanonicalBorder(*image) for image in images})
         assert 8 % distinct == 0
