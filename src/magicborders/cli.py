@@ -68,17 +68,11 @@ def _corner_pair(text: str) -> tuple[int, int]:
 
 
 def _read_document(path: str | None) -> BorderPlan | BorderFrame | GridDocument:
-    """Parse the document at ``path`` (stdin for None or "-").  A grid
-    with holes is read as a frame by ``GridDocument.as_frame``."""
+    """Parse the document at ``path`` (stdin for None or "-")."""
     if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    doc = parse_document(text)
-    if isinstance(doc, GridDocument) and not doc.is_complete():
-        return doc.as_frame()
-    return doc
+        return parse_document(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_document(handle.read())
 
 
 def _emit(text: str, path: str | None) -> None:

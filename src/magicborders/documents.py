@@ -4,8 +4,9 @@ Grids travel as whitespace-aligned text, CSV, or JSON with keys "order"
 and "cells"; border plans travel as JSON with keys "n", "v", "w", "b",
 "c".  Empty cells (the interior of a frame) are "." in text, an empty
 field in CSV and null in JSON.  Parsing auto-detects the format and
-round-trips every emitted document.  ``GridDocument.as_frame`` holds the
-one rule that tells a frame from a square with holes.
+round-trips every emitted square, frame and plan.  The reader alone tells
+a frame from a square: it notes a hole as it reads the cells, and only a
+grid with one goes through the frame rule, :func:`_as_frame`.
 
 Grid and CSV text share one row writer.  A row of plain ints goes
 through one ``%`` line built once per document: ``%Wd`` fields joined by
@@ -40,7 +41,7 @@ class DocumentError(ValueError):
 
 
 class GridDocument(namedtuple("GridDocument", "cells")):
-    """A parsed square grid, possibly with empty interior cells."""
+    """A parsed square grid with every cell filled."""
 
     __slots__ = ()
 
@@ -48,25 +49,22 @@ class GridDocument(namedtuple("GridDocument", "cells")):
     def order(self) -> int:
         return len(self.cells)
 
-    def is_complete(self) -> bool:
-        return not any(None in row for row in self.cells)
 
-    def as_frame(self) -> BorderFrame:
-        """Read the grid as a frame if its order is 5 or more and its interior
-        mostly empty, naming any misplaced cell.  Any other grid is a square,
-        named at its first empty cell if it has one."""
-        cells, order = self.cells, self.order
-        holes = sum(row[1:-1].count(None) for row in cells[1:-1])
-        if order >= 5 and 2 * holes > (order - 2) ** 2:
-            for i, j, on_border in misplaced_cells(cells):
-                if on_border:
-                    raise DocumentError(f"frame border cell ({i},{j}) is empty")
-                raise DocumentError(f"frame interior cell ({i},{j}) is filled")
-            return BorderFrame(n=order - 2, cells=cells)
-        for i, row in enumerate(cells):
-            if None in row:
-                raise DocumentError(f"grid has an empty cell at ({i},{row.index(None)})")
-        raise DocumentError("grid has no empty cell: a full square is not a frame")
+def _as_frame(cells) -> BorderFrame:
+    """A grid the reader met an empty cell in, read as a frame if its order
+    is 5 or more and its interior mostly empty, naming any misplaced cell.
+    Any other such grid is a square, named at its first empty cell."""
+    order = len(cells)
+    holes = sum(row[1:-1].count(None) for row in cells[1:-1])
+    if order >= 5 and 2 * holes > (order - 2) ** 2:
+        for i, j, on_border in misplaced_cells(cells):
+            if on_border:
+                raise DocumentError(f"frame border cell ({i},{j}) is empty")
+            raise DocumentError(f"frame interior cell ({i},{j}) is filled")
+        return BorderFrame(n=order - 2, cells=cells)
+    for i, row in enumerate(cells):
+        if None in row:
+            raise DocumentError(f"grid has an empty cell at ({i},{row.index(None)})")
 
 
 def _int_row(row) -> bool:
@@ -152,11 +150,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _grid_from_lists(raw, where: str) -> GridDocument:
+def _grid_from_lists(raw, where: str) -> tuple[tuple, bool]:
     if not isinstance(raw, list):
         raise DocumentError(f"{where} must be a list of rows, got {_shown(raw)}")
     # each row is converted in place, so its decoded list is freed as soon
-    # as its tuple exists
+    # as its tuple exists; only a row that is not all ints can hold a hole
+    holed = False
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise DocumentError(f"{where} row {i} is {_shown(row)}, not a list of cells")
@@ -164,14 +163,15 @@ def _grid_from_lists(raw, where: str) -> GridDocument:
             for j, x in enumerate(row):
                 if x is not None and not _is_int(x):
                     raise DocumentError(f"unreadable cell {_shown(x)} at {where} ({i},{j})")
+            holed = holed or None in row
         raw[i] = tuple(row)
     order = len(raw)
     if order == 0 or any(len(row) != order for row in raw):
         raise DocumentError(f"{where}: cells do not form a square grid")
-    return GridDocument(cells=tuple(raw))
+    return tuple(raw), holed
 
 
-def _parse_json(text: str) -> BorderPlan | GridDocument:
+def _parse_json(text: str) -> BorderPlan | BorderFrame | GridDocument:
     import json
 
     # a JSONDecodeError is a ValueError, as is an int past the
@@ -197,13 +197,14 @@ def _parse_json(text: str) -> BorderPlan | GridDocument:
     if {"order", "cells"} <= payload.keys():
         if not _is_int(payload["order"]):
             raise DocumentError(f"unreadable grid document: order is {_shown(payload['order'])}")
-        doc = _grid_from_lists(payload["cells"], "JSON cells")
-        if doc.order != payload["order"]:
+        cells, holed = _grid_from_lists(payload["cells"], "JSON cells")
+        order = len(cells)
+        if order != payload["order"]:
             raise DocumentError(
                 f"JSON order {payload['order']} does not match a "
-                f"{doc.order}x{doc.order} cell grid"
+                f"{order}x{order} cell grid"
             )
-        return doc
+        return _as_frame(cells) if holed else GridDocument(cells)
     raise DocumentError(
         'JSON document needs keys "order"/"cells" (grid) or "n"/"v"/"w"/"b"/"c" (plan)'
     )
@@ -246,10 +247,11 @@ def _read_csv_ints(line: str, decode) -> tuple[int, ...]:
     return tuple(decode("[" + line + "]"))
 
 
-def parse_document(text: str) -> BorderPlan | GridDocument:
+def parse_document(text: str) -> BorderPlan | BorderFrame | GridDocument:
     """Read any emitted document back: JSON plan, or JSON/CSV/text grid.
 
-    A leading byte-order mark, as some editors save UTF-8, is dropped.
+    A full grid is a square; a grid with holes a frame, or an error naming
+    a cell.  A leading byte-order mark, as some editors save UTF-8, is dropped.
     """
     text = text.removeprefix("\ufeff")
     if not text or text.isspace():
@@ -263,6 +265,7 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
     lines[-1] = lines[-1].rstrip()  # the same line in a one-line document
     cells = []
     decode = None
+    holed = False  # only the per-cell reader returns empty cells
     for i, line in enumerate(lines, start=1):
         sep = "," if "," in line else None
         try:
@@ -282,6 +285,7 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
             else:
                 tokens = line.split()
             row = tuple(_cell_from_token(tok, f"line {i}") for tok in tokens)
+            holed = holed or None in row
         cells.append(row)
     order = len(cells)
     if any(len(row) != order for row in cells):
@@ -289,4 +293,4 @@ def parse_document(text: str) -> BorderPlan | GridDocument:
         raise DocumentError(
             f"grid is not square: {order} lines with row widths {widths}"
         )
-    return GridDocument(cells=tuple(cells))
+    return _as_frame(tuple(cells)) if holed else GridDocument(tuple(cells))

@@ -181,17 +181,17 @@ def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:
     """
     hi = k + plan.n + 1
     pair_sum = complement_base(plan.n) + 2 * shift
-    top = [plan.v + shift, *map(shift.__add__, plan.b), plan.w + shift]
+    top = [plan.v + shift, *[x + shift for x in plan.b], plan.w + shift]
     cells[k][k : hi + 1] = top
     # each bottom cell faces the top cell in its column, each bottom
     # corner the top corner diagonally opposite
     bottom = [pair_sum - x for x in top]
     bottom[0], bottom[-1] = bottom[-1], bottom[0]
     cells[hi][k : hi + 1] = bottom
-    for i, x in enumerate(plan.c, start=k + 1):
-        row = cells[i]
+    far = pair_sum - shift  # a right cell is far - x for the left cell x + shift
+    for row, x in zip(cells[k + 1 : hi], plan.c):
         row[k] = x + shift
-        row[hi] = pair_sum - x - shift
+        row[hi] = far - x
 
 
 def plan_from_frame(frame: BorderFrame) -> BorderPlan:

@@ -10,12 +10,21 @@ import io
 import json
 from collections import Counter
 
-from magicborders import BorderPlan, complement, complement_base, magic_constant
+from magicborders import (
+    BorderPlan,
+    build_border,
+    build_square,
+    complement,
+    complement_base,
+    magic_constant,
+    render_frame,
+)
 from magicborders.construct import _diagram
 from magicborders.core import check_inner_order, in_pool, pool_bounds
 from magicborders.corners import _EXTENSION
 from magicborders.documents import DocumentError, GridDocument, _shown, parse_document
 from magicborders.verify import (
+    BorderFrame,
     CheckReport,
     Violation,
     _square_shape_violations,
@@ -137,9 +146,39 @@ ORDER8_PERMUTED_FRAME_TEXT = """
 LO_SHU = [[2, 7, 6], [9, 5, 1], [4, 3, 8]]
 
 
+def _edited(cells, *edits):
+    """A copy of a grid with each (i, j, value) of ``edits`` written in."""
+    rows = [list(row) for row in cells]
+    for i, j, value in edits:
+        rows[i][j] = value
+    return rows
+
+
+_SQUARE5 = build_square(5)
+_FRAME5 = render_frame(build_border(3)).cells
+
+# one grid for each decision the reader makes on a grid, and that decision:
+# the record it returns, or the message of the DocumentError it raises
+READER_DECISIONS = {
+    "square": (_SQUARE5, GridDocument),
+    "frame": (_FRAME5, BorderFrame),
+    "frame-filled-interior": (_edited(_FRAME5, (2, 2, 5)), "frame interior cell (2,2) is filled"),
+    "frame-empty-border": (_edited(_FRAME5, (0, 0, None)), "frame border cell (0,0) is empty"),
+    "square5-inner-hole": (_edited(_SQUARE5, (2, 3, None)), "grid has an empty cell at (2,3)"),
+    "square5-border-hole": (_edited(_SQUARE5, (0, 1, None)), "grid has an empty cell at (0,1)"),
+    "square4-hole": (_edited(build_square(4), (1, 2, None)), "grid has an empty cell at (1,2)"),
+    # shaped as a frame, but below the order 5 a frame needs
+    "square4-empty-interior": (
+        _edited(build_square(4), *((i, j, None) for i in (1, 2) for j in (1, 2))),
+        "grid has an empty cell at (1,1)",
+    ),
+}
+
+
 def frame_cells(text: str):
-    doc = parse_document(text)
-    return doc.as_frame().cells
+    frame = parse_document(text)
+    assert isinstance(frame, BorderFrame), frame
+    return frame.cells
 
 
 def d_value(x: int, y: int, n: int) -> int:
@@ -271,7 +310,32 @@ def _reference_json_rows(raw, where):
     order = len(cells)
     if order == 0 or any(len(row) != order for row in cells):
         raise DocumentError(f"{where}: cells do not form a square grid")
-    return GridDocument(cells=tuple(cells))
+    return tuple(cells)
+
+
+def reference_document(cells):
+    """A grid as the reader returns it, decided cell by cell: a square when
+    every cell is filled; else a frame when its order is 5 or more and over
+    half its interior is empty, and every border cell is filled and every
+    interior cell empty; else the DocumentError naming the first cell out of
+    place, or the first empty cell."""
+    cells = tuple(map(tuple, cells))
+    order = len(cells)
+    holes = [(i, j) for i, row in enumerate(cells) for j, x in enumerate(row) if x is None]
+    if not holes:
+        return GridDocument(cells=cells)
+    inside = [(i, j) for i, j in holes if 0 < i < order - 1 and 0 < j < order - 1]
+    if order >= 5 and 2 * len(inside) > (order - 2) ** 2:
+        for i, row in enumerate(cells):
+            for j, x in enumerate(row):
+                on_border = i in (0, order - 1) or j in (0, order - 1)
+                if on_border and x is None:
+                    raise DocumentError(f"frame border cell ({i},{j}) is empty")
+                if not on_border and x is not None:
+                    raise DocumentError(f"frame interior cell ({i},{j}) is filled")
+        return BorderFrame(n=order - 2, cells=cells)
+    i, j = holes[0]
+    raise DocumentError(f"grid has an empty cell at ({i},{j})")
 
 
 def reference_parse_grid(text):
@@ -291,13 +355,14 @@ def reference_parse_grid(text):
             raise DocumentError(
                 'JSON document needs keys "order"/"cells" (grid) or "n"/"v"/"w"/"b"/"c" (plan)'
             )
-        doc = _reference_json_rows(payload["cells"], "JSON cells")
-        if doc.order != payload["order"]:
+        cells = _reference_json_rows(payload["cells"], "JSON cells")
+        order = len(cells)
+        if order != payload["order"]:
             raise DocumentError(
                 f"JSON order {payload['order']} does not match a "
-                f"{doc.order}x{doc.order} cell grid"
+                f"{order}x{order} cell grid"
             )
-        return doc
+        return reference_document(cells)
     lines = [line for line in stripped.splitlines() if line.strip()]
     cells = []
     for i, line in enumerate(lines, start=1):
@@ -310,7 +375,7 @@ def reference_parse_grid(text):
         raise DocumentError(
             f"grid is not square: {order} lines with row widths {widths}"
         )
-    return GridDocument(cells=tuple(cells))
+    return reference_document(cells)
 
 
 def reference_verify_border(plan):

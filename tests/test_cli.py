@@ -6,15 +6,24 @@ from pathlib import Path
 
 import pytest
 
+from magicborders import build_border
 from magicborders.cli import main
-from magicborders.documents import parse_document
-from magicborders.verify import BorderPlan, verify_border, verify_bordered
+from magicborders.documents import (
+    FORMATS,
+    GridDocument,
+    parse_document,
+    serialize_grid,
+    serialize_plan,
+)
+from magicborders.transform import orbit
+from magicborders.verify import BorderFrame, BorderPlan, verify_border, verify_bordered
 
 from goldens import (
     ORDER5_ALT_FRAME_TEXT,
     ORDER7_FRAME_TEXT,
     ORDER8_ALT_FRAME_TEXT,
     ORDER8_FRAME_TEXT,
+    READER_DECISIONS,
     UNREADABLE_JSON,
 )
 
@@ -32,7 +41,7 @@ def test_build_square_then_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--order", "9")
     assert code == 0
     doc = parse_document(out)
-    assert doc.is_complete() and verify_bordered(doc.cells).valid
+    assert isinstance(doc, GridDocument) and verify_bordered(doc.cells).valid
 
     path = tmp_path / "square.txt"
     path.write_text(out, encoding="utf-8")
@@ -44,7 +53,7 @@ def test_build_square_then_verify(capsys, tmp_path):
 def test_build_output_round_trips(capsys, fmt):
     code, out, _ = run(capsys, "build", "--order", "6", "--format", fmt)
     assert code == 0
-    assert parse_document(out).is_complete()
+    assert isinstance(parse_document(out), GridDocument)
     code, out2, _ = run(capsys, "build", "--order", "6", "--format", fmt)
     assert out == out2  # deterministic
 
@@ -64,8 +73,8 @@ def test_build_border_only_with_corners(capsys):
 def test_build_border_only_grid_renders_a_frame(capsys):
     code, out, _ = run(capsys, "build", "--order", "8", "--border-only")
     assert code == 0
-    frame = parse_document(out).as_frame()
-    assert frame.n == 8
+    frame = parse_document(out)
+    assert isinstance(frame, BorderFrame) and frame.n == 8
 
 
 def test_infeasible_corners_exit_2(capsys):
@@ -407,6 +416,35 @@ def test_verify_and_orbit_tell_frames_from_holed_squares_alike(
         assert (code, out, err) == (1, "", message), command
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", READER_DECISIONS)
+def test_verify_and_orbit_follow_the_reader_decision(capsys, monkeypatch, case, fmt):
+    import io
+
+    cells, decision = READER_DECISIONS[case]
+    text = serialize_grid(cells, fmt)
+    valid = (0, "valid\n", "")
+    if isinstance(decision, str):
+        expected = [(1, "", f"error: {decision}\n")] * 3
+    elif decision is GridDocument:
+        expected = [
+            valid,
+            valid,
+            (1, "", "error: orbit expects a border plan or frame, not a full square\n"),
+        ]
+    else:
+        expected = [
+            valid,
+            (1, "", "error: --bordered applies to full squares only\n"),
+            (0, "".join(map(serialize_plan, orbit(build_border(3)))), ""),
+        ]
+    for argv, outcome in zip(
+        (("verify", "-"), ("verify", "--bordered", "-"), ("orbit", "-")), expected
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, *argv) == outcome, argv
+
+
 def test_orbit_emits_eight_verified_plans(capsys, tmp_path):
     code, out, _ = run(
         capsys, "build", "--order", "4", "--border-only", "--format", "json"
@@ -562,7 +600,7 @@ def test_build_writes_to_a_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     doc = parse_document(out_path.read_text(encoding="utf-8"))
-    assert doc.is_complete() and len(doc.cells) == 6
+    assert isinstance(doc, GridDocument) and len(doc.cells) == 6
 
 
 def test_enumerate_handles_odd_orders(capsys):

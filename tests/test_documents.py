@@ -14,12 +14,14 @@ from magicborders.documents import (
     serialize_grid,
     serialize_plan,
 )
-from magicborders.verify import BorderPlan
+from magicborders.verify import BorderFrame, BorderPlan
 
 from goldens import (
     ORDER7_FRAME_TEXT,
     ORDER7_PLAN,
+    READER_DECISIONS,
     UNREADABLE_JSON,
+    reference_document,
     reference_parse_grid,
     reference_serialize_grid,
 )
@@ -38,9 +40,7 @@ def test_square_round_trip(fmt):
 def test_frame_round_trip(fmt):
     frame = render_frame(build_border(6))
     text = serialize_grid(frame.cells, fmt)
-    doc = parse_document(text)
-    assert not doc.is_complete()
-    assert doc.as_frame().cells == frame.cells
+    assert parse_document(text) == frame
 
 
 def test_plan_round_trip():
@@ -49,9 +49,8 @@ def test_plan_round_trip():
 
 
 def test_reference_frame_text_parses():
-    doc = parse_document(ORDER7_FRAME_TEXT)
-    frame = doc.as_frame()
-    assert frame.n == 7
+    frame = parse_document(ORDER7_FRAME_TEXT)
+    assert isinstance(frame, BorderFrame) and frame.n == 7
     assert frame.cells[0][0] == 14
     assert frame.cells[1][1] is None
 
@@ -96,10 +95,12 @@ def test_json_grid_order_must_be_an_integer(text, shown):
     assert str(excinfo.value) == f"unreadable grid document: order is {shown}"
 
 
-def test_an_order1_csv_hole_round_trips():
+def test_an_order1_csv_hole_is_read_back_as_a_hole():
     text = serialize_grid([[None]], "csv")
     assert text == '""\n'  # as csv.writer writes a lone empty field
-    assert parse_document(text) == GridDocument(cells=((None,),))
+    with pytest.raises(DocumentError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == "grid has an empty cell at (0,0)"
 
 
 def test_a_quoted_line_is_read_as_csv_without_a_comma():
@@ -110,13 +111,9 @@ def test_a_quoted_line_is_read_as_csv_without_a_comma():
 
 
 def test_grid_document_guards():
-    doc = parse_document("1 .\n3 4\n")
-    assert not doc.is_complete()
     with pytest.raises(DocumentError):
-        doc.as_frame()  # too small to be a frame
-    full = parse_document("1 2\n3 4\n")
-    with pytest.raises(DocumentError):
-        full.as_frame()
+        parse_document("1 .\n3 4\n")  # too small to be a frame
+    assert parse_document("1 2\n3 4\n") == GridDocument(cells=((1, 2), (3, 4)))
 
 
 def _holed_square(order, i, j):
@@ -129,14 +126,13 @@ def _holed_square(order, i, j):
     "text, message",
     [
         ("1 .\n3 4\n", "grid has an empty cell at (0,1)"),
-        ("1 2\n3 4\n", "grid has no empty cell: a full square is not a frame"),
         # one hole leaves the interior mostly filled: a square, not a frame
         (_holed_square(5, 2, 3), "grid has an empty cell at (2,3)"),
     ],
 )
 def test_as_frame_tells_frames_from_squares(text, message):
     with pytest.raises(DocumentError) as excinfo:
-        parse_document(text).as_frame()
+        parse_document(text)
     assert str(excinfo.value) == message
 
 
@@ -144,7 +140,23 @@ def test_frame_document_requires_border_cells():
     text = serialize_grid(render_frame(build_border(4)).cells, GRID)
     holed = text.replace("35", " .", 1)
     with pytest.raises(DocumentError):
-        parse_document(holed).as_frame()
+        parse_document(holed)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", READER_DECISIONS)
+def test_the_reader_decides_square_frame_or_error(case, fmt):
+    # a hole is "." in grid text, an empty field in CSV and null in JSON
+    cells, decision = READER_DECISIONS[case]
+    text = serialize_grid(cells, fmt)
+    if isinstance(decision, str):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        assert str(excinfo.value) == decision
+    else:
+        doc = parse_document(text)
+        assert type(doc) is decision
+        assert doc.cells == tuple(map(tuple, cells))
 
 
 def test_serialize_rejects_unknown_format_and_ragged_grids():
@@ -170,9 +182,9 @@ def test_serialize_rejects_unknown_format_and_ragged_grids():
 )
 @settings(max_examples=60)
 def test_any_square_grid_round_trips(cells, fmt):
+    # a full grid comes back as a square, one with holes as a frame or an error
     text = serialize_grid(cells, fmt)
-    doc = parse_document(text)
-    assert [list(row) for row in doc.cells] == [list(row) for row in cells]
+    assert _outcome(parse_document, text) == _outcome(reference_document, cells)
 
 
 @given(
