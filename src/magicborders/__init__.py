@@ -40,7 +40,6 @@ _HOMES = {
     "permute_lines": "transform",
     "plan_from_frame": "verify",
     "render_frame": "assemble",
-    "seed_order4": "corners",
     "verify_border": "verify",
     "verify_bordered": "verify",
     "verify_frame": "verify",

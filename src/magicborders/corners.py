@@ -36,10 +36,10 @@ values on each line and so leave each insertion the same seed rows to
 pass.  It reads one diagram in O(n), and a border with small ascending
 corners lists each line in diagram row order.
 
-Other corners reduce to small ascending ones by one of the eight
-symmetries of the square, picked by three facts: whether v is large,
-whether w is large, and whether the reduced v exceeds the reduced w.
-Those 2 x 2 x 2 cases match the eight symmetries one to one.
+Other corners reduce to small ascending ones through three facts, each
+undone by one symmetry of the square that changes it alone: the reduced
+v exceeds the reduced w (reflect_vertical swaps the corners), v is large
+(anti_transpose complements v), w is large (transpose complements w).
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
 is kept, with its polynomials as printed, as an artifact for ``tables
@@ -61,17 +61,7 @@ from .core import (
     in_pool,
     magic_constant,
 )
-from .transform import (
-    ANTI_TRANSPOSE,
-    IDENTITY,
-    REFLECT_HORIZONTAL,
-    REFLECT_VERTICAL,
-    ROTATE_90,
-    ROTATE_180,
-    ROTATE_270,
-    TRANSPOSE,
-    apply_symmetry,
-)
+from .transform import ANTI_TRANSPOSE, REFLECT_VERTICAL, TRANSPOSE, apply_symmetry
 from .verify import BorderPlan, verify_border
 
 
@@ -240,17 +230,6 @@ _ORDER_M = (
 )
 
 
-def seed_order4(v: int, w: int) -> BorderPlan:
-    """The literal order-4 seed with corners (v, w); v odd, w even."""
-    # 1.0 == 1 as a key, so the type is checked before the lookup
-    if isinstance(v, int) and isinstance(w, int) and (v, w) in _ORDER4:
-        return _diagram(4, _ORDER4[v, w])
-    raise ValueError(
-        f"({v}, {w}) is not an order-4 seed pair; canonicalize the corners "
-        "(odd corner first) before the lookup"
-    )
-
-
 def block_sets(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Balanced four-row fillers shared by all parameterized entries at order m."""
     if m % 4 or m < 8:
@@ -357,7 +336,7 @@ def audit_order4() -> list[SeedAudit]:
     """Run every literal order-4 seed through the verifier."""
     audits = []
     for v, w in sorted(_ORDER4):
-        plan = seed_order4(v, w)
+        plan = _diagram(4, _ORDER4[v, w])
         report = verify_border(plan)
         status = "valid" if report.valid else "invalid"
         audits.append(SeedAudit(f"{v}&{w}", 4, v, w, status, plan, report))
@@ -413,25 +392,11 @@ def _small_corners(n: int, v: int, w: int) -> BorderPlan:
     return _diagram(order, "".join([*heads, *seed[:t], block, *seed[t:], *tails[::-1]]))
 
 
-# the symmetry that carries the border with small ascending corners to
-# corners (v, w), keyed by (v is large, w is large, reduced v > reduced w)
-_REDUCTIONS = {
-    (False, False, False): IDENTITY,
-    (False, False, True): REFLECT_VERTICAL,
-    (True, True, False): ROTATE_180,
-    (True, True, True): REFLECT_HORIZONTAL,
-    (False, True, False): TRANSPOSE,
-    (False, True, True): ROTATE_270,
-    (True, False, False): ANTI_TRANSPOSE,
-    (True, False, True): ROTATE_90,
-}
-
-
 def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     """A verified border of even inner order n with upper corners (v, w).
 
-    Corners may be any pool values; one symmetry reduces them to small
-    ascending corners, and the border built for those is mapped back.
+    Corners may be any pool values; up to three symmetries reduce them to
+    small ascending corners, and the border built for those is mapped back.
     Corners the row-parity lemma rules out raise :class:`InfeasibleCornersError`
     at any order, and any other corners at an odd order ValueError.
     """
@@ -439,8 +404,8 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     c_base = complement_base(n)
 
     # reduce to the corners' diagram rows, ascending: a large corner's row
-    # is its complement; one symmetry carries the border built for the
-    # rows back to (v, w).  check_corners has made sv and sw distinct
+    # is its complement; a symmetry per fact carries the border built for
+    # the rows back to (v, w).  check_corners has made sv and sw distinct
     small = 2 * n + 2
     sv = c_base - v if v > small else v
     sw = c_base - w if w > small else w
@@ -454,8 +419,13 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
         raise ValueError(
             f"corner-prescribed construction covers even inner orders only, got n={n}"
         )
-    symmetry = _REDUCTIONS[(v > small, w > small, sv > sw)]
-    plan = apply_symmetry(_small_corners(n, min(sv, sw), max(sv, sw)), symmetry)
+    plan = _small_corners(n, min(sv, sw), max(sv, sw))
+    if sv > sw:
+        plan = apply_symmetry(plan, REFLECT_VERTICAL)  # swaps the corners
+    if v > small:
+        plan = apply_symmetry(plan, ANTI_TRANSPOSE)  # complements v alone
+    if w > small:
+        plan = apply_symmetry(plan, TRANSPOSE)  # complements w alone
 
     if (plan.v, plan.w) != (v, w):
         raise RuntimeError(

@@ -45,10 +45,6 @@ class GridDocument(namedtuple("GridDocument", "cells")):
 
     __slots__ = ()
 
-    @property
-    def order(self) -> int:
-        return len(self.cells)
-
 
 def _as_frame(cells) -> BorderFrame:
     """A grid the reader met an empty cell in, read as a frame if its order

@@ -21,7 +21,7 @@ from magicborders import (
 )
 from magicborders.construct import _diagram
 from magicborders.core import check_inner_order, in_pool, pool_bounds
-from magicborders.corners import _EXTENSION
+from magicborders.corners import _EXTENSION, _ORDER4
 from magicborders.documents import DocumentError, GridDocument, _shown, parse_document
 from magicborders.verify import (
     BorderFrame,
@@ -600,6 +600,11 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
 
 
 # --- corner references -------------------------------------------------------
+
+
+def order4_seed(v: int, w: int) -> BorderPlan:
+    """The paper's order-4 border with corners (odd v, even w)."""
+    return _diagram(4, _ORDER4[v, w])
 
 
 def _picks(plan: BorderPlan) -> list[str]:

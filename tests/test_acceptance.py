@@ -18,7 +18,6 @@ from magicborders import (
     count_omega,
     enumerate_omega,
     permute_lines,
-    seed_order4,
     verify_border,
     verify_bordered,
 )
@@ -33,6 +32,7 @@ from goldens import (
     balance_sums,
     d_corner,
     d_value,
+    order4_seed,
     reference_extend_border,
     reference_missing_pairs,
 )
@@ -216,7 +216,7 @@ def test_c9_bidirectional_oracle_consistency():
     # every constructed border is found by the enumeration; the plain
     # recipe at order 4 picks large corners, so enumerate its key on demand
     built = [build_border(4)]
-    built += [seed_order4(v, w) for v in (1, 3, 5, 7, 9) for w in (2, 4, 6, 8, 10)]
+    built += [order4_seed(v, w) for v in (1, 3, 5, 7, 9) for w in (2, 4, 6, 8, 10)]
     for v in range(1, 11):
         for w in range(1, 11):
             if v != w and (v + w) % 2 == 1:

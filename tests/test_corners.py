@@ -11,7 +11,6 @@ from magicborders import (
     OmegaKey,
     construct_with_corners,
     enumerate_omega,
-    seed_order4,
     verify_border,
 )
 from magicborders import corners, enumeration
@@ -22,18 +21,24 @@ from magicborders.corners import (
     _COUNTS,
     _ORDER4,
     _ORDER_M,
-    _REDUCTIONS,
     _extension_shift,
     _repair_single_substitution,
+    _small_corners,
     audit_order4,
     audit_order_m,
     block_sets,
     eval_poly,
 )
 from magicborders.documents import parse_document
-from magicborders.transform import SYMMETRIES
+from magicborders.transform import orbit
 
-from goldens import _picks, reference_count, reference_extend_border, reference_missing_pairs
+from goldens import (
+    _picks,
+    order4_seed,
+    reference_count,
+    reference_extend_border,
+    reference_missing_pairs,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,12 +78,12 @@ def test_construction_is_infeasible_exactly_where_the_parity_lemma_holds(n):
 
 
 def test_order4_seed_reference_rows():
-    assert seed_order4(1, 2).b == (34, 33, 32, 9)
-    assert seed_order4(1, 2).c == (6, 30, 29, 10)
-    assert seed_order4(9, 10).b == (1, 32, 30, 29)
-    assert seed_order4(9, 10).c == (2, 34, 33, 6)
-    assert seed_order4(7, 8).b == (36, 5, 28, 27)
-    assert seed_order4(7, 8).c == (2, 34, 33, 6)
+    assert order4_seed(1, 2).b == (34, 33, 32, 9)
+    assert order4_seed(1, 2).c == (6, 30, 29, 10)
+    assert order4_seed(9, 10).b == (1, 32, 30, 29)
+    assert order4_seed(9, 10).c == (2, 34, 33, 6)
+    assert order4_seed(7, 8).b == (36, 5, 28, 27)
+    assert order4_seed(7, 8).c == (2, 34, 33, 6)
 
 
 def test_every_order4_seed_is_valid():
@@ -90,21 +95,16 @@ def test_every_order4_seed_is_valid():
     }
 
 
-def test_unknown_seed_pair_is_rejected():
-    with pytest.raises(ValueError):
-        seed_order4(2, 1)
-
-
 def test_extension_reference_cases():
-    grown = reference_extend_border(seed_order4(1, 2), 0)
+    grown = reference_extend_border(order4_seed(1, 2), 0)
     assert grown.n == 8 and (grown.v, grown.w) == (1, 2)
     assert verify_border(grown).valid
 
-    shifted = reference_extend_border(seed_order4(1, 2), 2)
+    shifted = reference_extend_border(order4_seed(1, 2), 2)
     assert (shifted.v, shifted.w) == (3, 4)
     assert verify_border(shifted).valid
 
-    far = reference_extend_border(seed_order4(9, 10), 8)
+    far = reference_extend_border(order4_seed(9, 10), 8)
     assert (far.v, far.w) == (17, 18)
     assert verify_border(far).valid
 
@@ -112,7 +112,7 @@ def test_extension_reference_cases():
 def test_extension_preserves_validity_for_every_seed_and_shift():
     for v, w in sorted(_ORDER4):
         for shift in (0, 2, 4, 6, 8):
-            grown = reference_extend_border(seed_order4(v, w), shift)
+            grown = reference_extend_border(order4_seed(v, w), shift)
             assert grown.n == 8
             assert (grown.v, grown.w) == (v + shift, w + shift)
             assert verify_border(grown).valid
@@ -208,7 +208,7 @@ def test_an_audit_verifies_each_entry_at_most_twice(monkeypatch):
 
 
 def test_a_repair_gives_up_when_both_lines_miss_their_sums():
-    seed = seed_order4(1, 2)
+    seed = order4_seed(1, 2)
     off_b = seed._replace(b=(34, 33, 32, 8))
     assert _repair_single_substitution(off_b) == seed
     # one substitution changes one line's sum, so two missed sums stay unmended
@@ -218,7 +218,7 @@ def test_a_repair_gives_up_when_both_lines_miss_their_sums():
 
 def test_construct_reference_cases():
     built = construct_with_corners(4, 1, 4)
-    assert CanonicalBorder(*built) == CanonicalBorder(*seed_order4(1, 4))
+    assert CanonicalBorder(*built) == CanonicalBorder(*order4_seed(1, 4))
     plan = construct_with_corners(8, 3, 4)
     assert (plan.v, plan.w) == (3, 4) and verify_border(plan).valid
     plan = construct_with_corners(6, 1, 2)
@@ -335,11 +335,22 @@ def test_blocks_hand_out_the_eight_rows_and_cancel_each_shift():
             assert sum(signed) == -8 * e, block
 
 
-def test_reductions_hold_each_of_the_eight_symmetries_once():
-    assert set(_REDUCTIONS) == {
-        (a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)
-    }
-    assert sorted(_REDUCTIONS.values()) == sorted(SYMMETRIES)
+def test_every_corner_build_is_the_one_orbit_image_with_its_corners():
+    # an oracle blind to how the construction picks its symmetries: the
+    # orbit of the build for the corners' diagram rows holds exactly one
+    # image with corners (v, w), and the build for (v, w) is that image
+    checked = 0
+    for n in range(4, 17, 2):
+        c_base = complement_base(n)
+        small = 2 * n + 2
+        for v, w in itertools.permutations(sorted(border_pool(n)), 2):
+            if v + w == c_base or forbidden_by_parity(n, v, w):
+                continue
+            rows = sorted(c_base - x if x > small else x for x in (v, w))
+            images = [p for p in orbit(_small_corners(n, *rows)) if (p.v, p.w) == (v, w)]
+            assert images == [construct_with_corners(n, v, w)], (n, v, w)
+            checked += 1
+    assert checked == 7672
 
 
 def test_extension_builds_extend_the_build_four_orders_down():

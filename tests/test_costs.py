@@ -1,15 +1,18 @@
-"""Scaling gates on the square pipeline, counted in Python opcodes.
+"""Scaling gates on the square pipeline and corner builds, counted in
+Python opcodes.
 
 An order-N square has N^2 cells, so every stage of building, writing,
 reading and verifying it should cost at most about four times as much
-when N doubles.  The gates compare opcode counts (``costs.opcodes``) at
-N = 80 and N = 160, so they hold on any machine, and only as ratios, so
+when N doubles.  A border of inner order n has 4n + 4 cells, so a corner
+build should cost at most about twice as much when n doubles.  The gates
+compare opcode counts (``costs.opcodes``) at N = 80 and N = 160, and at
+n = 200 and n = 400, so they hold on any machine, and only as ratios, so
 they hold on every interpreter version the package supports.
 """
 
 import pytest
 
-from magicborders import build_square, verify_bordered
+from magicborders import build_square, complement_base, construct_with_corners, verify_bordered
 from magicborders.documents import CSV, GRID, parse_document, serialize_grid
 
 from costs import opcodes
@@ -40,6 +43,33 @@ def _cost(stage, order):
 def test_square_stages_grow_with_the_cells(stage):
     small, large = _cost(stage, 80), _cost(stage, 160)
     assert 0 < large <= MAX_GROWTH * small, (small, large)
+
+
+# a linear stage costs x2 per doubling of n
+MAX_CORNER_GROWTH = 2.2
+
+# corners (v, w) at inner order n, C being complement_base(n): small and
+# ascending, swapped, v large, all three reductions (swapped, v and w
+# large), and a gap pair that block insertion alone grows
+CORNER_KEYS = {
+    "1,2": lambda n: (1, 2),
+    "2,1": lambda n: (2, 1),
+    "C-1,2": lambda n: (complement_base(n) - 1, 2),
+    "C-2,C-1": lambda n: (complement_base(n) - 2, complement_base(n) - 1),
+    "1,2n+2": lambda n: (1, 2 * n + 2),
+}
+
+
+def _corner_cost(key, n):
+    v, w = CORNER_KEYS[key](n)
+    construct_with_corners(n, v, w)  # uncounted, as the first call imports modules
+    return sum(opcodes(construct_with_corners, n, v, w).values())
+
+
+@pytest.mark.parametrize("key", CORNER_KEYS)
+def test_corner_builds_grow_with_the_border(key):
+    small, large = _corner_cost(key, 200), _corner_cost(key, 400)
+    assert 0 < large <= MAX_CORNER_GROWTH * small, (small, large)
 
 
 def test_opcode_counts_are_deterministic_and_per_function():

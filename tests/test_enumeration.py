@@ -19,7 +19,6 @@ from magicborders import (
     enumerate_omega,
     enumerate_order,
     format_counts,
-    seed_order4,
     verify_border,
 )
 from magicborders import enumeration
@@ -27,7 +26,7 @@ from magicborders.core import border_pool, forbidden_by_parity
 from magicborders.enumeration import _BudgetState, _count, _solutions
 from magicborders.transform import ROTATE_180, apply_symmetry
 
-from goldens import reference_count
+from goldens import order4_seed, reference_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REGEN_SCRIPT = Path(__file__).parent.parent / "scripts" / "regen_count_fixture.py"
@@ -318,7 +317,7 @@ def test_engine_matches_an_independent_brute_force(n, v, w):
 
 
 def test_constructions_appear_in_the_exhaustive_listing():
-    plan = seed_order4(1, 2)
+    plan = order4_seed(1, 2)
     assert CanonicalBorder(*plan) in set(listing(4, 1, 2))
 
 

@@ -22,7 +22,7 @@ from magicborders.cli import main
 from magicborders.documents import FORMATS, serialize_grid, serialize_plan
 from magicborders.verify import BorderPlan
 
-from goldens import reference_missing_pairs
+from goldens import order4_seed, reference_missing_pairs
 
 BUILD_DIGEST = "508edffe3f18e73009da1b90d2e135b1a9ca8a8fefd7dde05fcf056c66aa1644"
 CORNERS_DIGEST = "961d00d7446a8e6a54b8906b1a2fced47e6edbdb9abc126a005de017428d100b"
@@ -151,7 +151,7 @@ def test_tables_check_matches_its_pinned_digest(capsys):
 
 
 def test_order4_table_matches_its_pinned_digest():
-    text = "".join(serialize_plan(corners.seed_order4(*key)) for key in sorted(corners._ORDER4))
+    text = "".join(serialize_plan(order4_seed(*key)) for key in sorted(corners._ORDER4))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER4_DIGEST
 
 

@@ -13,7 +13,7 @@ from magicborders import (
     verify_border,
 )
 from magicborders.assemble import render_frame
-from magicborders.corners import _MIRROR, _ORDER4, seed_order4
+from magicborders.corners import _MIRROR, _ORDER4
 from magicborders.enumeration import enumerate_order
 from magicborders.transform import (
     ANTI_TRANSPOSE,
@@ -27,7 +27,7 @@ from magicborders.transform import (
     TRANSPOSE,
 )
 
-from goldens import ORDER8_PLAN, ORDER8_PERMUTED_FRAME_TEXT, _picks, frame_cells
+from goldens import ORDER8_PLAN, ORDER8_PERMUTED_FRAME_TEXT, _picks, frame_cells, order4_seed
 
 
 def grid_image(cells, symmetry):
@@ -70,7 +70,7 @@ def test_mirror_relabels_the_picks_and_keeps_every_row():
     # the 670 borders at n = 3..5 have small corners; their orbits put the
     # corners on large rows too, so every pair of _MIRROR is exercised
     plans = [border.to_plan() for n in (3, 4, 5) for border in enumerate_order(n)]
-    plans += [seed_order4(*key) for key in _ORDER4]
+    plans += [order4_seed(*key) for key in _ORDER4]
     assert len(plans) == 695
     relabelled = set()
     for plan in plans:
