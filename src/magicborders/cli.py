@@ -158,6 +158,9 @@ def cmd_enumerate(args) -> int:
         raise DocumentError(f"--limit must be >= 0, got {args.limit}")
     if args.limit is not None and args.count_only:
         raise DocumentError("--limit does not apply to --count-only, which counts every border")
+    for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds)):
+        if value is not None and not value > 0:  # "not > 0" also rejects NaN
+            raise DocumentError(f"{flag} must be positive, got {value}")
     from .enumeration import (
         OmegaKey,
         SearchBudget,

@@ -37,9 +37,11 @@ pass.  It reads one diagram in O(n), and a border with small ascending
 corners lists each line in diagram row order.
 
 Other corners reduce to small ascending ones through three facts, each
-undone by one symmetry of the square that changes it alone: the reduced
-v exceeds the reduced w (reflect_vertical swaps the corners), v is large
-(anti_transpose complements v), w is large (transpose complements w).
+undone by one symmetry of the square, a word in the generators of
+:mod:`magicborders.transform`, that changes it alone: the reduced v
+exceeds the reduced w (r, reflect_vertical, swaps the corners), v is
+large (rtr, anti_transpose, complements v), w is large (t, transpose,
+complements w).
 
 The paper's parameterized table for the gap pairs at m = 8, 12, 16, ...
 is kept, with its polynomials as printed, as an artifact for ``tables

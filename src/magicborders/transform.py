@@ -1,8 +1,11 @@
 """The eight square symmetries and the line permutations, acting on plans.
 
-Symmetries act on the (v, w, b, c) data directly; rendering the frame and
-transforming the grid gives the same result, which the tests exploit.
-Both operations preserve validity.
+Symmetries act on the (v, w, b, c) data directly, as words in two
+generators applied left to right: r, ``reflect_vertical``, swaps the
+corners, reverses b and complements c; t, ``transpose``, swaps b and c
+and complements w.  ``_WORDS`` gives each symmetry its word.  Rendering
+the frame and transforming the grid gives the same result, which the
+tests exploit.  Both operations preserve validity.
 """
 
 from __future__ import annotations
@@ -21,50 +24,32 @@ ANTI_TRANSPOSE = "anti_transpose"
 ROTATE_90 = "rotate_90"
 ROTATE_270 = "rotate_270"
 
-SYMMETRIES = (
-    IDENTITY,
-    REFLECT_VERTICAL,
-    REFLECT_HORIZONTAL,
-    ROTATE_180,
-    TRANSPOSE,
-    ANTI_TRANSPOSE,
-    ROTATE_90,
-    ROTATE_270,
-)
+_WORDS = {
+    IDENTITY: "",
+    REFLECT_VERTICAL: "r",
+    REFLECT_HORIZONTAL: "trt",
+    ROTATE_180: "rtrt",
+    TRANSPOSE: "t",
+    ANTI_TRANSPOSE: "rtr",
+    ROTATE_90: "tr",
+    ROTATE_270: "rt",
+}
+SYMMETRIES = tuple(_WORDS)
 
 
 def apply_symmetry(plan: BorderPlan, symmetry: str) -> BorderPlan:
     """The plan whose frame is the symmetry image of this plan's frame."""
     n = plan.n
     c_base = complement_base(n)
-
-    def comp(values):
-        return tuple(c_base - x for x in values)
-
-    def rev(values):
-        return tuple(reversed(values))
-
-    v, w, b, c = plan.v, plan.w, plan.b, plan.c
-    if symmetry == IDENTITY:
-        data = (v, w, b, c)
-    elif symmetry == REFLECT_VERTICAL:
-        data = (w, v, rev(b), comp(c))
-    elif symmetry == REFLECT_HORIZONTAL:
-        data = (c_base - w, c_base - v, comp(b), rev(c))
-    elif symmetry == ROTATE_180:
-        data = (c_base - v, c_base - w, rev(comp(b)), rev(comp(c)))
-    elif symmetry == TRANSPOSE:
-        data = (v, c_base - w, c, b)
-    elif symmetry == ANTI_TRANSPOSE:
-        data = (c_base - v, w, rev(comp(c)), rev(comp(b)))
-    elif symmetry == ROTATE_90:
-        data = (c_base - w, v, rev(c), comp(b))
-    elif symmetry == ROTATE_270:
-        data = (w, c_base - v, comp(c), rev(b))
-    else:
+    if symmetry not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    new_v, new_w, new_b, new_c = data
-    return BorderPlan(n=n, v=new_v, w=new_w, b=new_b, c=new_c)
+    v, w, b, c = plan.v, plan.w, plan.b, plan.c
+    for generator in _WORDS[symmetry]:
+        if generator == "r":
+            v, w, b, c = w, v, tuple(reversed(b)), tuple(c_base - x for x in c)
+        else:
+            w, b, c = c_base - w, c, b
+    return BorderPlan(n=n, v=v, w=w, b=b, c=c)
 
 
 def orbit(plan: BorderPlan) -> tuple[BorderPlan, ...]:

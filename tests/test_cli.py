@@ -377,7 +377,18 @@ def test_enumerate_rejects_a_nan_time_limit(capsys):
         "--count-only",
     )
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "max_seconds" in err
+    assert err == "error: --max-seconds must be positive, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "extra, shown",
+    [(("--max-nodes", "0", "--count-only"), "--max-nodes must be positive, got 0"),
+     (("--max-nodes=-5",), "--max-nodes must be positive, got -5"),
+     (("--max-seconds", "0", "--count-only"), "--max-seconds must be positive, got 0.0")],
+)
+def test_enumerate_names_the_budget_flag_it_rejects(capsys, extra, shown):
+    code, out, err = run(capsys, "enumerate", "--order", "4", *extra)
+    assert (code, out, err) == (1, "", f"error: {shown}\n")
 
 
 def test_same_parity_listing_prints_nothing(capsys):

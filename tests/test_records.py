@@ -187,6 +187,14 @@ def test_dir_lists_every_public_name_before_any_is_read():
     assert missing == "[]"
 
 
+def test_dir_is_sorted_and_holds_every_public_name():
+    import magicborders
+
+    names = dir(magicborders)
+    assert names == sorted(names)
+    assert set(magicborders.__all__) <= set(names)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     import magicborders
 

@@ -8,6 +8,8 @@ from magicborders import (
     apply_symmetry,
     build_border,
     complement,
+    complement_base,
+    construct_with_corners,
     orbit,
     permute_lines,
     verify_border,
@@ -66,9 +68,16 @@ def test_mirror_swaps_corners_reverses_b_and_complements_c():
     assert verify_border(image).valid
 
 
+# t on picks: b and c trade places on each side, and w moves to the other
+# side of its row (it takes its complement)
+_TRANSPOSED = {"Lb": "Lc", "Lc": "Lb", "Rb": "Rc", "Rc": "Rb", "Lw": "Rw", "Rw": "Lw"}
+
+
 def test_mirror_relabels_the_picks_and_keeps_every_row():
     # the 670 borders at n = 3..5 have small corners; their orbits put the
-    # corners on large rows too, so every pair of _MIRROR is exercised
+    # corners on large rows too, so every pair of _MIRROR and _TRANSPOSED
+    # is exercised.  The two generators relabel picks row by row, so every
+    # symmetry does
     plans = [border.to_plan() for n in (3, 4, 5) for border in enumerate_order(n)]
     plans += [order4_seed(*key) for key in _ORDER4]
     assert len(plans) == 695
@@ -76,11 +85,12 @@ def test_mirror_relabels_the_picks_and_keeps_every_row():
     for plan in plans:
         for image in orbit(plan):
             picks = _picks(image)
-            assert _picks(apply_symmetry(image, REFLECT_VERTICAL)) == [
-                _MIRROR.get(pick, pick) for pick in picks
-            ], image
+            for symmetry, relabel in ((REFLECT_VERTICAL, _MIRROR), (TRANSPOSE, _TRANSPOSED)):
+                assert _picks(apply_symmetry(image, symmetry)) == [
+                    relabel.get(pick, pick) for pick in picks
+                ], (symmetry, image)
             relabelled.update(picks)
-    assert set(_MIRROR) <= relabelled
+    assert set(_MIRROR) | set(_TRANSPOSED) <= relabelled
     assert _MIRROR == {"Lc": "Rc", "Rc": "Lc", "Lv": "Lw", "Lw": "Lv", "Rv": "Rw", "Rw": "Rv"}
 
 
@@ -104,11 +114,22 @@ def test_orbit_corner_layout_matches_the_eight_frames():
 
 
 def test_plan_action_matches_grid_action_on_frames():
-    frame = render_frame(ORDER8_PLAN).cells
-    for symmetry in SYMMETRIES:
-        via_plan = render_frame(apply_symmetry(ORDER8_PLAN, symmetry)).cells
-        via_grid = tuple(tuple(row) for row in grid_image(frame, symmetry))
-        assert via_plan == via_grid, symmetry
+    # grid_image knows nothing of the generator words, so it catches a
+    # wrong word: every border at n = 3..5, and corner builds whose
+    # corners sit on small and large rows, at even n = 4..16
+    plans = [ORDER8_PLAN]
+    plans += [border.to_plan() for n in (3, 4, 5) for border in enumerate_order(n)]
+    for n in range(4, 17, 2):
+        c_base = complement_base(n)
+        for v, w in ((1, 2), (2, 1), (c_base - 2, c_base - 1)):
+            plans.append(construct_with_corners(n, v, w))
+    assert len(plans) == 692
+    for plan in plans:
+        frame = render_frame(plan).cells
+        for symmetry in SYMMETRIES:
+            via_plan = render_frame(apply_symmetry(plan, symmetry)).cells
+            via_grid = tuple(tuple(row) for row in grid_image(frame, symmetry))
+            assert via_plan == via_grid, (symmetry, plan)
 
 
 def test_composition_law_on_the_full_table():
@@ -134,8 +155,13 @@ def test_the_eight_symmetries_form_a_group():
 
 
 def test_unknown_symmetry_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown symmetry 'swirl'"):
         apply_symmetry(ORDER8_PLAN, "swirl")
+    with pytest.raises(ValueError, match=r"unknown symmetry \['identity'\]"):
+        apply_symmetry(ORDER8_PLAN, ["identity"])
+    # the plan's order is checked first
+    with pytest.raises(ValueError, match="inner order must be an integer >= 3, got 2"):
+        apply_symmetry(ORDER8_PLAN._replace(n=2), "swirl")
 
 
 def test_permute_lines_identity():
