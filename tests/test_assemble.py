@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from magicborders import (
@@ -26,8 +23,6 @@ from goldens import (
     frame_cells,
     reference_layer_plans,
 )
-
-SCALING_REPORT = Path(__file__).parent.parent / "scripts" / "scaling_report.py"
 
 
 def test_base_squares_are_magic():
@@ -132,11 +127,3 @@ def test_concentric_line_sums_follow_the_shrinking_constant():
         target = m * (order * order + 1) // 2
         for i in range(k, k + m):
             assert sum(square[i][j] for j in range(k, k + m)) == target
-
-
-def test_the_scaling_report_times_the_square_stages_it_names():
-    # the report reaches into the library by name; a name that moves fails here
-    spec = importlib.util.spec_from_file_location("scaling_report", SCALING_REPORT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert len(script.square_stages(9)) == 2  # it asserts its grid is build_square(9)

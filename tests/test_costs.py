@@ -1,75 +1,63 @@
-"""Scaling gates on the square pipeline and corner builds, counted in
-Python opcodes.
+"""Scaling gates on the stages of ``costs.STAGES``, counted in Python
+opcodes, and the opcode pins of ``BENCH_baseline.json``.
 
-An order-N square has N^2 cells, so every stage of building, writing,
-reading and verifying it should cost at most about four times as much
-when N doubles.  A border of inner order n has 4n + 4 cells, so a corner
-build should cost at most about twice as much when n doubles.  The gates
-compare opcode counts (``costs.opcodes``) at N = 80 and N = 160, and at
-n = 200 and n = 400, so they hold on any machine, and only as ratios, so
-they hold on every interpreter version the package supports.
+An order-N square has N^2 cells, so every "square" stage of building,
+writing, reading and verifying it should cost at most about four times as
+much when N doubles.  A ring, and a border of inner order n, has 4n + 4
+cells, so a "ring" stage or a corner build should cost at most about
+twice as much when its size doubles.  The gates compare opcode counts
+(``costs.opcodes``) at each stage's pin size and twice that, so they hold
+on any machine, and only as ratios, so they hold on every interpreter
+version the package supports.  The counts themselves are pinned only on
+the version that wrote the bench file.
 """
+
+import json
+import os
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from magicborders import build_square, complement_base, construct_with_corners, verify_bordered
-from magicborders.documents import CSV, GRID, parse_document, serialize_grid
+from costs import STAGES, code_name, opcodes, pinned_totals, stage_opcodes
 
-from costs import opcodes
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "BENCH_baseline.json"
 
 # a quadratic stage costs x4 per doubling of N; the margin covers the
 # per-ring and per-line work that grows more slowly
 MAX_GROWTH = 4.4
-
-STAGES = {
-    "build_square": lambda order: (build_square, order),
-    "verify_bordered": lambda order: (verify_bordered, build_square(order)),
-    "serialize_grid-grid": lambda order: (serialize_grid, build_square(order), GRID),
-    "serialize_grid-csv": lambda order: (serialize_grid, build_square(order), CSV),
-    "parse_document-grid": lambda order: (parse_document, serialize_grid(build_square(order))),
-    "parse_document-csv": lambda order: (
-        parse_document, serialize_grid(build_square(order), CSV)
-    ),
-}
+# a border, or a ring, costs x2 per doubling of its order
+MAX_BORDER_GROWTH = 2.2
 
 
-def _cost(stage, order):
-    func, *args = STAGES[stage](order)
-    func(*args)  # the first call may import a module, as the CSV reader does json
-    return sum(opcodes(func, *args).values())
+def _of_kind(kind):
+    return [name for name, stage in STAGES.items() if stage.kind == kind]
 
 
-@pytest.mark.parametrize("stage", STAGES)
+def _grows_by_at_most(name, growth):
+    pin = STAGES[name].pin
+    small, large = (sum(stage_opcodes(name, size).values()) for size in (pin, 2 * pin))
+    assert 0 < large <= growth * small, (small, large)
+
+
+@pytest.mark.parametrize("stage", _of_kind("square"))
 def test_square_stages_grow_with_the_cells(stage):
-    small, large = _cost(stage, 80), _cost(stage, 160)
-    assert 0 < large <= MAX_GROWTH * small, (small, large)
+    _grows_by_at_most(stage, MAX_GROWTH)
 
 
-# a linear stage costs x2 per doubling of n
-MAX_CORNER_GROWTH = 2.2
-
-# corners (v, w) at inner order n, C being complement_base(n): small and
-# ascending, swapped, v large, all three reductions (swapped, v and w
-# large), and a gap pair that block insertion alone grows
-CORNER_KEYS = {
-    "1,2": lambda n: (1, 2),
-    "2,1": lambda n: (2, 1),
-    "C-1,2": lambda n: (complement_base(n) - 1, 2),
-    "C-2,C-1": lambda n: (complement_base(n) - 2, complement_base(n) - 1),
-    "1,2n+2": lambda n: (1, 2 * n + 2),
-}
+@pytest.mark.parametrize("stage", _of_kind("ring"))
+def test_ring_stages_grow_with_the_ring(stage):
+    _grows_by_at_most(stage, MAX_BORDER_GROWTH)
 
 
-def _corner_cost(key, n):
-    v, w = CORNER_KEYS[key](n)
-    construct_with_corners(n, v, w)  # uncounted, as the first call imports modules
-    return sum(opcodes(construct_with_corners, n, v, w).values())
-
-
-@pytest.mark.parametrize("key", CORNER_KEYS)
-def test_corner_builds_grow_with_the_border(key):
-    small, large = _corner_cost(key, 200), _corner_cost(key, 400)
-    assert 0 < large <= MAX_CORNER_GROWTH * small, (small, large)
+@pytest.mark.parametrize(
+    "stage", _of_kind("corners"), ids=lambda name: name.split("-", 1)[1]
+)
+def test_corner_builds_grow_with_the_border(stage):
+    _grows_by_at_most(stage, MAX_BORDER_GROWTH)
 
 
 def test_opcode_counts_are_deterministic_and_per_function():
@@ -77,10 +65,53 @@ def test_opcode_counts_are_deterministic_and_per_function():
         return [x for x in range(k)]
 
     def outer(k):
-        return inner(k), inner(2 * k)
+        twice = lambda x: 2 * x  # noqa: E731
+        thrice = lambda x: 3 * x  # noqa: E731
+        return inner(k), inner(2 * k), twice(k), thrice(k)
 
     first, second = opcodes(outer, 50), opcodes(outer, 50)
     assert first == second
-    code = outer.__code__
-    assert first[getattr(code, "co_qualname", code.co_name)] > 0
+    assert first[(__name__, code_name(outer.__code__))] > 0
+    # two code objects with one qualified name still count apart
+    assert sum("<lambda>" in code for _, code in first) == 2
     assert sum(first.values()) > sum(opcodes(outer, 10).values())
+
+
+_pinned_totals = cache(pinned_totals)
+
+
+def _bench():
+    return json.loads(BENCH.read_text(encoding="utf-8"))
+
+
+def test_the_bench_file_measures_the_stage_table_at_its_sizes():
+    stages = _bench()["stages"]
+    assert list(stages) == list(STAGES)
+    for name, stage in STAGES.items():
+        assert stages[name]["sizes"] == {
+            "pin": stage.pin, "wall": list(stage.wall), "peak": stage.peak
+        }, name
+        assert list(stages[name]["wall_ms"]) == [str(size) for size in stage.wall], name
+
+
+@pytest.mark.skipif(
+    _bench()["python"] != "%d.%d" % sys.version_info[:2],
+    reason="opcode counts move with the interpreter's version",
+)
+def test_opcode_totals_match_the_bench_file_on_its_python_version():
+    stages = _bench()["stages"]
+    assert _pinned_totals() == {name: stages[name]["opcodes"] for name in STAGES}
+
+
+def test_opcode_totals_do_not_depend_on_the_hash_seed():
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    run = subprocess.run(
+        [sys.executable, "-c", "import json, costs; print(json.dumps(costs.pinned_totals()))"],
+        env={
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+        },
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout) == _pinned_totals()
