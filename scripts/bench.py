@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Measure every stage of ``tests/costs.py``'s ``STAGES`` and the three
-end-to-end commands, and write the figures as JSON.
+"""Measure the stage table and the end-to-end commands, and write JSON.
+
+Every stage of ``tests/costs.py``'s ``STAGES`` is measured, and so are
+the three end-to-end commands.
 
     python scripts/bench.py [OUTPUT]
 
