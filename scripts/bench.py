@@ -22,12 +22,13 @@ Each stage entry holds, at the sizes the table fixes:
 
 ``end_to_end_ms`` holds whole processes (median of ``LAUNCHES``),
 ``counters`` machine-independent targets: the opcodes each corner build
-runs in the search module (0: corners never search) and the layered
-counter's node totals.  Known counts are checked, and a wrong one fails
-the run.
+runs in the search module (0: corners never search), the layered
+counter's node totals, and the live states a whole-order listing steps
+to.  Known counts are checked, and a wrong one fails the run.
 """
 
 import argparse
+import itertools
 import json
 import os
 import pickle
@@ -46,7 +47,8 @@ sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
 from costs import STAGES, stage_opcodes  # noqa: E402
 from magicborders import count_omega, enumerate_order  # noqa: E402
-from magicborders.enumeration import _BudgetState, _count  # noqa: E402
+from magicborders.core import forbidden_by_parity  # noqa: E402
+from magicborders.enumeration import _BudgetState, _count, _solutions  # noqa: E402
 
 REPEATS = 3
 LAUNCHES = 11
@@ -65,6 +67,8 @@ COMMANDS = {
     ),
     "python -S -c pass": ([sys.executable, "-S", "-c", "pass"], ""),
 }
+# the inner orders whose whole listing's nodes are recorded
+LISTED = (4, 5)
 # (stage, size): the total it must return
 KNOWN = {
     ("count_omega", 8): 8_234_012,
@@ -177,6 +181,17 @@ def count_nodes(n: int) -> int:
     return state.nodes
 
 
+def listing_nodes(n: int) -> int:
+    """The nodes ``enumerate_order(n)`` spends: the keys it searches, in
+    its order, on one budget."""
+    state = _BudgetState(None)
+    for v, w in itertools.permutations(range(1, 2 * n + 3), 2):
+        if not forbidden_by_parity(n, v, w):
+            for _ in _solutions(n, v, w, state):
+                pass
+    return state.nodes
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", nargs="?", type=Path, default=ROOT / "BENCH_baseline.json")
@@ -204,6 +219,7 @@ def main() -> None:
         "counters": {
             "corner_search_opcodes": search,
             "count_borders_nodes": {str(n): count_nodes(n) for n in STAGES["count_borders"].wall},
+            "enumerate_order_nodes": {str(n): listing_nodes(n) for n in LISTED},
         },
         "stages": stages,
     }

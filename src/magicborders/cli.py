@@ -290,7 +290,7 @@ def _build_parser() -> _Parser:
     p_enum.add_argument("--limit", type=int, default=None,
                         help="stop after this many borders")
     p_enum.add_argument("--max-nodes", type=int, default=None,
-                        help="abort after this many search nodes (exit 3)")
+                        help="abort after this many live search states (exit 3)")
     p_enum.add_argument("--max-seconds", type=float, default=None,
                         help="abort after this much search time (exit 3)")
     p_enum.set_defaults(func=cmd_enumerate)

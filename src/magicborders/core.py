@@ -97,11 +97,7 @@ def forbidden_by_parity(n: int, v: int, w: int) -> bool:
     pair); at odd n some keys it allows still have no border.  Expects
     corners :func:`check_corners` accepts.
     """
-    small = 2 * n + 2
-    c = (n + 2) * (n + 2) + 1
-    row_v = v if v <= small else c - v
-    row_w = w if w <= small else c - w
-    return (row_v + row_w + n) % 2 == 0
+    return (row_of(v, n) + row_of(w, n) + n) % 2 == 0
 
 
 def complement(x: int, n: int) -> int:
@@ -111,7 +107,10 @@ def complement(x: int, n: int) -> int:
 
 
 def row_of(x: int, n: int) -> int:
-    """Diagram row of x: small values sit at row x, large at row C - x."""
-    _check_pool(x, n)
+    """Diagram row of x: small values sit at row x, large at row C - x.
+
+    Expects a pool value: every caller checks its corners first
+    (:func:`check_corners`).
+    """
     return x if x <= 2 * n + 2 else complement_base(n) - x
 

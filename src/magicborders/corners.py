@@ -62,6 +62,7 @@ from .core import (
     forbidden_by_parity,
     in_pool,
     magic_constant,
+    row_of,
 )
 from .transform import ANTI_TRANSPOSE, REFLECT_VERTICAL, TRANSPOSE, apply_symmetry
 from .verify import BorderPlan, verify_border
@@ -403,14 +404,12 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     at any order, and any other corners at an odd order ValueError.
     """
     check_corners(n, v, w)
-    c_base = complement_base(n)
 
     # reduce to the corners' diagram rows, ascending: a large corner's row
     # is its complement; a symmetry per fact carries the border built for
     # the rows back to (v, w).  check_corners has made sv and sw distinct
-    small = 2 * n + 2
-    sv = c_base - v if v > small else v
-    sw = c_base - w if w > small else w
+    sv = row_of(v, n)
+    sw = row_of(w, n)
     if forbidden_by_parity(n, v, w):
         need = "the same parity at odd" if n % 2 else "opposite parity at even"
         raise InfeasibleCornersError(
@@ -424,9 +423,9 @@ def construct_with_corners(n: int, v: int, w: int) -> BorderPlan:
     plan = _small_corners(n, min(sv, sw), max(sv, sw))
     if sv > sw:
         plan = apply_symmetry(plan, REFLECT_VERTICAL)  # swaps the corners
-    if v > small:
+    if v != sv:  # v is large
         plan = apply_symmetry(plan, ANTI_TRANSPOSE)  # complements v alone
-    if w > small:
+    if w != sw:  # w is large
         plan = apply_symmetry(plan, TRANSPOSE)  # complements w alone
 
     if (plan.v, plan.w) != (v, w):

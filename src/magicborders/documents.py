@@ -75,6 +75,8 @@ def _int_row(row) -> bool:
 def serialize_grid(cells, fmt: str = GRID) -> str:
     """Write a square grid (ints and None) in the requested format."""
     order = len(cells)
+    if not order:
+        raise DocumentError("grid has no rows")
     if any(len(row) != order for row in cells):
         raise DocumentError("grid must be square")
     if fmt not in FORMATS:
@@ -85,8 +87,6 @@ def serialize_grid(cells, fmt: str = GRID) -> str:
         return json.dumps({"order": order, "cells": cells}) + "\n"
     int_rows = list(map(_int_row, cells))
     if fmt == GRID:
-        if not order:
-            return "\n"  # one blank line, where CSV writes none
         # an int row's widest cell is its largest or, written with its sign,
         # its smallest; any other row's may be any filled cell
         filled = (

@@ -7,26 +7,26 @@ C = (n+2)^2 + 1) and of a line (the top-row interior b or the left-column
 interior c), such that both lines reach the magic sum.  Borders are
 reported at set level (order inside a line is immaterial).
 
-Two engines share one pruning rule, a window of sums each line can still
-reach from the rows not yet decided (``_Rows``, which computes each
-window once per key):
+Two engines share one move rule.  A state (the values and small values
+each line still needs, and the sums each line still lacks) is *live*
+when each line's sum lies in a window of sums it can still reach from
+the rows not yet decided (``_Rows``).  Both engines step only into live
+states, through one table per key of the sums a line may leave a row
+from (``_Exits``), and a search node is one live state:
 
 - the backtracker (``enumerate_omega``) decides one row at a time, depth
-  first with an explicit stack, and streams borders.  It is the oracle
-  the constructive recipes and the counter are tested against;
+  first with an explicit stack, and streams borders, paying a node for
+  each way of reaching a live state.  It is the oracle the constructive
+  recipes and the counter are tested against;
 - the layered counter (``count_borders``, ``count_omega``) sweeps the
-  same decision tree one row at a time but keeps only, for each state
-  (values and small values each line still needs, and the sums each line
-  still lacks), the number of ways to reach it.  Its time grows with the
-  number of distinct states, not with the number of borders.  States
-  with equal counts form a group, and a layer maps each group to its
-  states' two sums, packed as one int, and their ways.  Taking a row
-  into a line, small or large, sends a whole group to one group of the
-  next layer and subtracts one constant from its packed sums.  A move is
-  made only when the state it makes is *live*, both of its sums inside
-  their windows for the rows left, so the counter stores no state it
-  would throw away unread.  A layer finds the windows once for each
-  (values, small values) a line still needs, and both lines share them.
+  same decision tree one row at a time but keeps only, for each live
+  state, the number of ways to reach it, paying a node per state it
+  stores.  Its time grows with the number of distinct states, not with
+  the number of borders.  States with equal counts form a group, and a
+  layer maps each group to its states' two sums, packed as one int, and
+  their ways.  Taking a row into a line, small or large, sends a whole
+  group to one group of the next layer and subtracts one constant from
+  its packed sums.
 
 **Small-count lemma.**  Every line of a magic border holds exactly
 (n+2)/2 small values at even n, and (n+1)/2 or (n+3)/2 at odd n.  Proof:
@@ -118,11 +118,11 @@ class OmegaKey(namedtuple("OmegaKey", "n v w")):
 class SearchBudget(namedtuple("SearchBudget", "max_nodes max_seconds")):
     """Limits on one search call, shared by both engines; None means unlimited.
 
-    A backtracker node, or a live state the counter stores, costs one
-    node.  Going past either limit raises :class:`BudgetExhausted`,
-    because the search is then incomplete.  There is no solution limit:
-    a listing ends early when its reader stops, and a count must see
-    every border.
+    A node is one live state (see the module docstring): each one the
+    backtracker steps to, or the counter stores.  Going past either limit
+    raises :class:`BudgetExhausted`, because the search is then
+    incomplete.  There is no solution limit: a listing ends early when its
+    reader stops, and a count must see every border.
     """
 
     __slots__ = ()
@@ -184,8 +184,8 @@ _EMPTY = (1, 0)
 
 
 class _Rows(dict):
-    """The free diagram rows of one corner key, and the sum windows both
-    engines prune on, computed on first use and kept by ``(idx, need, owed)``.
+    """The free diagram rows of one corner key, and the sum windows that
+    tell live states, computed on first use and kept by ``(idx, need, owed)``.
 
     ``rows[idx, need, owed]`` holds the sums a line can still close on
     with ``need`` more values from rows idx..: (lo, hi) for taking exactly
@@ -196,10 +196,12 @@ class _Rows(dict):
     A line's *owed* count is how many more small values it must take for
     its small count to reach ``(n+2)//2``; at odd n it may also take one
     more than that (see the module docstring), which ``slack`` records.
+    ``live`` tells whether the state before any row is decided is live, so
+    whether either engine searches at all.
     """
 
     __slots__ = ("c_base", "free", "prefix", "total", "slack", "rem_b", "rem_c",
-                 "owed_b", "owed_c")
+                 "owed_b", "owed_c", "live")
 
     def __init__(self, n: int, v: int, w: int):
         c_base = complement_base(n)
@@ -218,6 +220,14 @@ class _Rows(dict):
         small_limit = 2 * n + 2
         self.owed_b = half - (v <= small_limit) - (w <= small_limit)
         self.owed_c = half - (v <= small_limit) - (c_base - w <= small_limit)
+        self.live = self.reaches(n, self.owed_b, self.rem_b) and self.reaches(
+            self.total - n, self.owed_c, self.rem_c
+        )
+
+    def reaches(self, need: int, owed: int, rem: int) -> bool:
+        """Whether a line can close its missing sum ``rem`` before any row is decided."""
+        lo, hi, lo2, hi2 = self[0, need, owed]
+        return lo <= rem <= hi or lo2 <= rem <= hi2
 
     def span(self, idx: int, k_small: int, k_large: int) -> tuple[int, int]:
         """Reachable sums picking k_small left and k_large right values from rows idx..
@@ -226,18 +236,9 @@ class _Rows(dict):
         """
         prefix = self.prefix
         total = self.total
-        lo = (
-            prefix[idx + k_small]
-            - prefix[idx]
-            + k_large * self.c_base
-            - (prefix[total] - prefix[total - k_large])
-        )
-        hi = (
-            prefix[total]
-            - prefix[total - k_small]
-            + k_large * self.c_base
-            - (prefix[idx + k_large] - prefix[idx])
-        )
+        shift = k_large * self.c_base
+        lo = prefix[idx + k_small] - prefix[idx] + shift - prefix[total] + prefix[total - k_large]
+        hi = prefix[total] - prefix[total - k_small] + shift - prefix[idx + k_large] + prefix[idx]
         return lo, hi
 
     def __missing__(self, key: tuple[int, int, int]) -> tuple[int, int, int, int]:
@@ -251,74 +252,20 @@ class _Rows(dict):
         return value
 
 
-def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[CanonicalBorder]:
-    """Every border of the key, depth first, one stack entry per search node."""
-    rows = _Rows(n, v, w)
-    c_base = rows.c_base
-    free = rows.free
-    total = rows.total
-    # a line may take a small value only while it owes more than this
-    owed_floor = -rows.slack
-
-    # picks[i] is the value row free[i - 1] gave: positive into b, negated
-    # into c.  A stack entry is the node its pick leads to; deeper picks are
-    # overwritten as the depth-first walk moves on.
-    picks = [0] * (total + 1)
-    stack = [(0, n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c, 0)]
-    on_node = state.on_nodes
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        idx, need_b, rem_b, rem_c, owed_b, owed_c, pick = pop()
-        on_node()
-        picks[idx] = pick
-        if idx == total:
-            if rem_b == 0 and rem_c == 0:
-                yield CanonicalBorder(
-                    n, v, w,
-                    tuple(x for x in picks if x > 0),
-                    tuple(-x for x in picks if x < 0),
-                )
-            continue
-        need_c = total - idx - need_b
-        lo, hi, lo2, hi2 = rows[idx, need_b, owed_b]
-        if not (lo <= rem_b <= hi or lo2 <= rem_b <= hi2):
-            continue
-        lo, hi, lo2, hi2 = rows[idx, need_c, owed_c]
-        if not (lo <= rem_c <= hi or lo2 <= rem_c <= hi2):
-            continue
-
-        # children go on the stack in reverse, so they are visited as
-        # b-small, c-small, b-large, c-large
-        row = free[idx]
-        large = c_base - row
-        nxt = idx + 1
-        if need_c and large <= rem_c and need_c > owed_c:
-            push((nxt, need_b, rem_b, rem_c - large, owed_b, owed_c, -large))
-        if need_b and large <= rem_b and need_b > owed_b:
-            push((nxt, need_b - 1, rem_b - large, rem_c, owed_b, owed_c, large))
-        if need_c and row <= rem_c and owed_c > owed_floor:
-            push((nxt, need_b, rem_b, rem_c - row, owed_b, owed_c - 1, -row))
-        if need_b and row <= rem_b and owed_b > owed_floor:
-            push((nxt, need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c, row))
-
-
 class _Exits(dict):
-    """The sums from which a line may leave row idx live, by (need, owed),
-    computed on first use and shared by both lines of one layer: its window
-    one row later if it stays out of the row, then that window shifted by
-    the small and by the large value for taking it."""
+    """The sums from which a line may leave row idx live, by (idx, need,
+    owed), computed on first use and read by both engines and both lines of
+    one key: its window one row later if it stays out of the row, then that
+    window shifted by the small and by the large value for taking it."""
 
-    __slots__ = ("rows", "idx")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: _Rows, idx: int):
+    def __init__(self, rows: _Rows):
         self.rows = rows
-        self.idx = idx
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[int, ...]:
-        need, owed = key
+    def __missing__(self, key: tuple[int, int, int]) -> tuple[int, ...]:
+        idx, need, owed = key
         rows = self.rows
-        idx = self.idx
         row = rows.free[idx]
         large = rows.c_base - row
         # a line that needs every row left cannot stay out of this one
@@ -328,6 +275,59 @@ class _Exits(dict):
         lo, hi, lo2, hi2 = rows[idx + 1, need - 1, owed]
         value = self[key] = stay + small + (lo + large, hi + large, lo2 + large, hi2 + large)
         return value
+
+
+def _solutions(n: int, v: int, w: int, state: _BudgetState) -> Iterator[CanonicalBorder]:
+    """Every border of the key, depth first, one stack entry per live state.
+
+    A child is pushed only if the state it makes is live (``_Exits``), so
+    every entry past the last row has both sums 0 and is a border.
+    """
+    rows = _Rows(n, v, w)
+    exits = _Exits(rows)
+    c_base = rows.c_base
+    free = rows.free
+    total = rows.total
+
+    # picks[i] is the value row free[i - 1] gave: positive into b, negated
+    # into c.  A stack entry is the state its pick leads to; deeper picks
+    # are overwritten as the depth-first walk moves on.
+    picks = [0] * (total + 1)
+    stack = [(0, n, rows.rem_b, rows.rem_c, rows.owed_b, rows.owed_c, 0)] if rows.live else []
+    on_node = state.on_nodes
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        idx, need_b, rem_b, rem_c, owed_b, owed_c, pick = pop()
+        on_node()
+        picks[idx] = pick
+        if idx == total:
+            yield CanonicalBorder(
+                n, v, w,
+                tuple(x for x in picks if x > 0),
+                tuple(-x for x in picks if x < 0),
+            )
+            continue
+        # the ranges to stay out, take small (s), take large (l)
+        (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
+         lol_b, hil_b, lol2_b, hil2_b) = exits[idx, need_b, owed_b]
+        (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
+         lol_c, hil_c, lol2_c, hil2_c) = exits[idx, total - idx - need_b, owed_c]
+        b_stays = lo_b <= rem_b <= hi_b or lo2_b <= rem_b <= hi2_b
+        c_stays = lo_c <= rem_c <= hi_c or lo2_c <= rem_c <= hi2_c
+        row = free[idx]
+        large = c_base - row
+        nxt = idx + 1
+        # children go on the stack in reverse, so they are visited as
+        # b-small, c-small, b-large, c-large
+        if b_stays and (lol_c <= rem_c <= hil_c or lol2_c <= rem_c <= hil2_c):
+            push((nxt, need_b, rem_b, rem_c - large, owed_b, owed_c, -large))
+        if c_stays and (lol_b <= rem_b <= hil_b or lol2_b <= rem_b <= hil2_b):
+            push((nxt, need_b - 1, rem_b - large, rem_c, owed_b, owed_c, large))
+        if b_stays and (los_c <= rem_c <= his_c or los2_c <= rem_c <= his2_c):
+            push((nxt, need_b, rem_b, rem_c - row, owed_b, owed_c - 1, -row))
+        if c_stays and (los_b <= rem_b <= his_b or los2_b <= rem_b <= his2_b):
+            push((nxt, need_b - 1, rem_b - row, rem_c, owed_b - 1, owed_c, row))
 
 
 def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
@@ -342,28 +342,21 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
     layer and subtracts one constant from its sums: r*M or (C - r)*M for
     b, r or C - r for c.
 
-    A layer holds only *live* states, those whose lines both lie inside
-    their windows (the backtracker's prune).  A move is made only if the
-    state it makes is live: the moved line's sum, before the move, lies in
-    its next window shifted by the value taken (``_Exits``), and the other
-    line's sum in its own next window.  A window never starts below 0, so
-    no sum falls below 0 and the packed sums always decode, and an empty
-    window holds the guards on the counts a line may take.  A layer works
-    out each (need, owed)'s windows once, for both lines, and each group
-    reads them once.  Groups that no move reached are dropped, since their
-    counts may exceed the rows left.  Only states with both sums 0 are live after the last row,
-    so the count is the sum of the last layer.
+    A layer holds only live states, the ones the backtracker steps to: a
+    move is made only if the moved line's sum lies in its exit window for
+    the value taken and the other line's sum in its window for staying out
+    (``_Exits``).  A window never starts below 0, so the packed sums always
+    decode.  Each group reads its two lines' exits once.  Groups that no
+    move reached are dropped, since their counts may exceed the rows left.
+    Only states with both sums 0 are live after the last row, so the count
+    is the sum of the last layer.
     """
     rows = _Rows(n, v, w)
+    exits = _Exits(rows)
     total = rows.total
     scale = max(rows.rem_b, rows.rem_c) + 1
-    lo_b, hi_b, lo2_b, hi2_b = rows[0, n, rows.owed_b]
-    lo_c, hi_c, lo2_c, hi2_c = rows[0, total - n, rows.owed_c]
-    layer = {}
-    if (lo_b <= rows.rem_b <= hi_b or lo2_b <= rows.rem_b <= hi2_b) and (
-        lo_c <= rows.rem_c <= hi_c or lo2_c <= rows.rem_c <= hi2_c
-    ):
-        layer[n, rows.owed_b, rows.owed_c] = {rows.rem_b * scale + rows.rem_c: 1}
+    root = {(n, rows.owed_b, rows.owed_c): {rows.rem_b * scale + rows.rem_c: 1}}
+    layer = root if rows.live else {}
     # states read and not yet charged: every 4,096 are charged once the
     # group holding the last of them is read, so a time limit also holds
     # inside one large layer
@@ -375,13 +368,12 @@ def _count(n: int, v: int, w: int, state: _BudgetState) -> int:
         b_large = large * scale
         following: dict[tuple[int, int, int], dict[int, int]] = {}
         into = following.setdefault
-        exits = _Exits(rows, idx)
         for (need_b, owed_b, owed_c), sums in layer.items():
             # the ranges to stay out, take small (s), take large (l)
             (lo_b, hi_b, lo2_b, hi2_b, los_b, his_b, los2_b, his2_b,
-             lol_b, hil_b, lol2_b, hil2_b) = exits[need_b, owed_b]
+             lol_b, hil_b, lol2_b, hil2_b) = exits[idx, need_b, owed_b]
             (lo_c, hi_c, lo2_c, hi2_c, los_c, his_c, los2_c, his2_c,
-             lol_c, hil_c, lol2_c, hil2_c) = exits[rows_left - need_b, owed_c]
+             lol_c, hil_c, lol2_c, hil2_c) = exits[idx, rows_left - need_b, owed_c]
             into_bs = into((need_b - 1, owed_b - 1, owed_c), {})
             into_bl = into((need_b - 1, owed_b, owed_c), {})
             into_cs = into((need_b, owed_b, owed_c - 1), {})
@@ -454,10 +446,10 @@ def count_borders(key: OmegaKey, budget: SearchBudget | None = None) -> int:
     Equals the length of :func:`enumerate_omega`'s stream.  Every live
     state the counter stores is one budget node, so a node or time limit
     raises :class:`BudgetExhausted`.  Memory grows with the states of one
-    layer, which a node limit also bounds: at the peak, about 145 bytes per
+    layer, which a node limit also bounds: at the peak, about 149 bytes per
     state of the largest layer (the layer and the layer being built;
     measured with ``tracemalloc`` at (10; 1, 2), Python 3.11, where the
-    largest layer holds 7,377 states and the peak is 1.02 MiB).
+    largest layer holds 7,377 states and the peak is 1.05 MiB).
     Keys the row-parity lemma settles (:func:`~magicborders.core.forbidden_by_parity`)
     count 0 at once and cost no node.
     """

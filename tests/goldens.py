@@ -535,8 +535,9 @@ def reference_verify_bordered(cells) -> CheckReport:
 # --- counter reference ------------------------------------------------------
 
 
-def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
-    """Borders of the key (n; v, w), and the states stored to count them.
+def reference_count(n: int, v: int, w: int) -> tuple[int, int, int]:
+    """Borders of the key (n; v, w), the states stored to count them, and
+    the ways of reaching those states.
 
     The layered counter again, over plain tuple states (need_b, owed_b,
     owed_c, rem_b, rem_c) and with every window taken from the sorted
@@ -544,7 +545,8 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
     line can still close its missing sum with as many of those rows as it
     needs, an admissible number of them small.  Its second result, the
     stored states of every layer, is what the library counter charges as
-    budget nodes.
+    budget nodes.  Its third, the ways summed over every layer, counts the
+    paths from the first state to a live one: what a full listing charges.
     """
     c = complement_base(n)
     small = 2 * n + 2
@@ -579,6 +581,7 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
     if live(free, need_b, owed_b, rem_b) and live(free, len(free) - n, owed_c, rem_c):
         layer[start] = 1
     stored = len(layer)
+    walked = sum(layer.values())
     for idx, row in enumerate(free):
         left = free[idx + 1:]
         following = {}
@@ -596,7 +599,8 @@ def reference_count(n: int, v: int, w: int) -> tuple[int, int]:
                         following[move] = following.get(move, 0) + ways
         layer = following
         stored += len(layer)
-    return sum(layer.values()), stored
+        walked += sum(layer.values())
+    return sum(layer.values()), stored, walked
 
 
 # --- corner references -------------------------------------------------------

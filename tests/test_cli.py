@@ -354,15 +354,21 @@ def test_enumerate_listing_spends_one_time_budget_across_keys(capsys):
 
 
 def test_enumerate_listing_spends_one_node_budget_across_keys(capsys):
-    # 317 nodes list any one key of n=4, not all of them
-    code, out, _ = run(capsys, "enumerate", "--order", "4", "--corners", "1,2",
-                       "--max-nodes", "317")
+    # 128 nodes list (8, 7), the widest key of n=4, and any other one key,
+    # but not all of them; all of n=4 takes 3,344
+    code, out, _ = run(capsys, "enumerate", "--order", "4", "--corners", "8,7",
+                       "--max-nodes", "128")
     assert code == 0 and out
-    code, _, err = run(capsys, "enumerate", "--order", "4", "--max-nodes", "317")
-    assert code == 3 and "node limit 317 reached" in err
-    code, full, _ = run(capsys, "enumerate", "--order", "4", "--max-nodes", "7878")
+    code, _, err = run(capsys, "enumerate", "--order", "4", "--corners", "8,7",
+                       "--max-nodes", "127")
+    assert code == 3 and "node limit 127 reached" in err
+    code, _, err = run(capsys, "enumerate", "--order", "4", "--max-nodes", "128")
+    assert code == 3 and "node limit 128 reached" in err
+    code, full, _ = run(capsys, "enumerate", "--order", "4", "--max-nodes", "3344")
     assert code == 0
     assert run(capsys, "enumerate", "--order", "4") == (0, full, "")
+    code, _, err = run(capsys, "enumerate", "--order", "4", "--max-nodes", "3343")
+    assert code == 3 and "node limit 3343 reached" in err
 
 
 def test_enumerate_listing_rejects_a_negative_order(capsys):

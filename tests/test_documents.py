@@ -166,6 +166,12 @@ def test_serialize_rejects_unknown_format_and_ragged_grids():
         serialize_grid([[1, 2], [3]], GRID)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_grid_with_no_rows_is_refused_as_no_reader_takes_it_back(fmt):
+    with pytest.raises(DocumentError, match="grid has no rows"):
+        serialize_grid([], fmt)
+
+
 @given(
     st.integers(min_value=2, max_value=8).flatmap(
         lambda k: st.lists(
@@ -400,6 +406,10 @@ def _square_grids(cell):
 )
 @settings(max_examples=200)
 def test_row_writers_agree_with_the_per_cell_writers(cells, fmt):
+    if not cells:
+        with pytest.raises(DocumentError, match="grid has no rows"):
+            serialize_grid(cells, fmt)
+        return
     assert serialize_grid(cells, fmt) == reference_serialize_grid(cells, fmt)
 
 
