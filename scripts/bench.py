@@ -15,16 +15,19 @@ Each stage entry holds, at the sizes the table fixes:
   opcodes one call executes at the pin size, in total, per module and per
   code object (``costs.opcodes``).  They move only with the code and the
   interpreter's version (``python``);
-- ``wall_ms``: the best of ``REPEATS`` calls at each wall size, set-up
-  excluded;
+- ``wall_ms`` and ``wall_median_ms``: the best and the median of the
+  calls at each wall size, set-up excluded: at least ``MIN_CALLS``, and
+  more, up to ``MAX_CALLS``, until ``WALL_BUDGET_S`` of calls is spent;
 - ``peak_mib``: the peak RSS (VmHWM) of a fresh process at the peak size,
   after it has loaded the call's arguments and after the call.
 
-``end_to_end_ms`` holds whole processes (median of ``LAUNCHES``),
-``counters`` machine-independent targets: the opcodes each corner build
-runs in the search module (0: corners never search), the layered
-counter's node totals, and the live states a whole-order listing steps
-to.  Known counts are checked, and a wrong one fails the run.
+``end_to_end_ms`` holds whole processes (median of ``LAUNCHES``), and
+the set-up line perfbench times before its workloads (``SET_UP``), timed
+inside fresh ``python -I -S`` processes: its median and quartiles over
+``SET_UP_LAUNCHES``.  ``counters`` holds machine-independent targets: the
+opcodes each corner build runs in the search module (0: corners never
+search), the layered counter's node totals, and the live states a
+whole-order listing steps to.  Known counts are checked, and a wrong one fails the run.
 """
 
 import argparse
@@ -50,8 +53,11 @@ from magicborders import count_omega, enumerate_order  # noqa: E402
 from magicborders.core import forbidden_by_parity  # noqa: E402
 from magicborders.enumeration import _BudgetState, _count, _solutions  # noqa: E402
 
-REPEATS = 3
+MIN_CALLS = 5
+MAX_CALLS = 41
+WALL_BUDGET_S = 0.5
 LAUNCHES = 11
+SET_UP_LAUNCHES = 41
 SEARCH_MODULE = "magicborders.enumeration"
 # the package as a command; -S keeps site-packages' .pth files out of the start-up
 CLI = [sys.executable, "-S", "-m", "magicborders"]
@@ -69,6 +75,20 @@ COMMANDS = {
 }
 # the inner orders whose whole listing's nodes are recorded
 LISTED = (4, 5)
+# the set-up line: the CLI imported, then one square border and one corner
+# border built; a fresh process prints how long that took in ms, its own
+# start left out
+SET_UP = "set-up: import magicborders.cli; build_border(3); construct_with_corners(4, 1, 2)"
+SET_UP_RUN = """
+import sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import magicborders.cli
+from magicborders import build_border, construct_with_corners
+build_border(3)
+construct_with_corners(4, 1, 2)
+print((time.perf_counter() - start) * 1e3)
+"""
 # (stage, size): the total it must return
 KNOWN = {
     ("count_omega", 8): 8_234_012,
@@ -126,6 +146,17 @@ def end_to_end(env: dict) -> dict[str, float]:
     return {name: round(statistics.median(ms), 2) for name, ms in times.items()}
 
 
+def set_up_ms() -> dict[str, float]:
+    # -I -S: neither PYTHONPATH nor site-packages, so only the line's own imports load
+    argv = [sys.executable, "-I", "-S", "-c", SET_UP_RUN, str(SRC)]
+    times = [
+        float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+        for _ in range(SET_UP_LAUNCHES)
+    ]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
 def check_result(name: str, size: int, result) -> None:
     expect(getattr(result, "valid", True), f"{name} at {size} is not valid")
     if (name, size) in KNOWN:
@@ -133,16 +164,17 @@ def check_result(name: str, size: int, result) -> None:
         expect(total == KNOWN[name, size], f"{name} at {size} counted {total}")
 
 
-def best_ms(name: str, size: int) -> float:
+def call_ms(name: str, size: int) -> list[float]:
+    """The times of the calls of stage ``name`` at ``size``, in ms."""
     func, *args = STAGES[name].call(size)
-    best = float("inf")
-    for _ in range(REPEATS):
+    times = []
+    while len(times) < MIN_CALLS or (len(times) < MAX_CALLS and sum(times) < WALL_BUDGET_S):
         start = time.perf_counter()
         result = func(*args)
-        best = min(best, time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         check_result(name, size, result)
         del result  # so that two results are never alive at once
-    return round(best * 1e3, 3)
+    return [seconds * 1e3 for seconds in times]
 
 
 def peak_mib(name: str, env: dict, tmp: Path) -> dict[str, float]:
@@ -162,12 +194,14 @@ def measure(name: str, env: dict, tmp: Path) -> dict:
     by_module = Counter()
     for (module, _), count in counts.items():
         by_module[module] += count
+    walls = {str(size): call_ms(name, size) for size in stage.wall}
     return {
         "sizes": {"pin": stage.pin, "wall": list(stage.wall), "peak": stage.peak},
         "opcodes": sum(counts.values()),
         "opcodes_by_module": dict(sorted(by_module.items())),
         "opcodes_by_code": {f"{module}.{code}": n for (module, code), n in sorted(counts.items())},
-        "wall_ms": {str(size): best_ms(name, size) for size in stage.wall},
+        "wall_ms": {size: round(min(ms), 3) for size, ms in walls.items()},
+        "wall_median_ms": {size: round(statistics.median(ms), 3) for size, ms in walls.items()},
         "peak_mib": peak_mib(name, env, tmp),
     }
 
@@ -215,7 +249,7 @@ def main() -> None:
         "python": "%d.%d" % sys.version_info[:2],
         "python_version": platform.python_version(),
         "platform": platform.platform(),
-        "end_to_end_ms": end_to_end(env),
+        "end_to_end_ms": {**end_to_end(env), SET_UP: set_up_ms()},
         "counters": {
             "corner_search_opcodes": search,
             "count_borders_nodes": {str(n): count_nodes(n) for n in STAGES["count_borders"].wall},

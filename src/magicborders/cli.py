@@ -235,7 +235,7 @@ def cmd_tables(args) -> int:
     if not args.check:
         print("seed tables ship verified; run with --check to (re)validate them")
         return EXIT_OK
-    from .corners import audit_order4, audit_order_m
+    from .tables import audit_order4, audit_order_m
 
     audits4 = audit_order4()
     # audit every --m first: a bad one exits 1 before anything is printed

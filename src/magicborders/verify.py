@@ -194,11 +194,19 @@ def write_ring(cells: list[list], k: int, plan: BorderPlan, shift: int) -> None:
         row[hi] = far - x
 
 
+def _is_square(cells: Sequence[Sequence], order: int) -> bool:
+    """Whether ``cells`` is ``order`` rows of ``order`` cells each."""
+    return len(cells) == order and all(len(row) == order for row in cells)
+
+
 def plan_from_frame(frame: BorderFrame) -> BorderPlan:
     """Read the plan back off a frame's top row and left column; the inverse
-    of :func:`write_ring` on ring 0."""
+    of :func:`write_ring` on ring 0.  A grid that is not (n+2)x(n+2)
+    raises ValueError."""
     cells, order = frame.cells, frame.order
-    top = cells[0][:order]
+    if not _is_square(cells, order):
+        raise ValueError(f"a frame of inner order {frame.n} is {order}x{order}; this one is not")
+    top = cells[0]
     left = [cells[i][0] for i in range(1, order - 1)]
     return BorderPlan(n=frame.n, v=top[0], w=top[-1], b=top[1:-1], c=left)
 
@@ -402,7 +410,7 @@ def verify_frame(frame: BorderFrame) -> CheckReport:
         return CheckReport.from_violations(violations)
     order = frame.order
     cells = frame.cells
-    if len(cells) != order or any(len(row) != order for row in cells):
+    if not _is_square(cells, order):
         return CheckReport.from_violations(
             [Violation("shape", f"grid is not {order}x{order}")]
         )

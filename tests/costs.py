@@ -28,8 +28,8 @@ from magicborders import (
     verify_bordered,
 )
 from magicborders.construct import _recipe
-from magicborders.corners import audit_order_m
 from magicborders.documents import FORMATS, parse_document, serialize_grid
+from magicborders.tables import audit_order_m
 from magicborders.verify import write_ring
 
 

@@ -22,7 +22,7 @@ from magicborders import (
     verify_bordered,
 )
 from magicborders.cli import main
-from magicborders.corners import audit_order4, audit_order_m
+from magicborders.tables import audit_order4, audit_order_m
 from magicborders.transform import SYMMETRIES, orbit
 
 from goldens import (

@@ -16,20 +16,16 @@ from magicborders import (
 from magicborders import corners, enumeration
 from magicborders.construct import _diagram
 from magicborders.core import border_pool, complement_base, forbidden_by_parity
-from magicborders.corners import (
-    _BLOCK,
-    _COUNTS,
-    _ORDER4,
+from magicborders.corners import _BLOCK, _COUNTS, _ORDER4, _extension_shift, _small_corners
+from magicborders.documents import parse_document
+from magicborders.tables import (
     _ORDER_M,
-    _extension_shift,
     _repair_single_substitution,
-    _small_corners,
     audit_order4,
     audit_order_m,
     block_sets,
     eval_poly,
 )
-from magicborders.documents import parse_document
 from magicborders.transform import orbit
 
 from goldens import (

@@ -38,7 +38,7 @@ sys.path.insert(0, sys.argv[1])
 import magicborders.cli
 from magicborders import build_border, build_square, verify_border, verify_bordered
 from magicborders import construct_with_corners
-from magicborders.corners import audit_order_m
+from magicborders.tables import audit_order_m
 assert verify_border(build_border(7)).valid
 assert verify_bordered(build_square(12)).valid
 # one corner build from each seed table, and the paper's order-m table
@@ -145,6 +145,17 @@ def test_orbit_loads_the_symmetries_and_no_construction_module():
     *images, loaded = run_isolated(COMMAND, "orbit", "-", stdin=serialize_plan(build_border(6)))
     assert len(images) == 8
     assert loaded.split() == ["cli", "core", "documents", "transform", "verify"]
+
+
+def test_tables_check_loads_the_table_module_and_corner_builds_do_not():
+    *report, loaded = run_isolated(COMMAND, "tables", "--check", "--m", "8")
+    assert report[-1].startswith("m=8 summary:")
+    assert loaded.split() == [
+        "cli", "construct", "core", "corners", "documents", "tables", "transform", "verify"
+    ]
+    [loaded] = run_isolated("import sys; sys.path.insert(0, sys.argv[1])\n"
+                            "import magicborders.corners" + LOADED)
+    assert "tables" not in loaded.split()
 
 
 def test_every_public_name_is_its_own_modules_object():

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicborders import (
@@ -13,6 +14,7 @@ from magicborders import (
     complement_base,
     verify_border,
     verify_bordered,
+    plan_from_frame,
     verify_frame,
     verify_square,
 )
@@ -197,6 +199,17 @@ def test_misshapen_inputs_are_shape_violations():
     assert verify_frame(wrong_size) == CheckReport(
         False, (Violation("shape", "grid is not 6x6"),)
     )
+
+
+@pytest.mark.parametrize("cells", [
+    [[1]],
+    tuple((1,) * 6 for _ in range(5)),
+    [[1] * 6, [1] * 6, [1] * 5, [1] * 6, [1] * 6, [1] * 6],
+    [[1] * 7 for _ in range(6)],
+])
+def test_plan_from_frame_rejects_a_grid_of_the_wrong_shape(cells):
+    with pytest.raises(ValueError, match=r"inner order 4 is 6x6"):
+        plan_from_frame(BorderFrame(4, cells))
 
 
 def test_verify_bordered_accepts_assembled_squares():
